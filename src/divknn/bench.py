@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleConfig, _round_half_away, k_schedule, solve_weights
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, neighbor_tables, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
 
@@ -163,15 +163,15 @@ def run_experiment(config):
             try:
                 per_estimator = _run_cell(config, spec, spec1, spec2, d, n)
             except Exception as exc:  # record and continue with the grid
-                elapsed = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
-                nan = float("nan")
-                for est in config.estimators:
-                    rows.append(ResultRow(d, n, est, config.trials, nan, truth, nan, nan, nan,
-                                          elapsed, error=str(exc)))
-                continue
+                per_estimator = {est: str(exc) for est in config.estimators}
             elapsed = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
             for est in config.estimators:
                 values = per_estimator[est]
+                if isinstance(values, str):
+                    nan = float("nan")
+                    rows.append(ResultRow(d, n, est, config.trials, nan, truth, nan, nan, nan,
+                                          elapsed, error=values))
+                    continue
                 mean = float(np.mean(values))
                 bias = mean - truth
                 variance = float(np.var(values))  # population variance over trials
@@ -182,7 +182,9 @@ def run_experiment(config):
 
 
 def _run_cell(config, spec, spec1, spec2, d, n):
+    """Trial values per estimator, or the error message of an estimator whose weights failed."""
     plans = {}
+    failed = {}
     union_ks = set()
     if "plugin" in config.estimators:
         k_p = config.plugin_k or _round_half_away(math.sqrt(n))
@@ -192,10 +194,16 @@ def _run_cell(config, spec, spec1, spec2, d, n):
         if est not in config.estimators:
             continue
         econf = config.ensemble_config(est, d, n)
-        sched, _ = k_schedule(econf)
-        weights = solve_weights(econf)
+        try:
+            sched, _ = k_schedule(econf)
+            weights = solve_weights(econf)
+        except (SolverError, ValueError) as exc:  # fails this estimator's row only
+            failed[est] = str(exc)
+            continue
         plans[est] = ("ensemble", sched, weights.weights)
         union_ks.update(k for _, k in sched)
+    if not plans:
+        return failed
     union_ks = sorted(union_ks)
     k_max = max(union_ks)
 
@@ -220,7 +228,8 @@ def _run_cell(config, spec, spec1, spec2, d, n):
             trial_results = list(pool.map(run_trial, range(config.trials)))
     else:
         trial_results = [run_trial(t) for t in range(config.trials)]
-    return {est: np.array([r[est] for r in trial_results]) for est in plans}
+    values = {est: np.array([r[est] for r in trial_results]) for est in plans}
+    return {**values, **failed}
 
 
 def fit_loglog_slope(rows):
@@ -278,6 +287,7 @@ def rows_to_json(rows):
             '"variance": %s' % _fmt_json(r.variance),
             '"mse": %s' % _fmt_json(r.mse),
             '"wall_time_ms": %s' % _fmt_json(r.wall_time_ms),
+            '"error": %s' % json.dumps(r.error),
         ]
         parts.append("{" + ", ".join(fields) + "}")
     return "[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n"

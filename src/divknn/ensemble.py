@@ -31,6 +31,15 @@ DEFAULT_K_MIN = 3
 # together with the triangular solve, the product Q y and the final A w.
 RESIDUAL_FACTOR = 8.0
 
+# The relaxed program stops once its bracket [lo, hi] on the optimal level
+# has hi - lo <= LEVEL_RTOL * hi, which certifies the returned objective to
+# that relative accuracy; 1e-12 sits well above the rounding of h(epsilon).
+LEVEL_RTOL = 1e-12
+
+# A violated unit normal whose QR pivot |R_pp| (its distance from the span of
+# the active normals) is at most this is treated as linearly dependent.
+DEPENDENT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -113,7 +122,7 @@ class WeightSolution:
     weights: np.ndarray
     residuals: np.ndarray  # gamma_w(i) = sum_l w(l) psi_i(l), per basis entry
     objective: float  # achieved epsilon (relaxed) or ||w||_2 (exact)
-    solver_iterations: int
+    solver_iterations: int  # Newton/bisection steps on epsilon (relaxed); 0 (exact)
     l_values: tuple = ()
 
 
@@ -223,10 +232,19 @@ def solve_weights_exact(basis, l_values):
         raise SolverError("constraint matrix is rank deficient (%s)" % bad)
     b = np.zeros(m)
     b[0] = 1.0
-    q, r = np.linalg.qr(A.T)
-    w = q @ np.linalg.solve(r.T, b)
+    w, _ = _min_norm(*np.linalg.qr(A.T), b)
     _check_constraints(A, b, w, sv[0])
     return WeightSolution(w, psi @ w, float(np.linalg.norm(w)), 0, tuple(lv))
+
+
+def _min_norm(q, r, rhs):
+    """Minimum-norm solution of normals @ w = rhs, given normals^T = Q R.
+
+    w = Q y with R^T y = rhs.  Also returns u = R^{-1} y, the multipliers of
+    1/2 ||w||^2 under those equalities (w = normals^T u).
+    """
+    y = np.linalg.solve(r.T, rhs)
+    return q @ y, np.linalg.solve(r, y)
 
 
 def _check_constraints(A, b, w, a_norm):
@@ -261,16 +279,108 @@ def _near_dependent_rows(A, basis):
     return "no single offending row pair; check the l grid"
 
 
-def solve_weights_relaxed(basis, l_values, n, eta, max_iters=200000):
+def _level_qp(normals, rhs):
+    """Goldfarb-Idnani dual active-set solve of one strictly convex QP.
+
+    Minimizes 1/2 ||w||^2 subject to normals[0] . w = rhs[0] and
+    normals[j] . w >= rhs[j] for j >= 1; every row of normals has unit norm.
+    Starting from the minimizer under the equality alone, it adds the most
+    violated constraint and walks the primal-dual path to the minimizer over
+    the enlarged active set, dropping an active constraint whose multiplier
+    reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).  Each target point is a QR min-norm solve
+    over the active normals.  A constraint counts as violated when its slack
+    is below -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
+    normals . w can carry.  Returns (w, u) with w = normals^T u and
+    u[1:] >= 0, or None when the constraints are infeasible: a violated
+    normal lies in the span of the active ones (|R_pp| <= DEPENDENT_TOL) and
+    no active multiplier can give way.
+    """
+    tol = RESIDUAL_FACTOR * normals.shape[1] * np.finfo(np.float64).eps
+    u = np.zeros(len(rhs))
+    u[0] = rhs[0]
+    w = rhs[0] * normals[0]
+    active = [0]
+    seen = set()
+    while True:
+        slack = normals @ w - rhs
+        slack[active] = np.inf
+        p = int(np.argmin(slack))
+        if slack[p] >= -tol * max(1.0, np.linalg.norm(w)):
+            return w, u
+        while True:
+            s = active + [p]
+            q, r = np.linalg.qr(normals[s].T)
+            if abs(r[-1, -1]) > DEPENDENT_TOL:
+                w_t, u_t = _min_norm(q, r, rhs[s])
+                # Multipliers move linearly from u[s] to u_t; an active
+                # inequality whose multiplier would turn negative blocks.
+                blocked = np.flatnonzero(u_t[1:-1] < 0) + 1
+                ratio = u[s][blocked] / (u[s][blocked] - u_t[blocked])
+                step = min(1.0, ratio.min(initial=np.inf))
+                w = w + step * (w_t - w)
+                u[s] += step * (u_t - u[s])
+                np.maximum(u[1:], 0.0, out=u[1:])  # a rounding tie must not flip a sign
+                if step == 1.0:
+                    break
+                drop = s[blocked[np.argmin(ratio)]]
+            else:
+                # n_p = normals[active]^T coef: only the multipliers move.
+                coef = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
+                blocked = np.flatnonzero(coef[1:] > 0) + 1
+                if blocked.size == 0:
+                    return None
+                ratio = u[active][blocked] / coef[blocked]
+                u[active] -= ratio.min() * coef
+                np.maximum(u[1:], 0.0, out=u[1:])
+                u[p] += ratio.min()
+                drop = active[blocked[np.argmin(ratio)]]
+            u[drop] = 0.0
+            active.remove(drop)
+        active.append(p)
+        key = frozenset(active)
+        if key in seen:  # impossible in exact arithmetic: the objective rises
+            raise SolverError("active-set solve revisited an active set")
+        seen.add(key)
+
+
+def _level_constraints(a, level):
+    """Unit normals and right-hand sides of the level-epsilon QP, in _level_qp's form.
+
+    Row 0 is sum(w) = 1; rows 1..I are -a_i . w >= -epsilon and rows I+1..2I
+    are a_i . w >= -epsilon; every row is divided by the norm of its normal.
+    """
+    L = a.shape[1]
+    norms = np.linalg.norm(a, axis=1)
+    unit = a / norms[:, None]
+    normals = np.vstack([np.full(L, L**-0.5), -unit, unit])
+    return normals, np.r_[L**-0.5, -np.tile(level / norms, 2)]
+
+
+def solve_weights_relaxed(basis, l_values, n, eta):
     """Relaxed weight program: min epsilon with scaled residual and norm caps.
 
-    Epigraph form: minimize max(max_i |a_i . w|, ||w||^2 / eta) over the
-    hyperplane sum(w) = 1, where a_i = sqrt(N) * phi_i(N) * psi_i(l).  Solved
-    by projected subgradient descent with a Polyak level step: the step
-    targets (best value - delta) and delta is halved whenever progress
-    stalls, restarting from the incumbent.  Terminates once delta falls
-    below max(1e-18, 1e-14 * best), which puts the objective gap far below
-    the 1e-8 feasibility slack of the solution invariants.
+    Epigraph form: minimize f(w) = max(max_i |a_i . w|, ||w||^2 / eta) over
+    the hyperplane sum(w) = 1, where a_i = sqrt(N) * phi_i(N) * psi_i(l).
+    The optimal level epsilon* is the root of h(epsilon) - eta * epsilon,
+    where h(epsilon) = min ||w||^2 s.t. sum(w) = 1, |a_i . w| <= epsilon is a
+    strictly convex QP, solved exactly by _level_qp on the rows normalized
+    to a_i / ||a_i||.  h is convex and decreasing with slope
+    h'(epsilon) = -2 sum_i mu_i / ||a_i|| from the QP multipliers mu, so the
+    Newton step on h - eta * epsilon from any solved level lands at or below
+    epsilon*.  A bracket [lo, hi] holds epsilon*: lo starts at 1/(L eta)
+    (||w||^2 >= 1/L) and rises to each Newton point and past each level whose
+    QP is infeasible; hi is the least max(epsilon, h(epsilon) / eta) reached,
+    starting from the uniform weights.  The next level is the Newton point
+    while that halves the bracket and its midpoint otherwise; the solve stops
+    once hi - lo <= LEVEL_RTOL * hi and returns the weights that reached hi.
+    solver_iterations counts the levels solved (Newton and bisection steps).
+
+    The returned weights are checked (see _check_relaxed): sum(w) = 1 and the
+    level-QP constraints to the backward-error bound, and the KKT signs and
+    stationarity of its multipliers; otherwise SolverError is raised with
+    them as best_weights.  The reported objective is f recomputed from the
+    weights.  When the uniform weights already meet the norm bound 1/(L eta)
+    they are optimal and are returned without a solve.
     """
     lv = np.asarray(l_values, dtype=np.float64)
     L = lv.size
@@ -279,60 +389,60 @@ def solve_weights_relaxed(basis, l_values, n, eta, max_iters=200000):
     if eta <= 0:
         raise ParameterError("eta must be > 0")
     a = basis.scaled_rows(lv, n)
-    w = np.full(L, 1.0 / L)
-    if basis.count == 0:
-        # Norm minimization alone: uniform weights are optimal.
-        return WeightSolution(w, np.zeros(0), 1.0 / (L * eta), 0, tuple(lv))
-    best_f = np.inf
-    best_w = w.copy()
-    delta = None
-    stall = 0
-    t = 0
-    for t in range(1, max_iters + 1):
-        vals = a @ w
-        i = int(np.argmax(np.abs(vals)))
-        cmax = abs(vals[i])
-        qn = (w @ w) / eta
-        f = max(cmax, qn)
-        if f < best_f:
-            gain = best_f - f
-            best_f = f
-            best_w = w.copy()
+    uniform = np.full(L, 1.0 / L)
+    lo = 1.0 / (L * eta)
+    hi = float(np.max(np.abs(a @ uniform), initial=0.0))
+    if hi <= lo:
+        return WeightSolution(uniform, basis.psi_matrix(lv) @ uniform, lo, 0, tuple(lv))
+    norms = np.linalg.norm(a, axis=1)
+    best = (uniform, np.r_[L**-0.5, np.zeros(2 * len(a))], hi)  # weights, multipliers, level
+    level, gap, iters = lo, np.inf, 0
+    while hi - lo > LEVEL_RTOL * hi:
+        iters += 1
+        sol = _level_qp(*_level_constraints(a, level))
+        if sol is None:
+            lo = level
         else:
-            gain = 0.0
-        if delta is None:
-            delta = 0.5 * f if f > 0 else 1.0
-        # Only improvements commensurate with the current level count as
-        # progress; otherwise a trickle of negligible gains would keep the
-        # level from ever tightening.
-        if gain > 0.01 * delta:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 100:
-                delta *= 0.5
-                stall = 0
-                w = best_w.copy()
-                if delta < max(1e-18, 1e-14 * best_f):
-                    break
-                continue
-        target = max(0.0, best_f - delta)
-        g = np.sign(vals[i]) * a[i] if cmax >= qn else 2.0 * w / eta
-        g = g - g.mean()  # project the subgradient onto the sum-zero subspace
-        gn = g @ g
-        if gn < 1e-30:
-            break
-        w = w - ((f - target) / gn) * g
-        w = w - (w.sum() - 1.0) / L
-    else:
-        residuals = basis.psi_matrix(lv) @ best_w
+            w, u = sol
+            h = float(w @ w)
+            if max(level, h / eta) < hi:  # w reaches f(w) <= max(level, h / eta)
+                hi, best = max(level, h / eta), (w, u, level)
+            slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / norms)
+            lo = max(lo, level + (h - eta * level) / (eta - slope))
+        prev, gap = gap, hi - lo
+        level = lo if sol is not None and gap <= 0.5 * prev else 0.5 * (lo + hi)
+    w, u, level = best
+    objective = _check_relaxed(a, eta, w, u, level)
+    return WeightSolution(w, basis.psi_matrix(lv) @ w, objective, iters, tuple(lv))
+
+
+def _check_relaxed(a, eta, w, u, level):
+    """Check w against its level QP and return f(w) = max(max_i |a_i . w|, ||w||^2 / eta).
+
+    With tol = RESIDUAL_FACTOR * L * eps, SolverError is raised unless w is
+    finite, |sum(w) - 1| <= tol * sqrt(L) * ||w||_2, no level constraint is
+    violated by more than tol * max(1, ||w||_2) (the rows have unit norm), the
+    multipliers u have the KKT signs (u >= 0 on the inequality rows), and
+    stationarity w = normals^T u holds to tol * ||u||_1.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    normals, rhs = _level_constraints(a, level)
+    tol = RESIDUAL_FACTOR * w.size * np.finfo(np.float64).eps
+    w_norm = np.linalg.norm(w)
+    sum_err = abs(w.sum() - 1.0)
+    violation = float(np.max(rhs[1:] - normals[1:] @ w))
+    stationarity = float(np.max(np.abs(w - normals.T @ u)))
+    if not (np.all(np.isfinite(w)) and sum_err <= tol * math.sqrt(w.size) * w_norm
+            and violation <= tol * max(1.0, w_norm) and np.all(u[1:] >= 0)
+            and stationarity <= tol * np.sum(np.abs(u))):
         raise SolverError(
-            "relaxed solver hit the %d-iteration cap" % max_iters,
-            best_weights=best_w,
-            residuals=residuals,
+            "relaxed weights fail their check: |sum(w) - 1| = %.3g, level violation = "
+            "%.3g, stationarity residual = %.3g, least multiplier = %.3g"
+            % (sum_err, violation, stationarity, np.min(u[1:])),
+            best_weights=w,
+            residuals=a @ w,
         )
-    residuals = basis.psi_matrix(lv) @ best_w
-    return WeightSolution(best_w, residuals, float(best_f), t, tuple(lv))
+    return max(float(np.max(np.abs(a @ w))), float(w @ w) / eta)
 
 
 def solve_weights(config, basis=None):

@@ -92,19 +92,16 @@ def test_criterion_2_weight_solver():
     assert np.allclose(sol.weights, [4.0 / 3.0, 1.0 / 3.0, -2.0 / 3.0], atol=1e-9)
 
     rng = np.random.default_rng(2002)
-    relaxed_checked = 0
-    for trial in range(100):
+    for _ in range(100):
         basis, l_values = _random_full_rank_basis(rng)
         exact = solve_weights_exact(basis, l_values)
         psi = basis.psi_matrix(l_values)
         assert abs(np.sum(exact.weights) - 1.0) <= 1e-10
         assert np.all(np.abs(psi @ exact.weights) <= 1e-8)
-        if trial % 10 == 0:  # relaxed agreement is slow; spot-check every 10th
-            relaxed = solve_weights_relaxed(basis, l_values, n=400, eta=1e6)
-            assert np.max(np.abs(relaxed.weights - exact.weights)) <= 1e-4
-            relaxed_checked += 1
+        relaxed = solve_weights_relaxed(basis, l_values, n=400, eta=1e6)
+        assert np.max(np.abs(relaxed.weights - exact.weights)) <= 1e-4
     print("\n[criterion 2] PASS: hand oracle + 100 exact instances"
-          " + %d relaxed agreements at eta=1e6" % relaxed_checked)
+          " + 100 relaxed agreements at eta=1e6")
 
 
 def test_criterion_3_oracle_agreement():

@@ -128,6 +128,7 @@ def test_json_round_trip(tmp_path):
     assert data[0]["estimator"] == "odin1"
     assert data[0]["mse"] == 0.125
     assert data[1]["n"] == 200
+    assert data[0]["error"] is None
     assert json.loads(rows_to_json([])) == []
 
 
@@ -136,6 +137,22 @@ def test_json_non_finite_becomes_null():
     rows = [ResultRow(1, 10, "plugin", 1, nan, 0.1, nan, nan, nan, 0.0, error="boom")]
     data = json.loads(rows_to_json(rows))
     assert data[0]["mse"] is None
+    assert data[0]["error"] == "boom"
+
+
+def test_failed_weight_solve_fails_only_its_row():
+    # At d=7 the exact program is rank deficient for both ensembles; the
+    # plug-in row needs no weights and must still be computed.
+    config = ExperimentConfig(dims=(7,), n_grid=(200,), trials=2, solver="exact")
+    rows = {r.estimator: r for r in run_experiment(config)}
+    assert rows["plugin"].error is None
+    assert np.isfinite(rows["plugin"].mse)
+    for est in ("odin1", "odin2"):
+        assert "rank deficient" in rows[est].error
+        assert np.isnan(rows[est].mse)
+    data = json.loads(rows_to_json([rows["plugin"], rows["odin1"]]))
+    assert data[0]["error"] is None
+    assert "rank deficient" in data[1]["error"]
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -22,6 +22,9 @@ from divknn import (
 from divknn.ensemble import (
     RESIDUAL_FACTOR,
     _check_constraints,
+    _check_relaxed,
+    _level_constraints,
+    _level_qp,
     _round_half_away,
     solve_weights,
 )
@@ -294,6 +297,79 @@ def test_relaxed_solution_invariants():
 def test_relaxed_requires_l2():
     with pytest.raises(Exception):
         solve_weights_relaxed(BasisSystem((), "odin1"), [1.0], 100, 1.0)
+
+
+def _relaxed_f(a, w, eta):
+    return max(np.max(np.abs(a @ w)), w @ w / eta)
+
+
+def test_relaxed_paper_default_odin1_d7_n100_solves():
+    # The paper's default ODin1 configuration, on which a projected-subgradient
+    # solve ran into its iteration cap.
+    config = ExperimentConfig().ensemble_config("odin1", 7, 100)
+    basis = build_basis(config)
+    sol = solve_weights(config, basis)
+    a = basis.scaled_rows(np.asarray(config.l_values), config.n)
+    assert abs(sol.weights.sum() - 1.0) <= 1e-12
+    assert sol.objective == pytest.approx(_relaxed_f(a, sol.weights, config.eta), rel=1e-15)
+
+
+def _slsqp_relaxed_objective(a, eta):
+    # Independent reference: the epigraph program min epsilon over (w, epsilon)
+    # with |a w| <= epsilon, ||w||^2 <= eta epsilon and sum(w) = 1, solved by
+    # scipy's SLSQP from the uniform weights; f is recomputed at its weights.
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    m, L = a.shape
+    w0 = np.full(L, 1.0 / L)
+    constraints = [
+        {"type": "ineq", "fun": lambda x: x[-1] - a @ x[:-1],
+         "jac": lambda x: np.c_[-a, np.ones(m)]},
+        {"type": "ineq", "fun": lambda x: x[-1] + a @ x[:-1],
+         "jac": lambda x: np.c_[a, np.ones(m)]},
+        {"type": "ineq", "fun": lambda x: np.array([eta * x[-1] - x[:-1] @ x[:-1]]),
+         "jac": lambda x: np.r_[-2.0 * x[:-1], eta][None, :]},
+        {"type": "eq", "fun": lambda x: np.array([x[:-1].sum() - 1.0]),
+         "jac": lambda x: np.r_[np.ones(L), 0.0][None, :]},
+    ]
+    res = minimize(lambda x: x[-1], np.r_[w0, _relaxed_f(a, w0, eta)],
+                   jac=lambda x: np.r_[np.zeros(L), 1.0], method="SLSQP",
+                   constraints=constraints, options={"ftol": 1e-16, "maxiter": 2000})
+    w = res.x[:-1] / res.x[:-1].sum()
+    return _relaxed_f(a, w, eta)
+
+
+@pytest.mark.parametrize("mode,d,n", [("odin2", 7, 100), ("odin2", 5, 100),
+                                      ("odin1", 5, 400), ("odin1", 3, 800)])
+def test_relaxed_objective_matches_slsqp_reference(mode, d, n):
+    config = ExperimentConfig().ensemble_config(mode, d, n)
+    basis = build_basis(config)
+    a = basis.scaled_rows(np.asarray(config.l_values), n)
+    sol = solve_weights(config, basis)
+    assert sol.objective == pytest.approx(_slsqp_relaxed_objective(a, config.eta), rel=1e-9)
+
+
+def test_relaxed_check_rejects_corrupted_answers():
+    config = ExperimentConfig().ensemble_config("odin1", 3, 800)
+    basis = build_basis(config)
+    a = basis.scaled_rows(np.asarray(config.l_values), config.n)
+    level = solve_weights(config, basis).objective
+    w, u = _level_qp(*_level_constraints(a, level))
+    assert _check_relaxed(a, config.eta, w, u, level) == pytest.approx(level, rel=1e-12)
+    # A sum-preserving move that raises the largest |a_i . w| above the level.
+    i = int(np.argmax(np.abs(a @ w)))
+    up = np.sign(a[i] @ w) * (a[i] - a[i].mean())
+    negated = u.copy()
+    negated[np.argmax(u[1:]) + 1] *= -1.0
+    corrupted = [
+        (w + np.r_[1e-9, np.zeros(config.L - 1)], u),  # sum(w) off by 1e-9
+        (w + 1e-6 * up / np.linalg.norm(up), u),
+        (w, negated),  # a multiplier with the wrong sign
+        (np.full(config.L, np.nan), u),
+    ]
+    for bad_w, bad_u in corrupted:
+        with pytest.raises(SolverError, match="relaxed weights fail their check") as info:
+            _check_relaxed(a, config.eta, bad_w, bad_u, level)
+        assert np.array_equal(info.value.best_weights, bad_w, equal_nan=True)
 
 
 # ---------------------------------------------------------------- ensemble_estimate
