@@ -165,12 +165,15 @@ def cmd_estimate(args):
             "z_score": result.z_score, "p_value": result.p_value,
             "level": result.level, "null_value": result.null_value,
             "bootstrap_reps": result.bootstrap_reps,
+            "degeneracy_count": result.degeneracy_count, "warnings": list(result.warnings),
         }))
     else:
         print("estimate   %.10g" % result.estimate)
         print("std_error  %.10g" % result.std_error)
         print("ci%g%%     [%.10g, %.10g]" % (100 * args.level, result.ci_low, result.ci_high))
         print("z vs %g    %.6g  (p=%.6g)" % (result.null_value, result.z_score, result.p_value))
+        if result.warnings:
+            print("warnings   %s" % "; ".join(result.warnings))
     return 0
 
 

@@ -77,57 +77,83 @@ class PluginEstimate:
     degeneracy_count: int = 0
 
 
-def _density_values(dist, k, m, d, mode):
-    """Vectorized k-NN density from neighbor distances, with clamp counting."""
-    degenerate = int(np.count_nonzero(dist <= DEGENERATE_RHO))
-    if degenerate and mode == "strict":
+def _density_values(dist, k, m, d, mode, counts=None):
+    """Vectorized k-NN density from neighbor distances, with clamp counting.
+
+    ``counts`` gives each row's multiplicity in the clamp count (default 1).
+    """
+    degenerate = dist <= DEGENERATE_RHO
+    if counts is None:
+        n_degenerate = int(np.count_nonzero(degenerate))
+    else:
+        n_degenerate = int(counts[degenerate].sum())
+    if n_degenerate and mode == "strict":
         from .errors import DegeneracyError
 
         raise DegeneracyError("degenerate neighbor distance (duplicate points?)")
     rho = np.maximum(dist, DEGENERATE_RHO)
-    return k / (m * unit_ball_volume(d) * rho**d), degenerate
+    return k / (m * unit_ball_volume(d) * rho**d), n_degenerate
 
 
-def plugin_profile(x, y, ks, spec, mode="robust", tables=None):
-    """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
-
-    Returns (values, degeneracy_counts) aligned with ``ks``.  ``tables`` may
-    carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays so a
-    benchmark trial can serve several estimators from one neighbor sweep.
-    """
+def check_profile_args(x, y, ks):
+    """Validate a plug-in profile's samples and k values; returns the ks as ints."""
     if x.dim != y.dim:
         raise ParameterError("dimension mismatch: x has d=%d, y has d=%d" % (x.dim, y.dim))
     if x.n < 2:
         raise ParameterError("need N2 >= 2 for leave-one-out estimation")
     ks = [int(k) for k in ks]
     m1, m2 = y.n, x.n - 1
-    k_max = max(ks)
     for k in ks:
         if k < 1 or k > min(m1, m2):
             raise ParameterError("k=%d out of range (M1=%d, M2=%d)" % (k, m1, m2))
+    return ks
+
+
+def plugin_profile(x, y, ks, spec, mode="robust", tables=None, outer_weights=None):
+    """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
+
+    Returns (values, degeneracy_counts) aligned with ``ks``.  ``tables`` may
+    carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays so a
+    benchmark trial can serve several estimators from one neighbor sweep.
+    ``outer_weights`` gives each table row an integer multiplicity in the
+    outer sample (a bootstrap resample of x): the outer mean and the clamp
+    counts then weight row i by ``outer_weights[i]``, and the tables may hold
+    only the rows with positive weight, in the same order.
+    """
+    ks = check_profile_args(x, y, ks)
+    m1, m2 = y.n, x.n - 1
     if tables is None:
-        tables = neighbor_tables(x, y, k_max)
+        tables = neighbor_tables(x, y, max(ks))
     rho1_table, rho2_table = tables
     d = x.dim
     values = np.empty(len(ks))
     degs = np.empty(len(ks), dtype=int)
     for j, k in enumerate(ks):
-        f1, deg1 = _density_values(rho1_table[:, k - 1], k, m1, d, mode)
-        f2, deg2 = _density_values(rho2_table[:, k - 1], k, m2, d, mode)
+        f1, deg1 = _density_values(rho1_table[:, k - 1], k, m1, d, mode, outer_weights)
+        f2, deg2 = _density_values(rho2_table[:, k - 1], k, m2, d, mode, outer_weights)
         if mode == "robust":
             f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
             f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
-        values[j] = float(np.mean(spec.eval(f1, f2)))
+        g = spec.eval(f1, f2)
+        if outer_weights is None:
+            values[j] = float(np.mean(g))
+        else:
+            values[j] = float(np.dot(outer_weights, g) / np.sum(outer_weights))
         degs[j] = deg1 + deg2
     return values, degs
 
 
-def neighbor_tables(x, y, k_max):
-    """Sorted neighbor-distance tables (x into y; x into x leave-one-out)."""
+def neighbor_tables(x, y, k_max, return_indices=False):
+    """Sorted neighbor-distance tables (x into y; x into x leave-one-out).
+
+    Each table is at most ``k_max`` deep.  With ``return_indices`` each table
+    is a ``(distances, rows)`` pair; see ``NeighborIndex.kth_distance_table``.
+    """
     index_y = NeighborIndex(y)
     index_x = NeighborIndex(x)
-    rho1 = index_y.kth_distance_table(x.points, min(k_max, y.n))
-    rho2 = index_x.kth_distance_table(x.points, min(k_max, x.n - 1), leave_one_out=True)
+    rho1 = index_y.kth_distance_table(x.points, min(k_max, y.n), return_indices=return_indices)
+    rho2 = index_x.kth_distance_table(x.points, min(k_max, x.n - 1), leave_one_out=True,
+                                      return_indices=return_indices)
     return rho1, rho2
 
 

@@ -1,12 +1,15 @@
 """Point storage and exact k-nearest-neighbor distance queries.
 
-The index is a static median-split kd-tree over one point set.  Queries are
-exact: the returned k-th neighbor distance always equals the k-th order
-statistic of the brute-force distance list, with ties broken by ascending
-row index.  Point sets below ``BRUTE_FORCE_THRESHOLD`` rows are kept as a
-single leaf and searched by brute force.
+Single queries (``kth_nn``) go through a static median-split kd-tree, built
+on the first such query; the estimator's tables come from a blocked
+brute-force sweep that never needs the tree.  Queries are exact: the returned
+k-th neighbor distance always equals the k-th order statistic of the
+brute-force distance list, with ties broken by ascending row index.  Point
+sets below ``BRUTE_FORCE_THRESHOLD`` rows are kept as a single leaf and
+searched by brute force.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,11 +70,14 @@ class NeighborIndex:
         self.pointset = pointset
         self._pts = pointset.points
         self._leaf_size = max(int(leaf_size), 1)
-        self._root = self._build(np.arange(pointset.n))
 
     @property
     def size(self):
         return self.pointset.n
+
+    @functools.cached_property
+    def _root(self):
+        return self._build(np.arange(self.pointset.n))
 
     def _build(self, idx):
         pts = self._pts[idx]
@@ -161,12 +167,17 @@ class NeighborIndex:
     def kth_nn_distance(self, query, k, exclude_self=False):
         return self.kth_nn(query, k, exclude_self)[0]
 
-    def kth_distance_table(self, queries, k_max, leave_one_out=False, block=256):
+    def kth_distance_table(self, queries, k_max, leave_one_out=False, block=256,
+                           return_indices=False):
         """Sorted distances to the ``k_max`` nearest references for each query.
 
         Vectorized brute-force path used by the estimator hot loop; exact by
         construction.  With ``leave_one_out`` the queries must be the index's
         own point array in row order and each row excludes itself by identity.
+        With ``return_indices`` it returns ``(distances, rows)``, where
+        ``rows`` holds the reference row of each entry, ordered by distance
+        and then by ascending row index; the distances are the same array,
+        bit for bit, as without it.
         """
         queries = np.asarray(queries, dtype=np.float64)
         k_max = int(k_max)
@@ -178,20 +189,51 @@ class NeighborIndex:
         pts = self._pts
         nq = queries.shape[0]
         out = np.empty((nq, k_max))
+        out_rows = np.empty((nq, k_max), dtype=np.int32) if return_indices else None
         for start in range(0, nq, block):
             q = queries[start : start + block]
             diff = q[:, None, :] - pts[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            del diff  # the (block, M, d) tensor is the largest transient
             if leave_one_out:
                 rows = np.arange(len(q))
                 d2[rows, start + rows] = np.inf
-            if k_max < d2.shape[1]:
-                part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
+            if return_indices:
+                part, out_rows[start : start + len(q)] = _nearest_rows(d2, k_max)
             else:
-                part = d2
-            part.sort(axis=1)
+                if k_max < d2.shape[1]:
+                    part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
+                else:
+                    part = d2
+                part.sort(axis=1)
             out[start : start + len(q)] = np.sqrt(part)
+        if return_indices:
+            return out, out_rows
         return out
+
+
+def _nearest_rows(d2, k):
+    """The ``k`` smallest entries of each row of ``d2`` and their columns.
+
+    Ordered by value and then by ascending column, so ties at the k-th value
+    keep the lowest columns.
+    """
+    if k < d2.shape[1]:
+        sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        part = np.take_along_axis(d2, sel, axis=1)
+        kth = part.max(axis=1)
+        # argpartition picks arbitrary members of a tie at the k-th value;
+        # rows where the tie reaches past the cut are redone by a stable sort.
+        ragged = np.count_nonzero(d2 == kth[:, None], axis=1) > np.count_nonzero(
+            part == kth[:, None], axis=1)
+        for r in np.flatnonzero(ragged):
+            sel[r] = np.argsort(d2[r], kind="stable")[:k]
+            part[r] = d2[r, sel[r]]
+    else:
+        sel = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+        part = d2
+    order = np.lexsort((sel, part), axis=1)
+    return np.take_along_axis(part, order, axis=1), np.take_along_axis(sel, order, axis=1)
 
 
 def build_index(points):

@@ -99,3 +99,28 @@ def test_estimate_header_flag(tmp_path, capsys):
     assert main(["estimate", "--f1-sample", y_path, "--f2-sample", x_path, "--header",
                  "--l-list", "0.5,1.0,2.0", "--reps", "10", "--solver", "exact"]) == 0
     assert "estimate" in capsys.readouterr().out
+
+
+
+def run_estimate(capsys, y_path, x_path, l_list, *extra):
+    assert main(["estimate", "--f1-sample", y_path, "--f2-sample", x_path, "--l-list", l_list,
+                 "--reps", "10", "--solver", "exact", *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_estimate_reports_warnings_and_clamps(capsys, tmp_path):
+    y_path, x_path = write_samples(tmp_path)
+    # At N=150, l=0.5 and l=0.52 both map to k=6.
+    payload = json.loads(run_estimate(capsys, y_path, x_path, "0.5,0.52,1.0,2.0",
+                                      "--format", "json"))
+    assert payload["warnings"] == ["k collision: l=0.5 and l=0.52 both map to k=6"]
+    assert payload["degeneracy_count"] == 0
+    text = run_estimate(capsys, y_path, x_path, "0.5,0.52,1.0,2.0")
+    assert "warnings   k collision: l=0.5 and l=0.52 both map to k=6" in text
+    assert "warnings" not in run_estimate(capsys, y_path, x_path, "0.5,1.0,2.0")
+    # Seven copies of one f2 point: each has six zero leave-one-out distances,
+    # so k=6 (of k = 6, 12, 25 at N=156) clamps once per copy.
+    x = np.loadtxt(x_path, delimiter=",", ndmin=2)
+    np.savetxt(x_path, np.vstack([x, np.repeat(x[:1], 6, axis=0)]), delimiter=",")
+    payload = json.loads(run_estimate(capsys, y_path, x_path, "0.5,1.0,2.0", "--format", "json"))
+    assert payload["warnings"] == [] and payload["degeneracy_count"] == 7

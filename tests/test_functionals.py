@@ -10,6 +10,7 @@ from divknn import (
     plugin_profile,
     sample_truncated_gaussian,
 )
+from divknn.functionals import neighbor_tables
 
 
 def test_builtin_forms():
@@ -133,3 +134,23 @@ def test_same_sample_renyi_near_one():
     k = int(np.floor(np.sqrt(5000)))
     r = plugin_estimate(pts, pts, k, k, make_functional("renyi_integral", alpha=0.5))
     assert abs(r.value - 1.0) < 0.05
+
+
+def test_profile_outer_weights_match_repeated_rows():
+    # Weighting row i by m_i equals listing x_i m_i times: each copy has the
+    # same neighbor tables, so one row per point stands for all its copies.
+    rng = np.random.default_rng(31)
+    y = PointSet(rng.random((60, 2)))
+    base = rng.random((40, 2))
+    m = rng.integers(0, 4, size=40)
+    m[:3] = (5, 0, 3)
+    xs = PointSet(np.repeat(base, m, axis=0))
+    first = np.cumsum(m)[m > 0] - m[m > 0]
+    renyi = make_functional("renyi_integral", alpha=0.5)
+    ks = [1, 2, 4, 7]
+    t1, t2 = neighbor_tables(xs, y, max(ks))
+    values, degs = plugin_profile(xs, y, ks, renyi, tables=(t1[first], t2[first]),
+                                  outer_weights=m[m > 0])
+    ref_values, ref_degs = plugin_profile(xs, y, ks, renyi)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0)
+    assert np.array_equal(degs, ref_degs) and degs[0] > 0

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from divknn import (
+    DegeneracyError,
     EnsembleConfig,
     ParameterError,
+    PointSet,
     TruncatedGaussianSpec,
     bootstrap_replicates,
     bootstrap_std,
     confidence_interval,
+    ensemble_estimate,
     make_functional,
     normal_cdf,
     normal_quantile,
     sample_truncated_gaussian,
+    solve_weights,
     two_sample_test,
 )
+from divknn import inference
+from divknn.synth import rng_stream
 
 RENYI = make_functional("renyi_integral", alpha=0.5)
 
@@ -133,3 +139,108 @@ def test_p_value_decreases_in_abs_z():
                               null_value=base.estimate + 10 * base.std_error)
     assert near.p_value == pytest.approx(1.0, abs=1e-12)
     assert far.p_value < near.p_value
+
+
+# --- bootstrap replicates through resample multiplicities ---------------------
+
+
+def explicit_replicates(x, y, config, spec, reps, seed, mode="robust"):
+    """The definition of a replicate: ensemble_estimate on the resampled points."""
+    weights = solve_weights(config)
+    values = np.empty(reps)
+    for r in range(reps):
+        ix = rng_stream(seed, inference._BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
+        iy = rng_stream(seed, inference._BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
+        values[r] = ensemble_estimate(PointSet(x.points[ix]), PointSet(y.points[iy]), config,
+                                      spec, mode=mode, weights=weights).value
+    return values
+
+
+def resample_setup(mode, d, n, seed=0, l_values=tuple(np.linspace(0.5, 2.0, 6)), k_min=3):
+    f1 = TruncatedGaussianSpec(d, (0.7,), 0.1)
+    f2 = TruncatedGaussianSpec(d, (0.3,), 0.1)
+    y = sample_truncated_gaussian(f1, n, seed, stream=1)
+    x = sample_truncated_gaussian(f2, n, seed, stream=2)
+    return x, y, EnsembleConfig(mode, l_values, d, n, k_min=k_min)
+
+
+@pytest.mark.parametrize("mode", ["odin1", "odin2"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [12, 200])
+def test_replicates_match_explicit_resamples(mode, d, n):
+    x, y, config = resample_setup(mode, d, n, seed=n + d)
+    fast = bootstrap_replicates(x, y, config, RENYI, reps=10, seed=5)
+    slow = explicit_replicates(x, y, config, RENYI, reps=10, seed=5)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_replicates_match_explicit_with_duplicate_points(d):
+    # Exact duplicates within x, within y and across the two samples give
+    # zero distances before any resampling; robust mode clamps them.
+    x, y, _ = resample_setup("odin1", d, 120, seed=9)
+    x = PointSet(np.vstack([x.points, x.points[:40], x.points[:10]]))
+    y = PointSet(np.vstack([y.points, x.points[100:170:7], y.points[:20]]))
+    config = EnsembleConfig("odin1", tuple(np.linspace(0.5, 2.0, 6)), d, x.n)
+    fast = bootstrap_replicates(x, y, config, RENYI, reps=10, seed=2)
+    slow = explicit_replicates(x, y, config, RENYI, reps=10, seed=2)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+
+
+def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
+    # Tables only k_max deep leave many resampled rows short, which must be
+    # answered by the direct query.
+    calls = []
+    direct = inference._direct_rows
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return direct(*args)
+
+    monkeypatch.setattr(inference, "RESAMPLE_DEPTH", 1)
+    monkeypatch.setattr(inference, "_direct_rows", counting)
+    for mode, d in (("odin1", 1), ("odin2", 3)):
+        x, y, config = resample_setup(mode, d, 200, seed=4)
+        fast = bootstrap_replicates(x, y, config, RENYI, reps=10, seed=8)
+        slow = explicit_replicates(x, y, config, RENYI, reps=10, seed=8)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+    assert len(calls) >= 20 and sum(calls) > 100
+
+
+def test_strict_mode_raises_exactly_when_explicit_does():
+    cases = [
+        # k = 1 is zero for any point drawn twice: every replicate degenerates.
+        resample_setup("odin1", 1, 200, l_values=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5), k_min=1),
+        resample_setup("odin2", 3, 200, seed=1, l_values=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
+                       k_min=1),
+        # k >= 5 at N = 12 needs one point drawn six times.
+        resample_setup("odin1", 1, 12, l_values=tuple(np.linspace(1.5, 3.0, 6))),
+        resample_setup("odin1", 3, 12, seed=3, l_values=tuple(np.linspace(1.5, 3.0, 6))),
+    ]
+    outcomes = []
+    for x, y, config in cases:
+        results = []
+        for fn in (bootstrap_replicates, explicit_replicates):
+            try:
+                results.append(fn(x, y, config, RENYI, reps=10, seed=6, mode="strict"))
+            except DegeneracyError:
+                results.append(None)
+        fast, slow = results
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+        outcomes.append(fast is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_interval_estimate_and_diagnostics_match_ensemble_estimate():
+    x, y, config = small_setup()
+    report = ensemble_estimate(x, y, config, RENYI)
+    r = confidence_interval(x, y, config, RENYI, reps=10, seed=2)
+    assert r.estimate == report.value
+    assert r.degeneracy_count == report.degeneracy_count
+    assert r.warnings == report.warnings
+    assert r.std_error == float(np.std(bootstrap_replicates(x, y, config, RENYI, 10, 2), ddof=1))
+    collide = EnsembleConfig("odin1", (0.5, 0.51, 1.0, 1.5, 2.0, 2.5), 1, x.n, solver="exact")
+    t = two_sample_test(x, y, collide, RENYI, null_value=1.0, reps=10)
+    assert any("k collision" in w for w in t.warnings)

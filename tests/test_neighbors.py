@@ -160,3 +160,24 @@ def test_knn_density_monotonicity_and_scaling():
         assert knn_density(0.3, 3, 10, d) > knn_density(0.3, 2, 10, d)
         ratio = knn_density(0.2, 2, 10, d) / knn_density(0.4, 2, 10, d)
         assert ratio == pytest.approx(2.0**d, rel=1e-12)
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("k_max", [1, 6, 13, 59])
+def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
+    # Integer lattice points with repeats: many exact ties, also at the k_max cut.
+    rng = np.random.default_rng(23)
+    pts = rng.integers(0, 4, size=(60, 2)).astype(float)
+    idx = build_index(pts)
+    queries = pts if leave_one_out else rng.integers(0, 4, size=(25, 2)).astype(float)
+    dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out=leave_one_out,
+                                        block=7, return_indices=True)
+    plain = idx.kth_distance_table(queries, k_max, leave_one_out=leave_one_out, block=7)
+    assert np.array_equal(dist, plain)
+    for i, q in enumerate(queries):
+        d2 = ((pts - q) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(len(pts)), d2))
+        if leave_one_out:
+            order = order[order != i]
+        assert np.array_equal(rows[i], order[:k_max])
+        assert np.array_equal(dist[i], np.sqrt(d2[order[:k_max]]))
