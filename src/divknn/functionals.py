@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .neighbors import DEGENERATE_RHO, NeighborIndex, PointSet, unit_ball_volume
+from .neighbors import DEGENERATE_RHO, NeighborIndex, PointSet, knn_density
 
 # Density estimates are clamped into this box before evaluating g in robust
 # mode; the true positivity bounds of the densities are unknown at runtime.
@@ -77,22 +77,23 @@ class PluginEstimate:
     degeneracy_count: int = 0
 
 
-def _density_values(dist, k, m, d, mode, counts=None):
-    """Vectorized k-NN density from neighbor distances, with clamp counting.
-
-    ``counts`` gives each row's multiplicity in the clamp count (default 1).
-    """
-    degenerate = dist <= DEGENERATE_RHO
+def _clamp_count(rho, counts=None):
+    """Degenerate distances along the last axis, row i counted ``counts[i]`` times."""
+    degenerate = rho <= DEGENERATE_RHO
     if counts is None:
-        n_degenerate = int(np.count_nonzero(degenerate))
-    else:
-        n_degenerate = int(counts[degenerate].sum())
-    if n_degenerate and mode == "strict":
-        from .errors import DegeneracyError
+        return np.count_nonzero(degenerate, axis=-1)
+    return degenerate @ counts
 
-        raise DegeneracyError("degenerate neighbor distance (duplicate points?)")
-    rho = np.maximum(dist, DEGENERATE_RHO)
-    return k / (m * unit_ball_volume(d) * rho**d), n_degenerate
+
+def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode, counts=None):
+    """g(f1, f2) at each neighbor distance pair, and the clamp counts along the last axis."""
+    degs = _clamp_count(rho1, counts) + _clamp_count(rho2, counts)
+    f1 = knn_density(rho1, k1, m1, d, mode)
+    f2 = knn_density(rho2, k2, m2, d, mode)
+    if mode == "robust":
+        f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
+        f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
+    return spec.eval(f1, f2), degs
 
 
 def check_profile_args(x, y, ks):
@@ -125,21 +126,17 @@ def plugin_profile(x, y, ks, spec, mode="robust", tables=None, outer_weights=Non
     if tables is None:
         tables = neighbor_tables(x, y, max(ks))
     rho1_table, rho2_table = tables
-    d = x.dim
-    values = np.empty(len(ks))
-    degs = np.empty(len(ks), dtype=int)
-    for j, k in enumerate(ks):
-        f1, deg1 = _density_values(rho1_table[:, k - 1], k, m1, d, mode, outer_weights)
-        f2, deg2 = _density_values(rho2_table[:, k - 1], k, m2, d, mode, outer_weights)
-        if mode == "robust":
-            f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
-            f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
-        g = spec.eval(f1, f2)
-        if outer_weights is None:
-            values[j] = float(np.mean(g))
-        else:
-            values[j] = float(np.dot(outer_weights, g) / np.sum(outer_weights))
-        degs[j] = deg1 + deg2
+    # One (|ks|, rows) array per table, contiguous along the rows, so each
+    # k's mean is the same pairwise sum as a mean over that k's column alone.
+    cols = np.asarray(ks) - 1
+    rho1 = np.ascontiguousarray(rho1_table[:, cols].T)
+    rho2 = np.ascontiguousarray(rho2_table[:, cols].T)
+    k_col = np.asarray(ks)[:, None]
+    g, degs = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, x.dim, spec, mode, outer_weights)
+    if outer_weights is None:
+        values = np.mean(g, axis=1)
+    else:
+        values = g @ outer_weights / np.sum(outer_weights)
     return values, degs
 
 
@@ -180,11 +177,6 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     index_x = NeighborIndex(x)
     rho1 = index_y.kth_distance_table(x.points, k1)[:, k1 - 1]
     rho2 = index_x.kth_distance_table(x.points, k2, leave_one_out=True)[:, k2 - 1]
-    d = x.dim
-    f1, deg1 = _density_values(rho1, k1, m1, d, mode)
-    f2, deg2 = _density_values(rho2, k2, m2, d, mode)
-    if mode == "robust":
-        f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
-        f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
-    value = float(np.mean(spec.eval(f1, f2)))
-    return PluginEstimate(value, k1, k2, y.n, x.n, deg1 + deg2)
+    g, degs = _plugin_terms(rho1, rho2, k1, k2, m1, m2, x.dim, spec, mode)
+    value = float(np.mean(g))
+    return PluginEstimate(value, k1, k2, y.n, x.n, int(degs))

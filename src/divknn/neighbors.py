@@ -1,15 +1,24 @@
-"""Point storage and exact k-nearest-neighbor distance queries.
+"""Point storage and exact k-nearest-neighbor distance tables.
 
-Single queries (``kth_nn``) go through a static median-split kd-tree, built
-on the first such query; the estimator's tables come from a blocked
-brute-force sweep that never needs the tree.  Queries are exact: the returned
-k-th neighbor distance always equals the k-th order statistic of the
-brute-force distance list, with ties broken by ascending row index.  Point
-sets below ``BRUTE_FORCE_THRESHOLD`` rows are kept as a single leaf and
-searched by brute force.
+One engine answers every query: ``NeighborIndex.kth_distance_table``, and
+``kth_nn`` is a one-row table.  For each block of queries it works in two
+steps:
+
+* Screen: every squared distance is computed in the expanded form
+  ``|q - c|^2 + |p - c|^2 - 2 (q - c).(p - c)``, with ``c`` the reference
+  mean, which costs one thin matrix product instead of a (block, M, d)
+  difference tensor.  The k_max smallest screened values of a row, plus every
+  entry within a slack of its k_max-th (ties at the cut), are its candidates.
+* Refine: only the candidates get the exact difference form
+  ``sum_k (q_k - p_k)^2``, which is then partitioned and sorted.
+
+The slack is a floating-point error bound on the gap between the two forms
+(``SCREEN_SLACK``), so every true k-nearest neighbor and every tie at the cut
+is a candidate.  The table therefore equals, bit for bit, the k_max smallest
+difference-form distances of a full brute-force sweep in ascending order, and
+its rows are ordered by distance and then by ascending row index.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +26,19 @@ import numpy as np
 
 from .errors import DegeneracyError, ParameterError
 
-BRUTE_FORCE_THRESHOLD = 64
-
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
+
+# Safety factor on the screen's error bound.  With u = eps/2, centering
+# rounds each coordinate once (at most 2u relative after squaring), the
+# expanded form's two norms, dot product and two additions add (d + 3)u, and
+# the difference form's subtractions, squares and sum add (d + 2)u, each
+# relative to (|q - c| + |p - c|)^2.  So the two forms of one squared
+# distance differ by at most (2d + 7)u (|q - c| + |p - c|)^2, and a
+# candidate must lie within twice that (its own error and that of the k-th
+# entry) of the k-th screened value.  The factor 2 over this first-order
+# bound covers the rounding of the norms and of the slack itself.
+SCREEN_SLACK = 2.0
 
 
 @dataclass(frozen=True)
@@ -48,90 +66,18 @@ class PointSet:
         return self.points.shape[1]
 
 
-class _Node:
-    __slots__ = ("axis", "split", "left", "right", "lo", "hi", "leaf_idx")
-
-    def __init__(self, lo, hi):
-        self.axis = -1
-        self.split = 0.0
-        self.left = None
-        self.right = None
-        self.lo = lo  # bounding box, used for pruning
-        self.hi = hi
-        self.leaf_idx = None
-
-
 class NeighborIndex:
     """Immutable exact k-NN index over one :class:`PointSet`."""
 
-    def __init__(self, pointset, leaf_size=BRUTE_FORCE_THRESHOLD):
+    def __init__(self, pointset):
         if not isinstance(pointset, PointSet):
             pointset = PointSet(np.asarray(pointset))
         self.pointset = pointset
         self._pts = pointset.points
-        self._leaf_size = max(int(leaf_size), 1)
 
     @property
     def size(self):
         return self.pointset.n
-
-    @functools.cached_property
-    def _root(self):
-        return self._build(np.arange(self.pointset.n))
-
-    def _build(self, idx):
-        pts = self._pts[idx]
-        node = _Node(pts.min(axis=0), pts.max(axis=0))
-        if len(idx) <= self._leaf_size:
-            node.leaf_idx = idx
-            return node
-        spread = node.hi - node.lo
-        axis = int(np.argmax(spread))
-        if spread[axis] <= 0.0:
-            # All points identical: nothing to split on.
-            node.leaf_idx = idx
-            return node
-        order = np.argsort(pts[:, axis], kind="stable")
-        mid = len(idx) // 2
-        node.axis = axis
-        node.split = float(pts[order[mid], axis])
-        node.left = self._build(idx[order[:mid]])
-        node.right = self._build(idx[order[mid:]])
-        return node
-
-    def _query_candidates(self, query, k):
-        """Collect >= k candidates as (distance, row) arrays with pruning."""
-        pts = self._pts
-        cand_d = []
-        cand_i = []
-        state = {"count": 0, "bound": np.inf}
-
-        def visit(node):
-            # Lower bound on the distance from query to the node's box.
-            gap = np.maximum(node.lo - query, 0.0) + np.maximum(query - node.hi, 0.0)
-            if state["count"] >= k and math.sqrt(float(gap @ gap)) > state["bound"]:
-                return
-            if node.leaf_idx is not None:
-                diff = pts[node.leaf_idx] - query
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                cand_d.append(dist)
-                cand_i.append(node.leaf_idx)
-                state["count"] += len(dist)
-                if state["count"] >= k:
-                    alld = np.concatenate(cand_d)
-                    kth = np.partition(alld, k - 1)[k - 1]
-                    if kth < state["bound"]:
-                        state["bound"] = float(kth)
-                return
-            if query[node.axis] < node.split:
-                visit(node.left)
-                visit(node.right)
-            else:
-                visit(node.right)
-                visit(node.left)
-
-        visit(self._root)
-        return np.concatenate(cand_d), np.concatenate(cand_i)
 
     def kth_nn(self, query, k, exclude_self=False):
         """Return (distance, row index) of the k-th nearest reference point.
@@ -150,18 +96,12 @@ class NeighborIndex:
         m = self.size - 1 if exclude_self else self.size
         if k < 1 or k > m:
             raise ParameterError("k=%d out of range for M=%d reference points" % (k, m))
-        want = k + 1 if exclude_self else k
-        dist, rows = self._query_candidates(query, want)
-        order = np.lexsort((rows, dist))
-        dist = dist[order]
-        rows = rows[order]
+        depth = k + 1 if exclude_self else k
+        dist, rows = self.kth_distance_table(query[None], depth, return_indices=True)
+        dist, rows = dist[0], rows[0]
         if exclude_self:
-            zero = np.flatnonzero(dist == 0.0)
-            if zero.size:
-                keep = np.ones(len(dist), dtype=bool)
-                keep[zero[0]] = False
-                dist = dist[keep]
-                rows = rows[keep]
+            first_zero = np.flatnonzero(dist == 0.0)[:1]
+            dist, rows = np.delete(dist, first_zero), np.delete(rows, first_zero)
         return float(dist[k - 1]), int(rows[k - 1])
 
     def kth_nn_distance(self, query, k, exclude_self=False):
@@ -171,15 +111,21 @@ class NeighborIndex:
                            return_indices=False):
         """Sorted distances to the ``k_max`` nearest references for each query.
 
-        Vectorized brute-force path used by the estimator hot loop; exact by
-        construction.  With ``leave_one_out`` the queries must be the index's
-        own point array in row order and each row excludes itself by identity.
+        Exact: screened by the expanded form, refined by the difference form
+        (see the module docstring).  With ``leave_one_out`` the queries must
+        be the index's own point array in row order and each row excludes
+        itself by identity; a duplicate of the query is kept, at distance 0.
         With ``return_indices`` it returns ``(distances, rows)``, where
         ``rows`` holds the reference row of each entry, ordered by distance
         and then by ascending row index; the distances are the same array,
         bit for bit, as without it.
         """
         queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.pointset.dim:
+            raise ParameterError("queries must have shape (n, %d), got %r"
+                                 % (self.pointset.dim, queries.shape))
+        if not np.all(np.isfinite(queries)):
+            raise ParameterError("query coordinates must be finite")
         k_max = int(k_max)
         m = self.size - 1 if leave_one_out else self.size
         if k_max < 1 or k_max > m:
@@ -187,24 +133,40 @@ class NeighborIndex:
         if leave_one_out and queries.shape[0] != self.size:
             raise ParameterError("leave-one-out queries must be the index's own points")
         pts = self._pts
+        center = pts.mean(axis=0)
+        centered_t = np.ascontiguousarray((pts - center).T)
+        p_norm2 = np.einsum("ij,ij->j", centered_t, centered_t)
+        radius = math.sqrt(p_norm2.max())
+        slack_unit = SCREEN_SLACK * (2 * pts.shape[1] + 7) * np.finfo(np.float64).eps
         nq = queries.shape[0]
         out = np.empty((nq, k_max))
         out_rows = np.empty((nq, k_max), dtype=np.int32) if return_indices else None
         for start in range(0, nq, block):
             q = queries[start : start + block]
-            diff = q[:, None, :] - pts[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            del diff  # the (block, M, d) tensor is the largest transient
+            qc = q - center
+            q_norm2 = np.einsum("ij,ij->i", qc, qc)
+            # einsum, not BLAS: multithreaded BLAS is slow on this thin
+            # (block, d) x (d, M) shape.  Scaling by -2 is exact.
+            screen = np.einsum("ik,kj->ij", -2.0 * qc, centered_t)
+            screen += p_norm2
+            screen += q_norm2[:, None]
             if leave_one_out:
-                rows = np.arange(len(q))
-                d2[rows, start + rows] = np.inf
+                own = np.arange(len(q))
+                screen[own, start + own] = np.inf
+            scale = np.maximum((np.sqrt(q_norm2) + radius) ** 2, np.finfo(np.float64).tiny)
+            cand = _candidates(screen, k_max, slack_unit * scale)
+            diff = q[:, None, :] - pts[cand]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
             if return_indices:
-                part, out_rows[start : start + len(q)] = _nearest_rows(d2, k_max)
+                # Candidate columns ascend in each row, so a stable sort on
+                # the distance breaks ties by ascending row.
+                order = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
+                part = np.take_along_axis(d2, order, axis=1)
+                out_rows[start : start + len(q)] = np.take_along_axis(cand, order, axis=1)
             else:
+                part = d2
                 if k_max < d2.shape[1]:
                     part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
-                else:
-                    part = d2
                 part.sort(axis=1)
             out[start : start + len(q)] = np.sqrt(part)
         if return_indices:
@@ -212,28 +174,24 @@ class NeighborIndex:
         return out
 
 
-def _nearest_rows(d2, k):
-    """The ``k`` smallest entries of each row of ``d2`` and their columns.
+def _candidates(screen, k, slack):
+    """Columns of the entries of each row of ``screen`` within ``slack`` (one
+    value per row) of the row's k-th smallest, ascending in each row.
 
-    Ordered by value and then by ascending column, so ties at the k-th value
-    keep the lowest columns.
+    Every row has at least ``k`` such entries; when some row has more (ties
+    at the cut), each row gets as many of its smallest entries as the widest.
     """
-    if k < d2.shape[1]:
-        sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part = np.take_along_axis(d2, sel, axis=1)
-        kth = part.max(axis=1)
-        # argpartition picks arbitrary members of a tie at the k-th value;
-        # rows where the tie reaches past the cut are redone by a stable sort.
-        ragged = np.count_nonzero(d2 == kth[:, None], axis=1) > np.count_nonzero(
-            part == kth[:, None], axis=1)
-        for r in np.flatnonzero(ragged):
-            sel[r] = np.argsort(d2[r], kind="stable")[:k]
-            part[r] = d2[r, sel[r]]
-    else:
-        sel = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
-        part = d2
-    order = np.lexsort((sel, part), axis=1)
-    return np.take_along_axis(part, order, axis=1), np.take_along_axis(sel, order, axis=1)
+    nq, m = screen.shape
+    if k < m:
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        within = screen <= (kth + slack)[:, None]
+        flat = np.flatnonzero(within)
+        if flat.size == nq * k:
+            return flat.reshape(nq, k) % m
+        width = int(np.count_nonzero(within, axis=1).max())
+        if width < m:
+            return np.sort(np.argpartition(screen, width - 1, axis=1)[:, :width], axis=1)
+    return np.broadcast_to(np.arange(m), screen.shape)
 
 
 def build_index(points):
@@ -262,15 +220,17 @@ def unit_ball_volume(d):
 def knn_density(rho, k, m, d, mode="robust"):
     """k-NN density estimate k / (m * c_d * rho^d).
 
-    ``rho`` may be a scalar or array of neighbor distances.  Robust mode
-    clamps distances below ``DEGENERATE_RHO``; strict mode raises instead.
+    ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
+    integer or an integer array that broadcasts against it (for example one
+    k per row of a (ks, points) distance array).  Robust mode clamps
+    distances below ``DEGENERATE_RHO``; strict mode raises instead.
     """
     if mode not in ("strict", "robust"):
         raise ParameterError("mode must be 'strict' or 'robust'")
-    k = int(k)
+    k = np.asarray(k, dtype=np.int64)
     m = int(m)
-    if k < 1 or k > m:
-        raise ParameterError("k=%d out of range for m=%d" % (k, m))
+    if np.any(k < 1) or np.any(k > m):
+        raise ParameterError("k=%s out of range for m=%d" % (k, m))
     rho_arr = np.asarray(rho, dtype=np.float64)
     if not np.all(np.isfinite(rho_arr)):
         raise ParameterError("rho must be finite")
@@ -280,6 +240,6 @@ def knn_density(rho, k, m, d, mode="robust"):
             raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
         rho_arr = np.maximum(rho_arr, DEGENERATE_RHO)
     value = k / (m * unit_ball_volume(d) * rho_arr**d)
-    if np.ndim(rho) == 0:
+    if np.ndim(value) == 0:
         return float(value)
     return value

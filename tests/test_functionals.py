@@ -5,6 +5,7 @@ from divknn import (
     ParameterError,
     PointSet,
     TruncatedGaussianSpec,
+    knn_density,
     make_functional,
     plugin_estimate,
     plugin_profile,
@@ -153,4 +154,33 @@ def test_profile_outer_weights_match_repeated_rows():
                                   outer_weights=m[m > 0])
     ref_values, ref_degs = plugin_profile(xs, y, ks, renyi)
     np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0)
+    assert np.array_equal(degs, ref_degs) and degs[0] > 0
+
+
+def per_k_profile(x, y, ks, spec, outer_weights=None):
+    """Reference: one density evaluation, clip and mean per k."""
+    t1, t2 = neighbor_tables(x, y, max(ks))
+    w = np.ones(x.n, dtype=int) if outer_weights is None else outer_weights
+    values, degs = [], []
+    for k in ks:
+        f1 = np.clip(knn_density(t1[:, k - 1], k, y.n, x.dim), 1e-12, 1e12)
+        f2 = np.clip(knn_density(t2[:, k - 1], k, x.n - 1, x.dim), 1e-12, 1e12)
+        values.append(np.dot(w, spec.eval(f1, f2)) / np.sum(w))
+        degs.append(int(w[t1[:, k - 1] <= 1e-12].sum() + w[t2[:, k - 1] <= 1e-12].sum()))
+    return np.array(values), np.array(degs)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("name", ["renyi_integral", "kl", "l2"])
+def test_vectorized_profile_matches_per_k_reference(name, weighted):
+    rng = np.random.default_rng(37)
+    base = rng.random((30, 3))
+    x = PointSet(base[rng.integers(0, 30, size=80)])  # duplicates: clamped densities
+    y = PointSet(np.vstack([base[:10], rng.random((50, 3))]))
+    spec = make_functional(name)
+    ks = [1, 2, 3, 5, 8, 13, 40]
+    weights = rng.integers(1, 5, size=x.n) if weighted else None
+    values, degs = plugin_profile(x, y, ks, spec, outer_weights=weights)
+    ref_values, ref_degs = per_k_profile(x, y, ks, spec, weights)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-14, atol=0)
     assert np.array_equal(degs, ref_degs) and degs[0] > 0

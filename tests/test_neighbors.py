@@ -181,3 +181,115 @@ def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
             order = order[order != i]
         assert np.array_equal(rows[i], order[:k_max])
         assert np.array_equal(dist[i], np.sqrt(d2[order[:k_max]]))
+
+
+def difference_form_table(pts, queries, k_max, leave_one_out=False):
+    """Oracle: the full (queries, M, d) difference tensor, one exact sort per row.
+
+    Squared distances are ``einsum`` over the difference tensor, the
+    arithmetic the engine's refine step uses; each row is ordered by
+    (squared distance, row) and cut at ``k_max``.
+    """
+    diff = queries[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if leave_one_out:
+        d2[np.arange(len(queries)), np.arange(len(queries))] = np.inf
+    cols = np.broadcast_to(np.arange(len(pts)), d2.shape)
+    order = np.lexsort((cols, d2), axis=1)[:, :k_max]
+    return np.sqrt(np.take_along_axis(d2, order, axis=1)), order
+
+
+def _engine_cases():
+    rng = np.random.default_rng(41)
+    uniform = rng.random((300, 7))
+    offset = 1e6 + 1e-3 * rng.random((200, 3))
+    base = rng.random((40, 2))
+    dups = base[rng.integers(0, 40, size=150)]
+    lattice = rng.integers(0, 4, size=(120, 3)).astype(float)
+    line = rng.random((90, 1))
+    return {
+        # name: (points, outside queries, k_max values, block)
+        "uniform": (uniform, rng.random((50, 7)), (1, 17, 299), 64),
+        "offset_1e6": (offset, 1e6 + 1e-3 * rng.random((50, 3)), (1, 17, 199), 64),
+        "duplicates": (dups, base[:30], (1, 17, 149), 64),
+        "lattice": (lattice, rng.integers(0, 4, size=(40, 3)).astype(float), (1, 17, 119), 64),
+        "block_not_dividing_n": (uniform[:101], rng.random((37, 7)), (5, 100), 13),
+        "d1": (line, rng.random((33, 1)), (1, 17, 89), 256),
+    }
+
+
+ENGINE_CASES = _engine_cases()
+
+
+def _engine_mismatches(name):
+    pts, outside, k_values, block = ENGINE_CASES[name]
+    idx = build_index(pts)
+    bad = []
+    for leave_one_out, queries in ((False, outside), (True, pts)):
+        for k_max in k_values:
+            k_max = min(k_max, len(pts) - leave_one_out)
+            exp_d, exp_r = difference_form_table(pts, queries, k_max, leave_one_out)
+            plain = idx.kth_distance_table(queries, k_max, leave_one_out, block=block)
+            dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out, block=block,
+                                                return_indices=True)
+            if not (np.array_equal(plain, exp_d) and np.array_equal(dist, exp_d)
+                    and np.array_equal(rows, exp_r)):
+                bad.append((leave_one_out, k_max))
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_table_bit_identical_to_difference_form(name):
+    assert _engine_mismatches(name) == []
+
+
+@pytest.mark.parametrize("name", ["uniform", "offset_1e6", "duplicates", "lattice", "d1"])
+def test_kth_nn_bit_identical_to_difference_form(name):
+    pts, outside, _, _ = ENGINE_CASES[name]
+    idx = build_index(pts)
+    m = len(pts)
+    exp_d, exp_r = difference_form_table(pts, outside[:5], m)
+    for i, q in enumerate(outside[:5]):
+        for k in (1, 2, 17, m):
+            assert idx.kth_nn(q, k) == (exp_d[i, k - 1], exp_r[i, k - 1])
+    # Member queries with exclude_self drop the lowest-row zero-distance entry.
+    exp_d, exp_r = difference_form_table(pts, pts[:5], m)
+    for i in range(5):
+        first_zero = np.flatnonzero(exp_d[i] == 0.0)[:1]
+        row_d, row_r = np.delete(exp_d[i], first_zero), np.delete(exp_r[i], first_zero)
+        for k in (1, 2, 17, m - 1):
+            assert idx.kth_nn(pts[i], k, exclude_self=True) == (row_d[k - 1], row_r[k - 1])
+
+
+def test_leave_one_out_keeps_own_duplicate_at_zero():
+    rng = np.random.default_rng(43)
+    pts = rng.random((30, 3))
+    pts[7] = pts[3]
+    dist, rows = build_index(pts).kth_distance_table(pts, 3, leave_one_out=True,
+                                                     return_indices=True)
+    assert (dist[3, 0], rows[3, 0]) == (0.0, 7)
+    assert (dist[7, 0], rows[7, 0]) == (0.0, 3)
+    assert np.flatnonzero(dist[:, 0] == 0.0).tolist() == [3, 7]
+
+
+def test_zero_slack_misses_lattice_ties(monkeypatch):
+    # The screen's slack is what admits ties at the cut: without it the
+    # rounding of the expanded form drops some tied rows on a lattice.
+    import divknn.neighbors as neighbors
+
+    monkeypatch.setattr(neighbors, "SCREEN_SLACK", 0.0)
+    assert _engine_mismatches("lattice") != []
+
+
+@pytest.mark.parametrize("queries", [
+    np.zeros((4, 1)),  # wrong dimension: used to broadcast silently
+    np.zeros((4, 5)),
+    np.zeros(3),  # 1-D
+    np.zeros((2, 3, 1)),
+    np.array([[0.1, np.nan, 0.2]]),
+    np.array([[0.1, np.inf, 0.2]]),
+])
+def test_kth_distance_table_rejects_bad_queries(queries):
+    idx = build_index(np.random.default_rng(47).random((10, 3)))
+    with pytest.raises(ParameterError, match="queries|finite"):
+        idx.kth_distance_table(queries, 2)
