@@ -126,7 +126,9 @@ def _resampled_table(dist, counts, zeros, k_max):
     reaches k.  Returns the ``(rows, k_max)`` table and a mask of the rows
     whose lists run out before ``k_max`` (their values are not meaningful).
     """
-    flat = np.append(np.repeat(dist.ravel(), counts.ravel()), np.nan)
+    flat = np.repeat(dist.ravel(), counts.ravel())
+    if not flat.size:  # every list is empty; only the zeros are meaningful
+        flat = np.zeros(1)
     total = counts.sum(axis=1)
     start = np.cumsum(total) - total - zeros
     j = np.arange(k_max)

@@ -1,22 +1,31 @@
 """Point storage and exact k-nearest-neighbor distance tables.
 
 One engine answers every query: ``NeighborIndex.kth_distance_table``, and
-``kth_nn`` is a one-row table.  For each block of queries it works in two
-steps:
+``kth_nn`` is a one-row table.  It takes the queries in blocks sized so that
+a block's screen and candidates stay in a core's L2 cache
+(``SCREEN_BLOCK_BYTES``), and works on each block in two steps:
 
-* Screen: every squared distance is computed in the expanded form
-  ``|q - c|^2 + |p - c|^2 - 2 (q - c).(p - c)``, with ``c`` the reference
-  mean, which costs one thin matrix product instead of a (block, M, d)
-  difference tensor.  The k_max smallest screened values of a row, plus every
-  entry within a slack of its k_max-th (ties at the cut), are its candidates.
-* Refine: only the candidates get the exact difference form
-  ``sum_k (q_k - p_k)^2``, which is then partitioned and sorted.
+* Screen: the coordinates are centered on the reference mean in float64,
+  scaled by a power of two so that every coordinate is below 1 in magnitude
+  (exact), and cast to float32.  Every squared distance is computed in
+  float32 in the expanded form ``|a|^2 + |b|^2 - 2 a.b``, which costs one thin
+  matrix product instead of a (block, M, d) difference tensor.  The k_max
+  smallest screened values of a row, plus every entry within a slack of its
+  k_max-th (near ties at the cut), are its candidates.  When the reference's
+  scaled spread squares below float32's normal range (queries far outside
+  the reference), the screen runs in float64 instead.
+* Refine: only the candidates get the exact float64 difference form
+  ``sum_k (p_k - q_k)^2`` in the original coordinates, which is then
+  partitioned and sorted.  Rows with more candidates than others are padded
+  with ``inf``.  A row whose k_max-th refined value overflows to ``inf`` is
+  refined over every reference, so its ``inf`` entries are ordered by row.
 
-The slack is a floating-point error bound on the gap between the two forms
-(``SCREEN_SLACK``), so every true k-nearest neighbor and every tie at the cut
-is a candidate.  The table therefore equals, bit for bit, the k_max smallest
-difference-form distances of a full brute-force sweep in ascending order, and
-its rows are ordered by distance and then by ascending row index.
+The slack is a floating-point error bound on the gap between the screened
+and the refined value (``SCREEN_SLACK``), so every true k-nearest neighbor
+and every tie at the cut is a candidate.  The table therefore equals, bit for
+bit, the k_max smallest difference-form distances of a full brute-force
+sweep in ascending order, and its rows are ordered by distance and then by
+ascending row index.
 """
 
 import math
@@ -29,32 +38,52 @@ from .errors import DegeneracyError, ParameterError
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
 
-# Safety factor on the screen's error bound.  With u = eps/2, centering
-# rounds each coordinate once (at most 2u relative after squaring), the
-# expanded form's two norms, dot product and two additions add (d + 3)u, and
-# the difference form's subtractions, squares and sum add (d + 2)u, each
-# relative to (|q - c| + |p - c|)^2.  So the two forms of one squared
-# distance differ by at most (2d + 7)u (|q - c| + |p - c|)^2, and a
-# candidate must lie within twice that (its own error and that of the k-th
-# entry) of the k-th screened value.  The factor 2 over this first-order
-# bound covers the rounding of the norms and of the slack itself.
+# Safety factor on the screen's error bound.  Let u_s be the unit roundoff of
+# the screen's dtype (2^-24 for float32) and u = 2^-53 that of float64.  In
+# scaled units, with a the query and b the reference point after centering
+# and scaling, the screened value and the refined squared distance differ by
+# at most, relative to (|a| + |b|)^2:
+#   2u          centering each coordinate in float64 (scaling is exact),
+#   2u_s        casting each coordinate to the screen's dtype,
+#   (d + 3)u_s  the expanded form's two norms, dot product and two additions,
+#   (d + 2)u    the refine's subtractions, squares and sum,
+# that is (d + 5)u_s + (d + 4)u.  Products that underflow add at most
+# 6d eta_s + 4d eta, and the refine's own underflows d eta s^2 / 2, where
+# eta_s and eta are the dtypes' smallest subnormals and s the scale.  A
+# candidate must lie within twice this bound (its own error and that of the
+# k-th entry) of the k-th screened value, with |b| bounded by the reference
+# radius.  The factor 2 over this first-order bound covers second-order
+# terms and the rounding of the norms, of the slack and of the threshold's
+# cast to the screen's dtype.
 SCREEN_SLACK = 2.0
+
+# Bytes of one block's screen plus its gathered candidates.  Together with
+# the partition's copy of the screen they stay within a 2 MiB L2 cache while
+# every step of the block passes over them; smaller blocks cost more in
+# per-block interpreter overhead, which threads running tables side by side
+# pay one at a time.
+SCREEN_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """An N x d batch of sample coordinates from one density."""
+    """An N x d batch of sample coordinates from one density.
+
+    The coordinates are a read-only copy, so writing into the caller's array
+    cannot change an index built on them.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ParameterError("points must be a 2-D array, got ndim=%d" % pts.ndim)
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ParameterError("need N >= 1 and d >= 1, got shape %r" % (pts.shape,))
         if not np.all(np.isfinite(pts)):
             raise ParameterError("point coordinates must be finite")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -107,7 +136,7 @@ class NeighborIndex:
     def kth_nn_distance(self, query, k, exclude_self=False):
         return self.kth_nn(query, k, exclude_self)[0]
 
-    def kth_distance_table(self, queries, k_max, leave_one_out=False, block=256,
+    def kth_distance_table(self, queries, k_max, leave_one_out=False, block=None,
                            return_indices=False):
         """Sorted distances to the ``k_max`` nearest references for each query.
 
@@ -118,7 +147,8 @@ class NeighborIndex:
         With ``return_indices`` it returns ``(distances, rows)``, where
         ``rows`` holds the reference row of each entry, ordered by distance
         and then by ascending row index; the distances are the same array,
-        bit for bit, as without it.
+        bit for bit, as without it.  ``block`` is the number of queries per
+        block; by default it is sized from ``SCREEN_BLOCK_BYTES``.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.pointset.dim:
@@ -132,66 +162,143 @@ class NeighborIndex:
             raise ParameterError("k_max=%d out of range for M=%d" % (k_max, m))
         if leave_one_out and queries.shape[0] != self.size:
             raise ParameterError("leave-one-out queries must be the index's own points")
+        if block is not None and int(block) < 1:
+            raise ParameterError("block must be >= 1, got %r" % (block,))
         pts = self._pts
-        center = pts.mean(axis=0)
-        centered_t = np.ascontiguousarray((pts - center).T)
-        p_norm2 = np.einsum("ij,ij->j", centered_t, centered_t)
-        radius = math.sqrt(p_norm2.max())
-        slack_unit = SCREEN_SLACK * (2 * pts.shape[1] + 7) * np.finfo(np.float64).eps
+        m, dim = pts.shape
         nq = queries.shape[0]
+        # Center in float64 and scale by 2^-e so every coordinate is below 1
+        # in magnitude; a power of two scales exactly (bar underflow, which
+        # the slack covers).
+        center = pts.mean(axis=0)
+        p_scaled = pts - center
+        q_scaled = queries - center
+        ref_spread = float(np.abs(p_scaled).max())
+        e = math.frexp(max(ref_spread, float(np.abs(q_scaled).max())))[1]
+        np.ldexp(p_scaled, -e, out=p_scaled)
+        np.ldexp(q_scaled, -e, out=q_scaled)
+        dtype = _screen_dtype(math.ldexp(ref_spread, -e))
+        p_t = np.ascontiguousarray(p_scaled.T, dtype=dtype)
+        p_norm2 = np.einsum("ij,ij->j", p_t, p_t)
+        q_cast = q_scaled.astype(dtype)
+        q_norm2 = np.einsum("ij,ij->i", q_cast, q_cast)
+        q_cast *= -2.0  # exact
+        slack = _slack(dtype, dim, e, q_scaled, p_scaled)
+        if block is None:
+            row_bytes = np.dtype(dtype).itemsize * m + 8 * k_max * dim
+            block = max(1, SCREEN_BLOCK_BYTES // row_bytes)
+        block = int(block)
         out = np.empty((nq, k_max))
         out_rows = np.empty((nq, k_max), dtype=np.int32) if return_indices else None
         for start in range(0, nq, block):
-            q = queries[start : start + block]
-            qc = q - center
-            q_norm2 = np.einsum("ij,ij->i", qc, qc)
-            # einsum, not BLAS: multithreaded BLAS is slow on this thin
-            # (block, d) x (d, M) shape.  Scaling by -2 is exact.
-            screen = np.einsum("ik,kj->ij", -2.0 * qc, centered_t)
-            screen += p_norm2
-            screen += q_norm2[:, None]
-            if leave_one_out:
-                own = np.arange(len(q))
-                screen[own, start + own] = np.inf
-            scale = np.maximum((np.sqrt(q_norm2) + radius) ** 2, np.finfo(np.float64).tiny)
-            cand = _candidates(screen, k_max, slack_unit * scale)
-            diff = q[:, None, :] - pts[cand]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            if return_indices:
-                # Candidate columns ascend in each row, so a stable sort on
-                # the distance breaks ties by ascending row.
-                order = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-                part = np.take_along_axis(d2, order, axis=1)
-                out_rows[start : start + len(q)] = np.take_along_axis(cand, order, axis=1)
+            stop = min(start + block, nq)
+            q = queries[start:stop]
+            if k_max < m:
+                # einsum, not BLAS: multithreaded BLAS is slow on this thin
+                # (block, d) x (d, M) shape.
+                screen = np.einsum("ik,kj->ij", q_cast[start:stop], p_t)
+                screen += p_norm2
+                screen += q_norm2[start:stop, None]
+                if leave_one_out:
+                    own = np.arange(stop - start)
+                    screen[own, start + own] = np.inf
+                cand, pad = _candidates(screen, k_max, slack[start:stop])
             else:
-                part = d2
-                if k_max < d2.shape[1]:
-                    part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
-                part.sort(axis=1)
-            out[start : start + len(q)] = np.sqrt(part)
+                cand, pad = np.broadcast_to(np.arange(m), (stop - start, m)), None
+            # Candidates ascend in each row, so ties break by ascending row.
+            part, rows = _refine(pts, q, cand, pad, k_max, return_indices)
+            # A row whose k_max-th distance overflows is refined over every
+            # reference, so that its inf entries are ordered by row.
+            over = np.flatnonzero(part[:, -1] == np.inf)
+            if over.size:
+                every = np.broadcast_to(np.arange(m), (over.size, m))
+                own = every == (start + over)[:, None] if leave_one_out else None
+                part[over], full = _refine(pts, q[over], every, own, k_max, True)
+                if return_indices:
+                    rows[over] = full
+            np.sqrt(part, out=out[start:stop])
+            if return_indices:
+                out_rows[start:stop] = rows
         if return_indices:
             return out, out_rows
         return out
+
+
+def _screen_dtype(ref_spread):
+    """float32 unless the reference's largest scaled coordinate squares
+    below float32's normal range (queries far outside the reference)."""
+    if ref_spread * ref_spread >= np.finfo(np.float32).tiny:
+        return np.float32
+    return np.float64
+
+
+def _slack(dtype, dim, e, q_scaled, p_scaled):
+    """Per-query bound on the gap between a screened value and the scaled
+    refined distance, doubled (see ``SCREEN_SLACK``)."""
+    f_s, f64 = np.finfo(dtype), np.finfo(np.float64)
+    relative = (dim + 5) * float(f_s.eps) + (dim + 4) * float(f64.eps)
+    tiny = float(f64.smallest_subnormal)
+    # The refine's underflows, eta s^2 in scaled units with s = 2^-e; past
+    # 2^900 the slack admits every column anyway.
+    refine_underflow = math.ldexp(tiny, min(-2 * e, 1974))
+    absolute = dim * (12 * float(f_s.smallest_subnormal) + 8 * tiny + refine_underflow)
+    radius = math.sqrt(np.einsum("ij,ij->i", p_scaled, p_scaled).max())
+    q_norm = np.sqrt(np.einsum("ij,ij->i", q_scaled, q_scaled))
+    slack = SCREEN_SLACK * (relative * (q_norm + radius) ** 2 + absolute)
+    # Screened values are at most about 4d, so this cap keeps every
+    # threshold finite in the screen's dtype, and a leave-one-out row's own
+    # inf out of its candidates.
+    return np.minimum(slack, float(f_s.max) / 2)
+
+
+def _refine(pts, queries, cand, pad, k, with_rows):
+    """The ``k`` smallest squared difference-form distances from each query
+    to the references in its row of ``cand``, ascending, with the ``pad``
+    entries left out (set to inf).  With ``with_rows`` also their rows, ties
+    broken by position in ``cand``; else None.
+    """
+    # (p - q)^2 equals (q - p)^2 bit for bit.
+    diff = np.take(pts, cand, axis=0)
+    diff -= queries[:, None, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if pad is not None:
+        d2[pad] = np.inf
+    if with_rows:
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+    if k < d2.shape[1]:
+        d2 = np.partition(d2, k - 1, axis=1)[:, :k]
+    d2.sort(axis=1)
+    return d2, None
 
 
 def _candidates(screen, k, slack):
     """Columns of the entries of each row of ``screen`` within ``slack`` (one
     value per row) of the row's k-th smallest, ascending in each row.
 
-    Every row has at least ``k`` such entries; when some row has more (ties
-    at the cut), each row gets as many of its smallest entries as the widest.
+    Every row has at least ``k`` such entries.  When some row has more (near
+    ties at the cut), every row is padded to the widest; the second result
+    then marks the padding, else it is None.
     """
     nq, m = screen.shape
-    if k < m:
-        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
-        within = screen <= (kth + slack)[:, None]
-        flat = np.flatnonzero(within)
-        if flat.size == nq * k:
-            return flat.reshape(nq, k) % m
-        width = int(np.count_nonzero(within, axis=1).max())
-        if width < m:
-            return np.sort(np.argpartition(screen, width - 1, axis=1)[:, :width], axis=1)
-    return np.broadcast_to(np.arange(m), screen.shape)
+    # Non-negative IEEE floats order as their bit patterns read as integers,
+    # and integer selection is the faster.  Negative values (rounding below
+    # an exact 0) read as integers below every non-negative one, so the k-th
+    # smallest is exact unless it is negative, and then 0 bounds it above.
+    as_int = screen.view("i%d" % screen.itemsize)
+    kth = np.partition(as_int, k - 1, axis=1)[:, k - 1].view(screen.dtype)
+    threshold = (np.maximum(kth, 0.0) + slack).astype(screen.dtype)
+    flat = np.flatnonzero(screen <= threshold[:, None])
+    row_start = np.arange(0, nq * m + 1, m)
+    if flat.size == nq * k:
+        return flat.reshape(nq, k) - row_start[:-1, None], None
+    bounds = np.searchsorted(flat, row_start)
+    counts = np.diff(bounds)
+    cols = np.arange(counts.max())
+    cand = np.take(flat, bounds[:-1, None] + cols, mode="clip") - row_start[:-1, None]
+    pad = cols >= counts[:, None]
+    cand[pad] = 0
+    return cand, pad
 
 
 def build_index(points):

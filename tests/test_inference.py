@@ -207,6 +207,13 @@ def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
     assert len(calls) >= 20 and sum(calls) > 100
 
 
+def test_resampled_table_when_no_reference_is_drawn():
+    # A leave-one-out query drawn twice whose every neighbor was left out.
+    table, short = inference._resampled_table(np.array([[0.5, 0.7]]), np.zeros((1, 2), int),
+                                              np.array([1]), 2)
+    assert table[0, 0] == 0.0 and short.tolist() == [True]
+
+
 def test_strict_mode_raises_exactly_when_explicit_does():
     cases = [
         # k = 1 is zero for any point drawn twice: every replicate degenerates.

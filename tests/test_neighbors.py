@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,7 @@ def _engine_cases():
     dups = base[rng.integers(0, 40, size=150)]
     lattice = rng.integers(0, 4, size=(120, 3)).astype(float)
     line = rng.random((90, 1))
-    return {
+    cases = {
         # name: (points, outside queries, k_max values, block)
         "uniform": (uniform, rng.random((50, 7)), (1, 17, 299), 64),
         "offset_1e6": (offset, 1e6 + 1e-3 * rng.random((50, 3)), (1, 17, 199), 64),
@@ -216,6 +218,27 @@ def _engine_cases():
         "block_not_dividing_n": (uniform[:101], rng.random((37, 7)), (5, 100), 13),
         "d1": (line, rng.random((33, 1)), (1, 17, 89), 256),
     }
+    # A shell of radius 1 + 1e-9 U around the origin between an inner and an
+    # outer cloud: k_max = 100 cuts through it, and its distances differ far
+    # below float32's resolution.
+    direction = rng.normal(size=(260, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = np.concatenate([0.5 * rng.random(30), 1 + 1e-9 * rng.random(200),
+                             2 + rng.random(30)])
+    shell = direction * radius[:, None]
+    # Squared distances overflow float64, or fall into its subnormal range.
+    huge = 1e160 * rng.random((50, 2))
+    tiny = 1e-160 * rng.integers(0, 1000, size=(80, 2))
+    subnormal = 5e-324 * rng.integers(0, 50, size=(40, 2))
+    cases.update({
+        "near_tie_shell": (shell, 1e-12 * rng.random((5, 3)), (29, 100, 229), None),
+        "overflow_1e160": (huge, 1e160 * rng.random((20, 2)), (1, 3, 49), None),
+        "underflow_1e-160": (tiny, 1e-160 * rng.integers(0, 1000, size=(20, 2)), (1, 9, 79),
+                             None),
+        "subnormal": (subnormal, 5e-324 * rng.integers(0, 50, size=(9, 2)), (1, 39), None),
+        "d400": (rng.random((60, 400)), rng.random((10, 400)), (1, 17, 59), None),
+    })
+    return cases
 
 
 ENGINE_CASES = _engine_cases()
@@ -279,6 +302,92 @@ def test_zero_slack_misses_lattice_ties(monkeypatch):
 
     monkeypatch.setattr(neighbors, "SCREEN_SLACK", 0.0)
     assert _engine_mismatches("lattice") != []
+
+
+def test_float64_sized_slack_misses_near_tie_shell(monkeypatch):
+    # The float32 screen needs the float32 error bound: at a float64-sized
+    # slack it cannot tell the shell's distances apart.
+    import divknn.neighbors as neighbors
+
+    eps32, eps64 = np.finfo(np.float32).eps, np.finfo(np.float64).eps
+    monkeypatch.setattr(neighbors, "SCREEN_SLACK", neighbors.SCREEN_SLACK * eps64 / eps32)
+    assert _engine_mismatches("near_tie_shell") != []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_candidates_select_through_negative_screen_values(dtype):
+    # Rounding can screen a zero distance below 0, and negative floats read
+    # as integers in reverse order: the k-th smallest must still be covered.
+    from divknn.neighbors import _candidates
+
+    screen = np.array([[-3.0, -2.0, -1.0, 5.0, 6.0]], dtype=dtype)
+    cand, pad = _candidates(screen, 3, np.array([0.5]))
+    assert pad is None and cand.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("name", ["uniform", "lattice", "near_tie_shell", "d400"])
+def test_table_independent_of_block_size(name):
+    pts, outside, k_values, _ = ENGINE_CASES[name]
+    idx = build_index(pts)
+    k_max = k_values[1]
+    for leave_one_out, queries in ((False, outside), (True, pts)):
+        dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out, return_indices=True)
+        for block in (1, 7):
+            got = idx.kth_distance_table(queries, k_max, leave_one_out, block=block,
+                                         return_indices=True)
+            assert np.array_equal(got[0], dist) and np.array_equal(got[1], rows)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_float64_screen_bit_identical_to_difference_form(monkeypatch, name):
+    import divknn.neighbors as neighbors
+
+    monkeypatch.setattr(neighbors, "_screen_dtype", lambda spread: np.float64)
+    assert _engine_mismatches(name) == []
+
+
+def test_far_queries_fall_back_to_float64_screen(monkeypatch):
+    # The reference's spread is 1e-30 of the queries', so its scaled
+    # coordinates square below float32's normal range.
+    import divknn.neighbors as neighbors
+
+    chosen = []
+    choose = neighbors._screen_dtype
+    monkeypatch.setattr(neighbors, "_screen_dtype",
+                        lambda spread: chosen.append(choose(spread)) or chosen[-1])
+    rng = np.random.default_rng(53)
+    pts = 1e-30 * rng.random((80, 3))
+    queries = np.vstack([pts[:10] + 1e-31, rng.random((10, 3))])
+    exp_d, exp_r = difference_form_table(pts, queries, 20)
+    dist, rows = build_index(pts).kth_distance_table(queries, 20, return_indices=True)
+    assert chosen == [np.float64]
+    assert np.array_equal(dist, exp_d) and np.array_equal(rows, exp_r)
+
+
+def test_overflowing_distances_order_by_row_without_warning():
+    pts = ENGINE_CASES["overflow_1e160"][0]
+    exp_d, exp_r = difference_form_table(pts, pts[:1], 3)
+    assert exp_r.tolist() == [[0, 1, 2]] and exp_d[0, 0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, rows = build_index(pts).kth_distance_table(pts[:1], 3, return_indices=True)
+    assert np.array_equal(dist, exp_d) and np.array_equal(rows, exp_r)
+
+
+def test_index_unaffected_by_writes_to_callers_array():
+    a = np.array([[0.0], [0.9]])
+    idx = build_index(a)
+    assert idx.kth_nn([0.1], 1) == (0.1, 0)
+    a[0, 0] = 5.0
+    assert idx.kth_nn([0.1], 1) == (0.1, 0)
+    assert not idx.pointset.points.flags.writeable
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_kth_distance_table_rejects_bad_block(block):
+    idx = build_index(np.random.default_rng(47).random((10, 3)))
+    with pytest.raises(ParameterError, match="block"):
+        idx.kth_distance_table(idx.pointset.points, 2, block=block)
 
 
 @pytest.mark.parametrize("queries", [
