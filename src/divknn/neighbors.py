@@ -5,15 +5,14 @@ One engine answers every query: ``NeighborIndex.kth_distance_table``, and
 a block's screen and candidates stay in a core's L2 cache
 (``SCREEN_BLOCK_BYTES``), and works on each block in two steps:
 
-* Screen: the coordinates are centered on the reference mean in float64,
-  scaled by a power of two so that every coordinate is below 1 in magnitude
-  (exact), and cast to float32.  Every squared distance is computed in
-  float32 in the expanded form ``|a|^2 + |b|^2 - 2 a.b``, which costs one thin
-  matrix product instead of a (block, M, d) difference tensor.  The k_max
-  smallest screened values of a row, plus every entry within a slack of its
-  k_max-th (near ties at the cut), are its candidates.  When the reference's
-  scaled spread squares below float32's normal range (queries far outside
-  the reference), the screen runs in float64 instead.
+* Screen: the coordinates are scaled by a power of two so that every one is
+  below 1 in magnitude, centered on the reference mean, scaled again
+  to unit spread (all in float64; the scalings are exact) and cast to
+  float32.  Every squared distance is computed in float32 in the expanded
+  form ``|a|^2 + |b|^2 - 2 a.b``, which costs one thin matrix product instead
+  of a (block, M, d) difference tensor.  The k_max smallest screened values
+  of a row, plus every entry within a slack of its k_max-th (near ties at
+  the cut), are its candidates.
 * Refine: only the candidates get the exact float64 difference form
   ``sum_k (p_k - q_k)^2`` in the original coordinates, which is then
   partitioned and sorted.  Rows with more candidates than others are padded
@@ -38,23 +37,28 @@ from .errors import DegeneracyError, ParameterError
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
 
-# Safety factor on the screen's error bound.  Let u_s be the unit roundoff of
-# the screen's dtype (2^-24 for float32) and u = 2^-53 that of float64.  In
-# scaled units, with a the query and b the reference point after centering
-# and scaling, the screened value and the refined squared distance differ by
-# at most, relative to (|a| + |b|)^2:
+# Safety factor on the screen's error bound.  Let u_s = 2^-24 and u = 2^-53 be
+# the unit roundoffs of float32 and float64.  In scaled units, with a the
+# query and b the reference point after scaling and centering, the screened
+# value and the refined squared distance differ by at most, relative to
+# (|a| + |b|)^2:
 #   2u          centering each coordinate in float64 (scaling is exact),
-#   2u_s        casting each coordinate to the screen's dtype,
+#   2u_s        casting each coordinate to float32,
 #   (d + 3)u_s  the expanded form's two norms, dot product and two additions,
 #   (d + 2)u    the refine's subtractions, squares and sum,
-# that is (d + 5)u_s + (d + 4)u.  Products that underflow add at most
-# 6d eta_s + 4d eta, and the refine's own underflows d eta s^2 / 2, where
-# eta_s and eta are the dtypes' smallest subnormals and s the scale.  A
-# candidate must lie within twice this bound (its own error and that of the
-# k-th entry) of the k-th screened value, with |b| bounded by the reference
-# radius.  The factor 2 over this first-order bound covers second-order
-# terms and the rounding of the norms, of the slack and of the threshold's
-# cast to the screen's dtype.
+# that is (d + 5)u_s + (d + 4)u.  Products that underflow in the screen add
+# at most 6d eta_s, and the refine's own underflows d eta s^2 / 2, where
+# eta_s and eta are the smallest float32 and float64 subnormals and s the
+# total scale.  A coordinate that underflows when scaled is off by eta / 2
+# before the second scaling by 2^-e_spread and by eta / 2 after it, which
+# adds at most 4d eta (1 + 2^-e_spread).  A candidate must lie within twice
+# this bound (its own error and that of the k-th entry) of the k-th screened
+# value, with |b| bounded by the reference radius.  The factor 2 over this
+# first-order bound covers second-order terms and the rounding of the norms,
+# of the slack and of the threshold's cast to float32.  The bound holds for
+# any spread: when the reference is tiny against the queries (its scaled
+# coordinates square into float32's subnormals), the underflow terms widen
+# the candidates, up to every reference.
 SCREEN_SLACK = 2.0
 
 # Bytes of one block's screen plus its gathered candidates.  Together with
@@ -167,25 +171,27 @@ class NeighborIndex:
         pts = self._pts
         m, dim = pts.shape
         nq = queries.shape[0]
-        # Center in float64 and scale by 2^-e so every coordinate is below 1
-        # in magnitude; a power of two scales exactly (bar underflow, which
-        # the slack covers).
-        center = pts.mean(axis=0)
-        p_scaled = pts - center
-        q_scaled = queries - center
-        ref_spread = float(np.abs(p_scaled).max())
-        e = math.frexp(max(ref_spread, float(np.abs(q_scaled).max())))[1]
-        np.ldexp(p_scaled, -e, out=p_scaled)
-        np.ldexp(q_scaled, -e, out=q_scaled)
-        dtype = _screen_dtype(math.ldexp(ref_spread, -e))
-        p_t = np.ascontiguousarray(p_scaled.T, dtype=dtype)
+        # Scale by 2^-e_mag so every coordinate is below 1 in magnitude, and
+        # centering on the mean cannot overflow; then by 2^-e_spread to unit
+        # spread.  Powers of two scale exactly, bar underflow.
+        e_mag = math.frexp(max(float(np.abs(pts).max()), float(np.abs(queries).max())))[1]
+        p_scaled = np.ldexp(pts, -e_mag)
+        q_scaled = np.ldexp(queries, -e_mag)
+        center = p_scaled.mean(axis=0)
+        p_scaled -= center
+        q_scaled -= center
+        e_spread = math.frexp(max(float(np.abs(p_scaled).max()),
+                                  float(np.abs(q_scaled).max())))[1]
+        np.ldexp(p_scaled, -e_spread, out=p_scaled)
+        np.ldexp(q_scaled, -e_spread, out=q_scaled)
+        p_t = np.ascontiguousarray(p_scaled.T, dtype=np.float32)
         p_norm2 = np.einsum("ij,ij->j", p_t, p_t)
-        q_cast = q_scaled.astype(dtype)
+        q_cast = q_scaled.astype(np.float32)
         q_norm2 = np.einsum("ij,ij->i", q_cast, q_cast)
         q_cast *= -2.0  # exact
-        slack = _slack(dtype, dim, e, q_scaled, p_scaled)
+        slack = _slack(dim, e_mag, e_spread, q_scaled, p_scaled)
         if block is None:
-            row_bytes = np.dtype(dtype).itemsize * m + 8 * k_max * dim
+            row_bytes = 4 * m + 8 * k_max * dim
             block = max(1, SCREEN_BLOCK_BYTES // row_bytes)
         block = int(block)
         out = np.empty((nq, k_max))
@@ -224,31 +230,26 @@ class NeighborIndex:
         return out
 
 
-def _screen_dtype(ref_spread):
-    """float32 unless the reference's largest scaled coordinate squares
-    below float32's normal range (queries far outside the reference)."""
-    if ref_spread * ref_spread >= np.finfo(np.float32).tiny:
-        return np.float32
-    return np.float64
-
-
-def _slack(dtype, dim, e, q_scaled, p_scaled):
+def _slack(dim, e_mag, e_spread, q_scaled, p_scaled):
     """Per-query bound on the gap between a screened value and the scaled
     refined distance, doubled (see ``SCREEN_SLACK``)."""
-    f_s, f64 = np.finfo(dtype), np.finfo(np.float64)
-    relative = (dim + 5) * float(f_s.eps) + (dim + 4) * float(f64.eps)
+    f32, f64 = np.finfo(np.float32), np.finfo(np.float64)
+    relative = (dim + 5) * float(f32.eps) + (dim + 4) * float(f64.eps)
     tiny = float(f64.smallest_subnormal)
+    scaling_underflow = tiny + math.ldexp(tiny, -e_spread)
     # The refine's underflows, eta s^2 in scaled units with s = 2^-e; past
     # 2^900 the slack admits every column anyway.
+    e = e_mag + e_spread
     refine_underflow = math.ldexp(tiny, min(-2 * e, 1974))
-    absolute = dim * (12 * float(f_s.smallest_subnormal) + 8 * tiny + refine_underflow)
+    absolute = dim * (12 * float(f32.smallest_subnormal) + 8 * scaling_underflow
+                      + refine_underflow)
     radius = math.sqrt(np.einsum("ij,ij->i", p_scaled, p_scaled).max())
     q_norm = np.sqrt(np.einsum("ij,ij->i", q_scaled, q_scaled))
     slack = SCREEN_SLACK * (relative * (q_norm + radius) ** 2 + absolute)
     # Screened values are at most about 4d, so this cap keeps every
-    # threshold finite in the screen's dtype, and a leave-one-out row's own
-    # inf out of its candidates.
-    return np.minimum(slack, float(f_s.max) / 2)
+    # threshold finite in float32, and a leave-one-out row's own inf out of
+    # its candidates.
+    return np.minimum(slack, float(f32.max) / 2)
 
 
 def _refine(pts, queries, cand, pad, k, with_rows):

@@ -226,18 +226,38 @@ def _engine_cases():
     radius = np.concatenate([0.5 * rng.random(30), 1 + 1e-9 * rng.random(200),
                              2 + rng.random(30)])
     shell = direction * radius[:, None]
-    # Squared distances overflow float64, or fall into its subnormal range.
+    # Squared distances overflow float64, or fall into its subnormal range;
+    # near 1e308 the coordinates' sum overflows too.
     huge = 1e160 * rng.random((50, 2))
+    near_max = 1.6e308 * rng.random((50, 2))
     tiny = 1e-160 * rng.integers(0, 1000, size=(80, 2))
     subnormal = 5e-324 * rng.integers(0, 50, size=(40, 2))
     cases.update({
         "near_tie_shell": (shell, 1e-12 * rng.random((5, 3)), (29, 100, 229), None),
         "overflow_1e160": (huge, 1e160 * rng.random((20, 2)), (1, 3, 49), None),
+        "overflow_1e308": (near_max, 1.6e308 * rng.random((20, 2)), (1, 3, 49), None),
         "underflow_1e-160": (tiny, 1e-160 * rng.integers(0, 1000, size=(20, 2)), (1, 9, 79),
                              None),
         "subnormal": (subnormal, 5e-324 * rng.integers(0, 50, size=(9, 2)), (1, 39), None),
         "d400": (rng.random((60, 400)), rng.random((10, 400)), (1, 17, 59), None),
     })
+    # The reference's spread is 1e-22 of the outside queries', so its scaled
+    # coordinates square into float32's subnormals; half the queries sit
+    # inside it.
+    speck = 1e-22 * rng.random((80, 3))
+    cases["far_queries"] = (speck, np.vstack([speck[:10] + 1e-23, rng.random((10, 3))]),
+                            (1, 20, 79), None)
+
+    # A constant column sets the magnitude scale far above the other
+    # column's spread: that column underflows when scaled to below 1, or its
+    # squared differences underflow in the refine.
+    def spread_column(constant, scale, n):
+        return np.column_stack([np.full(n, constant), scale * rng.random(n)])
+
+    cases["subnormal_when_scaled"] = (spread_column(2.0**1000, 2.0**-66, 80),
+                                      spread_column(2.0**1000, 2.0**-66, 10), (1, 20, 79), None)
+    cases["subnormal_in_refine"] = (spread_column(1.0, 2.0**-540, 80),
+                                    spread_column(1.0, 2.0**-540, 10), (1, 20, 79), None)
     return cases
 
 
@@ -314,13 +334,12 @@ def test_float64_sized_slack_misses_near_tie_shell(monkeypatch):
     assert _engine_mismatches("near_tie_shell") != []
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_candidates_select_through_negative_screen_values(dtype):
+def test_candidates_select_through_negative_screen_values():
     # Rounding can screen a zero distance below 0, and negative floats read
     # as integers in reverse order: the k-th smallest must still be covered.
     from divknn.neighbors import _candidates
 
-    screen = np.array([[-3.0, -2.0, -1.0, 5.0, 6.0]], dtype=dtype)
+    screen = np.array([[-3.0, -2.0, -1.0, 5.0, 6.0]], dtype=np.float32)
     cand, pad = _candidates(screen, 3, np.array([0.5]))
     assert pad is None and cand.tolist() == [[0, 1, 2]]
 
@@ -338,34 +357,9 @@ def test_table_independent_of_block_size(name):
             assert np.array_equal(got[0], dist) and np.array_equal(got[1], rows)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
-def test_float64_screen_bit_identical_to_difference_form(monkeypatch, name):
-    import divknn.neighbors as neighbors
-
-    monkeypatch.setattr(neighbors, "_screen_dtype", lambda spread: np.float64)
-    assert _engine_mismatches(name) == []
-
-
-def test_far_queries_fall_back_to_float64_screen(monkeypatch):
-    # The reference's spread is 1e-30 of the queries', so its scaled
-    # coordinates square below float32's normal range.
-    import divknn.neighbors as neighbors
-
-    chosen = []
-    choose = neighbors._screen_dtype
-    monkeypatch.setattr(neighbors, "_screen_dtype",
-                        lambda spread: chosen.append(choose(spread)) or chosen[-1])
-    rng = np.random.default_rng(53)
-    pts = 1e-30 * rng.random((80, 3))
-    queries = np.vstack([pts[:10] + 1e-31, rng.random((10, 3))])
-    exp_d, exp_r = difference_form_table(pts, queries, 20)
-    dist, rows = build_index(pts).kth_distance_table(queries, 20, return_indices=True)
-    assert chosen == [np.float64]
-    assert np.array_equal(dist, exp_d) and np.array_equal(rows, exp_r)
-
-
-def test_overflowing_distances_order_by_row_without_warning():
-    pts = ENGINE_CASES["overflow_1e160"][0]
+@pytest.mark.parametrize("name", ["overflow_1e160", "overflow_1e308"])
+def test_overflowing_distances_order_by_row_without_warning(name):
+    pts = ENGINE_CASES[name][0]
     exp_d, exp_r = difference_form_table(pts, pts[:1], 3)
     assert exp_r.tolist() == [[0, 1, 2]] and exp_d[0, 0] == 0.0
     with warnings.catch_warnings():
