@@ -221,7 +221,10 @@ def cmd_weights(args):
     sched, warn = k_schedule(config)
     for (l, k), w in zip(sched, solution.weights):
         print("l=%-10.6g k=%-6d w=%.17g" % (l, k, w))
-    print("objective=%.17g sum=%.17g" % (solution.objective, float(np.sum(solution.weights))))
+    # w_norm = ||w||_2 is the factor by which the ensemble scales up noise.
+    print("objective=%.17g sum=%.17g w_norm=%.17g levels=%d"
+          % (solution.objective, float(np.sum(solution.weights)),
+             float(np.linalg.norm(solution.weights)), solution.solver_iterations))
     for message in warn:
         print("warning: %s" % message, file=sys.stderr)
     return 0

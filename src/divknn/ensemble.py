@@ -280,36 +280,69 @@ def _near_dependent_rows(A, basis):
 
 
 def _level_qp(normals, rhs):
-    """Goldfarb-Idnani dual active-set solve of one strictly convex QP.
+    """Goldfarb-Idnani dual active-set solve of one strictly convex QP, from a cold start.
 
     Minimizes 1/2 ||w||^2 subject to normals[0] . w = rhs[0] and
     normals[j] . w >= rhs[j] for j >= 1; every row of normals has unit norm.
-    Starting from the minimizer under the equality alone, it adds the most
+    Returns (w, u) with w = normals^T u and u[1:] >= 0, or None when the
+    constraints are infeasible.  It is _active_set_qp started from the
+    equality alone, with factors kept for this call only.
+    """
+    sol = _active_set_qp(normals, rhs, [0], {})
+    return None if sol is None else sol[:2]
+
+
+def _factor(normals, active, factors):
+    """QR factors of normals[active]^T, cached in factors under the ordered active tuple."""
+    key = tuple(active)
+    qr = factors.get(key)
+    if qr is None:
+        qr = factors[key] = np.linalg.qr(normals[active].T)
+    return qr
+
+
+def _active_set_qp(normals, rhs, active, factors):
+    """Goldfarb-Idnani dual active-set solve of _level_qp's QP from a warm start.
+
+    active lists linearly independent rows, beginning with the equality row
+    0.  The start is the minimum-norm point on them, w = normals[active]^T u;
+    while an inequality multiplier of u is negative, those rows are dropped
+    and the point is solved again, which ends at the equality alone at worst.
+    That leaves w the minimizer over its active equalities with u[1:] >= 0,
+    the dual feasibility the method keeps.  From there it adds the most
     violated constraint and walks the primal-dual path to the minimizer over
     the enlarged active set, dropping an active constraint whose multiplier
-    reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).  Each target point is a QR min-norm solve
-    over the active normals.  A constraint counts as violated when its slack
-    is below -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
-    normals . w can carry.  Returns (w, u) with w = normals^T u and
-    u[1:] >= 0, or None when the constraints are infeasible: a violated
-    normal lies in the span of the active ones (|R_pp| <= DEPENDENT_TOL) and
-    no active multiplier can give way.
+    reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).
+    Since the QP is strictly convex, the minimizer does not depend on the
+    start.  Each target point is a QR min-norm solve over the active normals,
+    whose factors come from the cache factors (see _factor).  A constraint
+    counts as violated when its slack is below
+    -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
+    normals . w can carry.  Returns (w, u, active) with w = normals^T u,
+    u[1:] >= 0 and active the final active set, or None when the constraints
+    are infeasible: a violated normal lies in the span of the active ones
+    (|R_pp| <= DEPENDENT_TOL) and no active multiplier can give way.
     """
     tol = RESIDUAL_FACTOR * normals.shape[1] * np.finfo(np.float64).eps
+    active = list(active)
+    while True:
+        w, u_a = _min_norm(*_factor(normals, active, factors), rhs[active])
+        keep = [0] + [j for j, m in zip(active[1:], u_a[1:]) if m >= 0]
+        if len(keep) == len(active):
+            break
+        active = keep
     u = np.zeros(len(rhs))
-    u[0] = rhs[0]
-    w = rhs[0] * normals[0]
-    active = [0]
+    u[active] = u_a
     seen = set()
     while True:
         slack = normals @ w - rhs
         slack[active] = np.inf
         p = int(np.argmin(slack))
         if slack[p] >= -tol * max(1.0, np.linalg.norm(w)):
-            return w, u
+            return w, u, active
         while True:
             s = active + [p]
-            q, r = np.linalg.qr(normals[s].T)
+            q, r = _factor(normals, s, factors)
             if abs(r[-1, -1]) > DEPENDENT_TOL:
                 w_t, u_t = _min_norm(q, r, rhs[s])
                 # Multipliers move linearly from u[s] to u_t; an active
@@ -343,17 +376,51 @@ def _level_qp(normals, rhs):
         seen.add(key)
 
 
-def _level_constraints(a, level):
-    """Unit normals and right-hand sides of the level-epsilon QP, in _level_qp's form.
+def _level_normals(a):
+    """Unit normals of the level QP in _level_qp's form, and the row norms of a.
 
     Row 0 is sum(w) = 1; rows 1..I are -a_i . w >= -epsilon and rows I+1..2I
     are a_i . w >= -epsilon; every row is divided by the norm of its normal.
+    The normals do not depend on epsilon.
     """
     L = a.shape[1]
     norms = np.linalg.norm(a, axis=1)
     unit = a / norms[:, None]
-    normals = np.vstack([np.full(L, L**-0.5), -unit, unit])
-    return normals, np.r_[L**-0.5, -np.tile(level / norms, 2)]
+    return np.vstack([np.full(L, L**-0.5), -unit, unit]), norms
+
+
+def _level_rhs(L, norms, level):
+    """Right-hand side of the level QP for the normals of _level_normals; affine in level."""
+    return np.r_[L**-0.5, -np.tile(level / norms, 2)]
+
+
+def _level_constraints(a, level):
+    """Unit normals and right-hand sides of the level-epsilon QP, in _level_qp's form."""
+    normals, norms = _level_normals(a)
+    return normals, _level_rhs(a.shape[1], norms, level)
+
+
+def _piece_root(q, r, rhs_slope, w, level, eta):
+    """Root of h(epsilon) = eta * epsilon on the active set of w, or None.
+
+    w is the min-norm point at level on an active set whose normals^T have
+    the QR factors (q, r), and rhs_slope is d rhs / d epsilon on that set.
+    While the set stays active, w(level + t) = w + t * w_b with w_b the
+    min-norm solution for rhs_slope, so h = ||w(level + t)||^2 is quadratic
+    in t: c2 t^2 + c1 t + c0 = 0 with c2 = ||w_b||^2, c1 = 2 w . w_b - eta
+    and c0 = ||w||^2 - eta * level.  h decreases (w . w_b <= 0), so c1 < 0
+    and the root nearest the level is the smaller one, taken in the form
+    2 c0 / (-c1 + sqrt(c1^2 - 4 c2 c0)), which holds at c2 = 0 and does not
+    cancel.  None when the piece has no root (negative discriminant).
+    """
+    w_b = q @ np.linalg.solve(r.T, rhs_slope)
+    c2 = float(w_b @ w_b)
+    c1 = 2.0 * float(w @ w_b) - eta
+    c0 = float(w @ w) - eta * level
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if not (c1 < 0.0 and disc >= 0.0):
+        return None
+    return level + 2.0 * c0 / (math.sqrt(disc) - c1)
 
 
 def solve_weights_relaxed(basis, l_values, n, eta):
@@ -363,17 +430,30 @@ def solve_weights_relaxed(basis, l_values, n, eta):
     the hyperplane sum(w) = 1, where a_i = sqrt(N) * phi_i(N) * psi_i(l).
     The optimal level epsilon* is the root of h(epsilon) - eta * epsilon,
     where h(epsilon) = min ||w||^2 s.t. sum(w) = 1, |a_i . w| <= epsilon is a
-    strictly convex QP, solved exactly by _level_qp on the rows normalized
-    to a_i / ||a_i||.  h is convex and decreasing with slope
-    h'(epsilon) = -2 sum_i mu_i / ||a_i|| from the QP multipliers mu, so the
-    Newton step on h - eta * epsilon from any solved level lands at or below
-    epsilon*.  A bracket [lo, hi] holds epsilon*: lo starts at 1/(L eta)
-    (||w||^2 >= 1/L) and rises to each Newton point and past each level whose
-    QP is infeasible; hi is the least max(epsilon, h(epsilon) / eta) reached,
-    starting from the uniform weights.  The next level is the Newton point
-    while that halves the bracket and its midpoint otherwise; the solve stops
-    once hi - lo <= LEVEL_RTOL * hi and returns the weights that reached hi.
-    solver_iterations counts the levels solved (Newton and bisection steps).
+    strictly convex QP, solved exactly by the dual active-set method of
+    _active_set_qp on the rows normalized to a_i / ||a_i||.  h is convex and
+    decreasing with slope h'(epsilon) = -2 sum_i mu_i / ||a_i|| from the QP
+    multipliers mu, so the Newton step on h - eta * epsilon from any solved
+    level lands at or below epsilon*.  A bracket [lo, hi] holds epsilon*: lo
+    starts at 1/(L eta) (||w||^2 >= 1/L) and rises to each Newton point and
+    past each level whose QP is infeasible; hi is the least
+    max(epsilon, h(epsilon) / eta) reached, starting from the uniform
+    weights.  The solve stops once hi - lo <= LEVEL_RTOL * hi and returns the
+    weights that reached hi.
+
+    The levels reuse work.  The normals are built once; only the right-hand
+    side, affine in epsilon, is formed per level.  Each level's QP starts
+    from the previous feasible level's optimal active set (warm start), and
+    the QR factors of every active set met are cached for the whole solve,
+    keyed by the ordered active tuple, and freed when it returns.  On the
+    optimal active set of a level, w is affine in epsilon and h quadratic,
+    so the piece's own root of h(epsilon) = eta * epsilon has a closed form
+    (_piece_root).  The next level is that root when it lies strictly inside
+    (lo, hi) and the last level halved the bracket; otherwise it is the
+    Newton point while that halves the bracket and the midpoint when not.
+    The root only picks the next level; the bracket moves as above.
+    solver_iterations counts the levels solved (root, Newton and bisection
+    steps).
 
     The returned weights are checked (see _check_relaxed): sum(w) = 1 and the
     level-QP constraints to the backward-error bound, and the KKT signs and
@@ -394,23 +474,30 @@ def solve_weights_relaxed(basis, l_values, n, eta):
     hi = float(np.max(np.abs(a @ uniform), initial=0.0))
     if hi <= lo:
         return WeightSolution(uniform, basis.psi_matrix(lv) @ uniform, lo, 0, tuple(lv))
-    norms = np.linalg.norm(a, axis=1)
+    normals, norms = _level_normals(a)
+    rhs_slope = _level_rhs(L, norms, 1.0) - _level_rhs(L, norms, 0.0)
+    factors = {}
+    active = [0]
     best = (uniform, np.r_[L**-0.5, np.zeros(2 * len(a))], hi)  # weights, multipliers, level
     level, gap, iters = lo, np.inf, 0
     while hi - lo > LEVEL_RTOL * hi:
         iters += 1
-        sol = _level_qp(*_level_constraints(a, level))
+        sol = _active_set_qp(normals, _level_rhs(L, norms, level), active, factors)
         if sol is None:
             lo = level
         else:
-            w, u = sol
+            w, u, active = sol
             h = float(w @ w)
             if max(level, h / eta) < hi:  # w reaches f(w) <= max(level, h / eta)
                 hi, best = max(level, h / eta), (w, u, level)
             slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / norms)
             lo = max(lo, level + (h - eta * level) / (eta - slope))
         prev, gap = gap, hi - lo
-        level = lo if sol is not None and gap <= 0.5 * prev else 0.5 * (lo + hi)
+        if sol is None or gap > 0.5 * prev:
+            level = 0.5 * (lo + hi)
+            continue
+        root = _piece_root(*_factor(normals, active, factors), rhs_slope[active], w, level, eta)
+        level = root if root is not None and lo < root < hi else lo
     w, u, level = best
     objective = _check_relaxed(a, eta, w, u, level)
     return WeightSolution(w, basis.psi_matrix(lv) @ w, objective, iters, tuple(lv))

@@ -28,6 +28,7 @@ ascending row index.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,15 +315,27 @@ def kth_nn_distance(index, query, k, exclude_self=False):
 
 
 def unit_ball_volume(d):
-    """Volume of the d-dimensional Euclidean unit ball."""
+    """Volume of the d-dimensional Euclidean unit ball.
+
+    Exact integer factorials where they fit in a float (odd d < 301, even
+    d < 344); above that exp((d/2) log(pi) - lgamma(d/2 + 1)).  Raises
+    ParameterError where the volume underflows float64's normal range.
+    """
     d = int(d)
     if d < 1:
         raise ParameterError("d must be >= 1, got %d" % d)
-    if d % 2 == 0:
-        return math.pi ** (d // 2) / math.factorial(d // 2)
-    # Odd d: 2^((d+1)/2) * pi^((d-1)/2) / d!! avoids Gamma rounding at d=1.
-    double_fact = math.prod(range(d, 0, -2))
-    return 2.0 ** ((d + 1) // 2) * math.pi ** ((d - 1) // 2) / double_fact
+    try:
+        if d % 2 == 0:
+            value = math.pi ** (d // 2) / math.factorial(d // 2)
+        else:
+            # Odd d: 2^((d+1)/2) * pi^((d-1)/2) / d!! avoids Gamma rounding at d=1.
+            double_fact = math.prod(range(d, 0, -2))
+            value = 2.0 ** ((d + 1) // 2) * math.pi ** ((d - 1) // 2) / double_fact
+    except OverflowError:
+        value = math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
+    if value < sys.float_info.min:
+        raise ParameterError("unit-ball volume underflows float64 at d=%d" % d)
+    return value
 
 
 def knn_density(rho, k, m, d, mode="robust"):

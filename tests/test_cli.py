@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from divknn import TruncatedGaussianSpec, sample_truncated_gaussian, true_renyi_integral
+from divknn import (EnsembleConfig, TruncatedGaussianSpec, sample_truncated_gaussian,
+                    solve_weights, true_renyi_integral)
 from divknn.cli import main
 
 BENCH_COMMON = ["--dims", "1", "--n-grid", "50,100", "--trials", "2",
@@ -41,6 +42,17 @@ def test_weights_sum_to_one(capsys):
     lines = [l for l in out.splitlines() if l.startswith("l=")]
     assert len(lines) == 4
     assert "sum=1" in out
+
+
+def test_weights_reports_norm_and_levels(capsys):
+    argv = ["weights", "--mode", "odin1", "-d", "3", "-n", "800"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    solution = solve_weights(EnsembleConfig("odin1", tuple(np.linspace(0.3, 3.0, 50)), 3, 800))
+    summary = dict(field.split("=") for field in out.splitlines()[-1].split())
+    assert float(summary["w_norm"]) == np.linalg.norm(solution.weights)
+    assert int(summary["levels"]) == solution.solver_iterations > 0
+    assert float(summary["objective"]) == solution.objective
 
 
 def test_estimate_text_and_json(capsys, tmp_path):

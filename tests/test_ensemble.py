@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +20,18 @@ from divknn import (
     solve_weights_exact,
     solve_weights_relaxed,
 )
+from divknn import ensemble
 from divknn.ensemble import (
+    LEVEL_RTOL,
     RESIDUAL_FACTOR,
+    _active_set_qp,
     _check_constraints,
     _check_relaxed,
     _level_constraints,
+    _level_normals,
     _level_qp,
+    _level_rhs,
+    _min_norm,
     _round_half_away,
     solve_weights,
 )
@@ -370,6 +377,171 @@ def test_relaxed_check_rejects_corrupted_answers():
         with pytest.raises(SolverError, match="relaxed weights fail their check") as info:
             _check_relaxed(a, config.eta, bad_w, bad_u, level)
         assert np.array_equal(info.value.best_weights, bad_w, equal_nan=True)
+
+
+# The 40 relaxed configurations of the weights_sweep benchmark workload.
+SWEEP = [(mode, d, n) for mode in ("odin1", "odin2") for d in (2, 3, 5, 7)
+         for n in (100, 200, 400, 800, 1600)]
+
+
+def _sweep_program(mode, d, n):
+    config = ExperimentConfig().ensemble_config(mode, d, n)
+    basis = build_basis(config)
+    return config, basis, basis.scaled_rows(np.asarray(config.l_values), n)
+
+
+def _bracket_step(a, eta, lo, hi, level, sol):
+    # [lo, hi] after solving a level: an infeasible level raises lo to it; a
+    # solved one raises lo to its Newton point and lowers hi to max(level, h / eta).
+    if sol is None:
+        return level, hi
+    w, u = sol[0], sol[1]
+    h = float(w @ w)
+    slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / np.linalg.norm(a, axis=1))
+    return max(lo, level + (h - eta * level) / (eta - slope)), min(hi, max(level, h / eta))
+
+
+def _initial_bracket(a, eta):
+    L = a.shape[1]
+    return 1.0 / (L * eta), float(np.max(np.abs(a @ np.full(L, 1.0 / L))))
+
+
+def _cold_start_relaxed(a, eta):
+    # Reference: the relaxed solve without warm starts or piece roots.  Each
+    # level is a cold _level_qp; the next level is the Newton point lo while
+    # that halves the bracket and the midpoint otherwise.  Returns the
+    # weights, their objective and the number of levels solved.
+    lo, hi = _initial_bracket(a, eta)
+    best = np.full(a.shape[1], 1.0 / a.shape[1])
+    level, gap, levels = lo, np.inf, 0
+    while hi - lo > LEVEL_RTOL * hi:
+        levels += 1
+        sol = _level_qp(*_level_constraints(a, level))
+        lo, new_hi = _bracket_step(a, eta, lo, hi, level, sol)
+        if new_hi < hi:
+            hi, best = new_hi, sol[0]
+        prev, gap = gap, hi - lo
+        level = lo if sol is not None and gap <= 0.5 * prev else 0.5 * (lo + hi)
+    return best, _relaxed_f(a, best, eta), levels
+
+
+@pytest.mark.parametrize("mode,d,n", SWEEP)
+def test_relaxed_matches_cold_start_oracle(mode, d, n):
+    config, basis, a = _sweep_program(mode, d, n)
+    w_ref, f_ref, levels_ref = _cold_start_relaxed(a, config.eta)
+    sol = solve_weights(config, basis)
+    assert sol.objective == pytest.approx(f_ref, rel=2 * LEVEL_RTOL)
+    assert np.max(np.abs(sol.weights - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+    assert 0 < sol.solver_iterations <= levels_ref
+
+
+def _traced_levels(monkeypatch, config):
+    # Solves config and returns the solution and, per level solved, its
+    # level, its QP answer and the piece root computed after it (or None).
+    trace, formed = [], []
+    real_rhs, real_qp, real_root = ensemble._level_rhs, ensemble._active_set_qp, ensemble._piece_root
+
+    def rhs_at(L, norms, level):
+        formed.append((level, real_rhs(L, norms, level)))
+        return formed[-1][1]
+
+    def qp(normals, rhs, active, factors):
+        level, last = formed[-1]
+        assert rhs is last  # each level QP gets the right-hand side formed just before it
+        sol = real_qp(normals, rhs, active, factors)
+        trace.append([level, sol, None])
+        return sol
+
+    def root(*args):
+        trace[-1][2] = real_root(*args)
+        return trace[-1][2]
+
+    monkeypatch.setattr(ensemble, "_level_rhs", rhs_at)
+    monkeypatch.setattr(ensemble, "_active_set_qp", qp)
+    monkeypatch.setattr(ensemble, "_piece_root", root)
+    return solve_weights(config), trace
+
+
+def _replayed_schedule(a, eta, trace):
+    # Per traced level: (level, the level the documented schedule picks,
+    # the bracket after it, the piece root after it).
+    lo, hi = _initial_bracket(a, eta)
+    expected, gap, steps = lo, np.inf, []
+    for level, sol, root in trace:
+        chosen = expected
+        lo, hi = _bracket_step(a, eta, lo, hi, level, sol)
+        prev, gap = gap, hi - lo
+        if sol is None or gap > 0.5 * prev:
+            expected = 0.5 * (lo + hi)
+        else:
+            expected = root if root is not None and lo < root < hi else lo
+        steps.append((level, chosen, lo, hi, root))
+    return steps
+
+
+@pytest.mark.parametrize("mode,d,n", SWEEP)
+def test_relaxed_level_schedule(monkeypatch, mode, d, n):
+    # Each level is the midpoint of the bracket unless the last level was
+    # feasible and halved the bracket; then it is the piece root when that
+    # lies strictly inside the bracket, and the Newton point lo otherwise.
+    config, _, a = _sweep_program(mode, d, n)
+    sol, trace = _traced_levels(monkeypatch, config)
+    assert len(trace) == sol.solver_iterations
+    for level, chosen, _, _, _ in _replayed_schedule(a, config.eta, trace):
+        assert level == pytest.approx(chosen, rel=1e-14)
+
+
+def test_relaxed_piece_root_outside_bracket(monkeypatch):
+    # At ODin1 d=3 N=400 the second piece root falls below the Newton point
+    # lo; the next level is lo, and the answer is the cold start's.
+    config, _, a = _sweep_program("odin1", 3, 400)
+    sol, trace = _traced_levels(monkeypatch, config)
+    steps = _replayed_schedule(a, config.eta, trace)
+    outside = [i for i, (_, _, lo, hi, root) in enumerate(steps)
+               if root is not None and root < lo < hi and hi - lo > LEVEL_RTOL * hi]
+    assert outside
+    for i in outside:
+        assert steps[i + 1][0] == pytest.approx(steps[i][2], rel=1e-14)
+    assert sol.objective == pytest.approx(_cold_start_relaxed(a, config.eta)[1],
+                                          rel=2 * LEVEL_RTOL)
+
+
+def test_warm_start_drops_negative_multipliers():
+    # From the optimal active set at the lowest level 1/(L eta), every
+    # inequality multiplier of the min-norm point at the optimal level is
+    # negative.  The warm start drops those rows and reaches the minimizer of
+    # the cold start, with multipliers of the right sign.
+    config, _, a = _sweep_program("odin1", 3, 800)
+    normals, norms = _level_normals(a)
+    lo, _ = _initial_bracket(a, config.eta)
+    start = _active_set_qp(normals, _level_rhs(config.L, norms, lo), [0], {})[2]
+    rhs = _level_rhs(config.L, norms, _cold_start_relaxed(a, config.eta)[1])
+    _, u_start = _min_norm(*np.linalg.qr(normals[start].T), rhs[start])
+    assert len(start) > 1 and np.all(u_start[1:] < 0)
+    w, u, _ = _active_set_qp(normals, rhs, start, {})
+    w_cold, u_cold = _level_qp(normals, rhs)
+    assert np.all(u[1:] >= 0)
+    assert np.max(np.abs(w - w_cold)) <= 1e-12 * np.max(np.abs(w_cold))
+    assert np.max(np.abs(u - u_cold)) <= 1e-9 * np.max(np.abs(u_cold))
+
+
+def test_piece_root_closed_form_without_warnings():
+    # One active normal e_1, so w(level + t) = w + t * slope * e_1.
+    q, r = np.linalg.qr(np.eye(2)[:, :1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # h = (1 - t)^2 meets 0.1 (1 + t) first at t = 0.6.
+        root = ensemble._piece_root(q, r, np.array([-1.0]), np.array([1.0, 0.0]), 1.0, 0.1)
+        assert root == pytest.approx(1.6, rel=1e-15)
+        # h = (1 - t)^2 + 1 stays above 0.01 (1 + t): a negative discriminant.
+        assert ensemble._piece_root(q, r, np.array([-1.0]), np.array([1.0, 1.0]), 1.0,
+                                    0.01) is None
+        # A rising h (c1 >= 0) gives None.
+        assert ensemble._piece_root(q, r, np.array([1.0]), np.array([1.0, 0.0]), 1.0,
+                                    0.1) is None
+        # A flat piece (c2 = 0) gives the Newton point h / eta.
+        assert ensemble._piece_root(q, r, np.array([0.0]), np.array([1.0, 0.0]), 0.5,
+                                    1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------- ensemble_estimate

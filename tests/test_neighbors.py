@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -141,6 +143,37 @@ def test_unit_ball_volume_values():
     assert unit_ball_volume(3) == pytest.approx(4 * np.pi / 3, abs=1e-14)
     with pytest.raises(ParameterError):
         unit_ball_volume(0)
+
+
+def _factorial_unit_ball_volume(d):
+    # The integer-factorial formula, which overflows from odd d = 301 and even d = 344.
+    if d % 2 == 0:
+        return math.pi ** (d // 2) / math.factorial(d // 2)
+    return 2.0 ** ((d + 1) // 2) * math.pi ** ((d - 1) // 2) / math.prod(range(d, 0, -2))
+
+
+def test_unit_ball_volume_bit_identical_where_factorials_fit():
+    for d in range(1, 301):
+        assert unit_ball_volume(d) == _factorial_unit_ball_volume(d)
+    with pytest.raises(OverflowError):
+        _factorial_unit_ball_volume(301)
+
+
+@pytest.mark.parametrize("d", [301, 343, 344, 400])
+def test_unit_ball_volume_at_high_d(d):
+    # c_d = c_{d-2} * 2 pi / d, stepped up from the last d the factorials reach.
+    start = 299 if d % 2 else 300
+    expected = _factorial_unit_ball_volume(start)
+    for j in range(start + 2, d + 1, 2):
+        expected *= 2.0 * math.pi / j
+    assert unit_ball_volume(d) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [436, 1000, 10**6])
+def test_unit_ball_volume_underflow_raises(d):
+    assert unit_ball_volume(435) > sys.float_info.min
+    with pytest.raises(ParameterError, match="underflows"):
+        unit_ball_volume(d)
 
 
 def test_knn_density_examples():
