@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _round_half_away, k_schedule, solve_weights
+from .ensemble import EnsembleConfig, _round_half_away, estimation_plan
 from .errors import ConfigurationError, ParameterError, SolverError
-from .functionals import make_functional, neighbor_tables, plugin_profile
+from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
 
 CSV_HEADER = "d,n,estimator,trials,mean_estimate,true_value,bias,variance,mse,wall_time_ms"
@@ -111,6 +111,9 @@ class ExperimentConfig:
         return tuple((k0 + i) / base for i in range(self.odin2_count))
 
     def ensemble_config(self, estimator, d, n):
+        if estimator == "plugin":  # one member at k = plugin_k, or at round(sqrt(N)) (l = 1)
+            l = self.plugin_k / math.sqrt(n) if self.plugin_k else 1.0
+            return EnsembleConfig("odin1", (l,), d, n, k_min=1)
         if estimator == "odin1":
             return EnsembleConfig("odin1", self.l_values_odin1, d, n, eta=self.eta,
                                   solver=self.solver, k_min=self.k_min)
@@ -185,43 +188,21 @@ def _run_cell(config, spec, spec1, spec2, d, n):
     """Trial values per estimator, or the error message of an estimator whose weights failed."""
     plans = {}
     failed = {}
-    union_ks = set()
-    if "plugin" in config.estimators:
-        k_p = config.plugin_k or _round_half_away(math.sqrt(n))
-        plans["plugin"] = ("plugin", k_p)
-        union_ks.add(k_p)
-    for est in ("odin1", "odin2"):
-        if est not in config.estimators:
-            continue
+    for est in config.estimators:
         econf = config.ensemble_config(est, d, n)
         try:
-            sched, _ = k_schedule(econf)
-            weights = solve_weights(econf)
+            plans[est] = estimation_plan(econf)
         except (SolverError, ValueError) as exc:  # fails this estimator's row only
             failed[est] = str(exc)
-            continue
-        plans[est] = ("ensemble", sched, weights.weights)
-        union_ks.update(k for _, k in sched)
     if not plans:
         return failed
-    union_ks = sorted(union_ks)
-    k_max = max(union_ks)
+    union_ks = sorted(set().union(*(plan.ks for plan in plans.values())))
 
     def run_trial(trial):
         x = sample_truncated_gaussian(spec2, n, config.seed, _trial_stream(d, n, trial, 0))
         y = sample_truncated_gaussian(spec1, n, config.seed, _trial_stream(d, n, trial, 1))
-        tables = neighbor_tables(x, y, k_max)
-        values, _ = plugin_profile(x, y, union_ks, spec, tables=tables)
-        by_k = dict(zip(union_ks, values))
-        out = {}
-        for est, plan in plans.items():
-            if plan[0] == "plugin":
-                out[est] = float(by_k[plan[1]])
-            else:
-                _, sched, w = plan
-                v = np.array([by_k[k] for _, k in sched])
-                out[est] = float(np.dot(w, v))
-        return out
+        values, _ = plugin_profile(x, y, union_ks, spec)
+        return {est: plan.combine(union_ks, values) for est, plan in plans.items()}
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bench import ExperimentConfig, emit, fit_loglog_slope, run_experiment
-from .ensemble import EnsembleConfig, ensemble_estimate, k_schedule, solve_weights
+from .ensemble import EnsembleConfig, estimation_plan
 from .errors import ParameterError
 from .functionals import make_functional
 from .inference import confidence_interval
@@ -217,15 +217,14 @@ def cmd_bench(args):
 def cmd_weights(args):
     config = EnsembleConfig(args.mode, _l_values(args), args.dim, args.n, delta=args.delta,
                             nu=args.nu, eta=args.eta, solver=args.solver, k_min=args.k_min)
-    solution = solve_weights(config)
-    sched, warn = k_schedule(config)
-    for (l, k), w in zip(sched, solution.weights):
+    plan = estimation_plan(config)
+    for (l, k), w in zip(plan.schedule, plan.weights.weights):
         print("l=%-10.6g k=%-6d w=%.17g" % (l, k, w))
     # w_norm = ||w||_2 is the factor by which the ensemble scales up noise.
     print("objective=%.17g sum=%.17g w_norm=%.17g levels=%d"
-          % (solution.objective, float(np.sum(solution.weights)),
-             float(np.linalg.norm(solution.weights)), solution.solver_iterations))
-    for message in warn:
+          % (plan.weights.objective, float(np.sum(plan.weights.weights)),
+             float(np.linalg.norm(plan.weights.weights)), plan.weights.solver_iterations))
+    for message in plan.warnings:
         print("warning: %s" % message, file=sys.stderr)
     return 0
 

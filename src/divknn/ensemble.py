@@ -10,7 +10,7 @@ without ever computing the unknown bias constants.
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,17 +75,23 @@ class EnsembleConfig:
                 raise ConfigurationError("odin2 requires delta in (0, 1)")
             if self.nu < 1:
                 raise ConfigurationError("odin2 requires nu >= 1")
-            if self.nu < math.ceil(1.0 / self.delta):
-                _warnings.warn(
-                    "nu=%d < ceil(1/delta)=%d: the parametric MSE rate is not "
-                    "guaranteed for this configuration" % (self.nu, math.ceil(1.0 / self.delta))
-                )
+            for message in _rate_warnings(self):
+                _warnings.warn(message)
         if self.eta <= 0:
             raise ConfigurationError("eta must be > 0")
 
     @property
     def L(self):
         return len(self.l_values)
+
+
+def _rate_warnings(config):
+    """The warning that an ODin2 config's nu < ceil(1/delta) voids the rate, as a 0- or 1-list."""
+    bound = math.ceil(1.0 / config.delta)
+    if config.mode == "odin2" and config.nu < bound:
+        return ["nu=%d < ceil(1/delta)=%d: the parametric MSE rate is not guaranteed for "
+                "this configuration" % (config.nu, bound)]
+    return []
 
 
 class BasisEntry(NamedTuple):
@@ -544,27 +550,54 @@ def solve_weights(config, basis=None):
     return solve_weights_relaxed(basis, config.l_values, config.n, config.eta)
 
 
+@dataclass(frozen=True)
+class EstimationPlan:
+    """The fixed combination sum_l w(l) * Ghat_{k(l)} of one config (see estimation_plan).
+
+    It does not depend on the data, so one plan serves an estimate and all its
+    replicates or trials.  The plug-in at k is a one-member plan of weight 1.0.
+    """
+
+    config: EnsembleConfig
+    schedule: tuple  # (l, k) pairs
+    warnings: tuple  # the config's and the schedule's
+    ks: tuple  # the distinct scheduled ks, ascending
+    weights: WeightSolution
+
+    def members(self, ks, values):
+        """Each l's Ghat_{k(l)}, read from a profile over ascending ks that hold self.ks."""
+        return np.asarray(values)[np.searchsorted(ks, [k for _, k in self.schedule])]
+
+    def combine(self, ks, values):
+        """sum_l w(l) * Ghat_{k(l)}, read from a profile as in members."""
+        return float(np.dot(self.weights.weights, self.members(ks, values)))
+
+
+def estimation_plan(config, weights=None):
+    """The config's EstimationPlan; ``weights`` may carry its solved WeightSolution."""
+    sched, warn = k_schedule(config)
+    if weights is None:
+        weights = solve_weights(config)
+    return EstimationPlan(config, tuple(sched), tuple(_rate_warnings(config) + warn),
+                          tuple(sorted({k for _, k in sched})), weights)
+
+
 def ensemble_estimate(x, y, config, spec, mode="robust", weights=None, tables=None):
     """Weighted ensemble estimate sum_l w(l) * Ghat_{k(l)} with diagnostics.
 
-    Uses k1 = k2 = k(l) with N taken as the f2 sample size.  ``weights`` may
-    carry a precomputed WeightSolution (weights depend only on the config, so
-    bootstrap and benchmark loops solve once and reuse).
+    Uses k1 = k2 = k(l) with N taken as the f2 sample size, combined by the
+    config's EstimationPlan.  ``weights`` may carry its precomputed WeightSolution
+    (weights depend only on the config, so loops over samples solve once and reuse).
     """
-    warn = []
-    if config.n != x.n:
-        warn.append("config.n=%d but f2 sample has N=%d; schedule uses config.n" % (config.n, x.n))
-    sched, sched_warn = k_schedule(config)
-    warn.extend(sched_warn)
-    if weights is None:
-        weights = solve_weights(config)
-    ks = [k for _, k in sched]
-    unique_ks = sorted(set(ks))
-    values, degs = plugin_profile(x, y, unique_ks, spec, mode=mode, tables=tables)
-    by_k = dict(zip(unique_ks, values))
-    deg_by_k = dict(zip(unique_ks, degs))
-    per_k = tuple((l, k, float(by_k[k])) for l, k in sched)
-    v = np.array([by_k[k] for _, k in sched])
-    value = float(np.dot(weights.weights, v))
-    degeneracy = int(sum(deg_by_k[k] for k in unique_ks))
-    return EstimateReport(value, per_k, weights, tuple(warn), degeneracy)
+    return _estimate(x, y, estimation_plan(config, weights), spec, mode, tables)
+
+
+def _estimate(x, y, plan, spec, mode, tables):
+    """ensemble_estimate with its plan given."""
+    warn = plan.warnings
+    if plan.config.n != x.n:
+        warn = ("config.n=%d but f2 sample has N=%d; schedule uses config.n"
+                % (plan.config.n, x.n),) + warn
+    ghat, degs = plugin_profile(x, y, plan.ks, spec, mode=mode, tables=tables)
+    per_k = tuple((l, k, float(v)) for (l, k), v in zip(plan.schedule, plan.members(plan.ks, ghat)))
+    return EstimateReport(plan.combine(plan.ks, ghat), per_k, plan.weights, warn, int(degs.sum()))

@@ -114,8 +114,8 @@ def plugin_profile(x, y, ks, spec, mode="robust", tables=None, outer_weights=Non
     """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
 
     Returns (values, degeneracy_counts) aligned with ``ks``.  ``tables`` may
-    carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays so a
-    benchmark trial can serve several estimators from one neighbor sweep.
+    carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays, at
+    least max(ks) deep (a bootstrap's point estimate reads its replicates').
     ``outer_weights`` gives each table row an integer multiplicity in the
     outer sample (a bootstrap resample of x): the outer mean and the clamp
     counts then weight row i by ``outer_weights[i]``, and the tables may hold
@@ -163,20 +163,14 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
         x = PointSet(np.asarray(x))
     if not isinstance(y, PointSet):
         y = PointSet(np.asarray(y))
-    if x.dim != y.dim:
-        raise ParameterError("dimension mismatch: x has d=%d, y has d=%d" % (x.dim, y.dim))
-    if x.n < 2:
-        raise ParameterError("need N2 >= 2 for leave-one-out estimation")
+    check_profile_args(x, y, ())
     k1, k2 = int(k1), int(k2)
     m1, m2 = y.n, x.n - 1
     if k1 < 1 or k1 > m1:
         raise ParameterError("k1=%d out of range for M1=%d" % (k1, m1))
     if k2 < 1 or k2 > m2:
         raise ParameterError("k2=%d out of range for M2=%d" % (k2, m2))
-    index_y = NeighborIndex(y)
-    index_x = NeighborIndex(x)
-    rho1 = index_y.kth_distance_table(x.points, k1)[:, k1 - 1]
-    rho2 = index_x.kth_distance_table(x.points, k2, leave_one_out=True)[:, k2 - 1]
-    g, degs = _plugin_terms(rho1, rho2, k1, k2, m1, m2, x.dim, spec, mode)
-    value = float(np.mean(g))
-    return PluginEstimate(value, k1, k2, y.n, x.n, int(degs))
+    # The tables are exact, so column k of a deeper table is the k-th distance.
+    rho1, rho2 = neighbor_tables(x, y, max(k1, k2))
+    g, degs = _plugin_terms(rho1[:, k1 - 1], rho2[:, k2 - 1], k1, k2, m1, m2, x.dim, spec, mode)
+    return PluginEstimate(float(np.mean(g)), k1, k2, y.n, x.n, int(degs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ensemble_estimate, k_schedule, solve_weights
+from .ensemble import _estimate, estimation_plan
 from .errors import ParameterError
 from .functionals import check_profile_args, neighbor_tables, plugin_profile
 from .neighbors import NeighborIndex
@@ -101,7 +101,7 @@ class InferenceResult:
     null_value: float = 0.0
     reject: bool = False
     degeneracy_count: int = 0  # the point estimate's clamp total
-    warnings: tuple = ()  # the point estimate's warnings (k collisions)
+    warnings: tuple = ()  # the point estimate's warnings (rate, k collisions)
 
 
 def resample_tables(x, y, k_max):
@@ -168,41 +168,37 @@ def _direct_rows(ref, queries, mult, self_rows, k_max):
     return _resampled_table(dist, counts, np.zeros(len(queries), dtype=int), k_max)[0]
 
 
-def _profile_plan(x, y, config):
-    """The schedule's distinct ks, checked against x and y, and each l's index into them."""
-    ks = [k for _, k in k_schedule(config)[0]]
-    unique_ks = check_profile_args(x, y, sorted(set(ks)))
-    return unique_ks, np.searchsorted(unique_ks, ks)
-
-
 def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None,
                          tables=None):
     """Ensemble estimates on ``reps`` with-replacement resamples of x and y.
 
-    Replicate r resamples both samples from the streams keyed by r.  It is
-    computed through the resample's multiplicities from one set of indexed
-    neighbor tables on the original samples (``tables``, as returned by
-    :func:`resample_tables`; built here when not given), and equals
-    ``ensemble_estimate`` on the resampled points to rounding.
+    Replicate r resamples both samples from the streams keyed by r, and all
+    replicates share the config's EstimationPlan.  It is computed through
+    the resample's multiplicities from one set of indexed neighbor tables on
+    the original samples (``tables``, as returned by :func:`resample_tables`;
+    built here when not given), and equals ``ensemble_estimate`` on the
+    resampled points to rounding.
     """
+    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, mode, tables)
+
+
+def _replicates(x, y, plan, spec, reps, seed, mode, tables):
+    """The plan's estimates on ``reps`` resamples; see :func:`bootstrap_replicates`."""
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
-    if weights is None:
-        weights = solve_weights(config)
-    unique_ks, position = _profile_plan(x, y, config)
-    k_max = unique_ks[-1]
+    ks = check_profile_args(x, y, plan.ks)
     if tables is None:
-        tables = resample_tables(x, y, k_max)
+        tables = resample_tables(x, y, ks[-1])
     values = np.empty(reps)
     for r in range(reps):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, _BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
-        rep_tables, outer = _replicate_tables(x, y, tables, m_x, m_y, k_max)
-        profile, _ = plugin_profile(x, y, unique_ks, spec, mode=mode, tables=rep_tables,
+        rep_tables, outer = _replicate_tables(x, y, tables, m_x, m_y, ks[-1])
+        profile, _ = plugin_profile(x, y, ks, spec, mode=mode, tables=rep_tables,
                                     outer_weights=outer)
-        values[r] = float(np.dot(weights.weights, profile[position]))
+        values[r] = plan.combine(ks, profile)
     return values
 
 
@@ -216,16 +212,12 @@ def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed,
                       mode, weights):
     """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.
 
-    The point estimate and the replicates share one set of neighbor tables.
+    The point estimate and the replicates share one plan and one set of neighbor tables.
     """
-    if weights is None:
-        weights = solve_weights(config)
-    unique_ks, _ = _profile_plan(x, y, config)
-    tables = resample_tables(x, y, unique_ks[-1])
-    report = ensemble_estimate(x, y, config, spec, mode=mode, weights=weights,
-                               tables=(tables[0][0], tables[1][0]))
-    values = bootstrap_replicates(x, y, config, spec, reps, seed, mode=mode, weights=weights,
-                                  tables=tables)
+    plan = estimation_plan(config, weights)
+    tables = resample_tables(x, y, check_profile_args(x, y, plan.ks)[-1])
+    report = _estimate(x, y, plan, spec, mode, (tables[0][0], tables[1][0]))
+    values = _replicates(x, y, plan, spec, reps, seed, mode, tables)
     estimate = report.value
     std = float(np.std(values, ddof=1))
     z_crit = normal_quantile(quantile)

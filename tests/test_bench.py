@@ -9,10 +9,13 @@ from divknn import (
     ParameterError,
     ResultRow,
     emit,
+    ensemble_estimate,
     fit_loglog_slope,
+    plugin_estimate,
     run_experiment,
+    sample_truncated_gaussian,
 )
-from divknn.bench import CSV_HEADER, rows_to_csv, rows_to_json
+from divknn.bench import CSV_HEADER, _trial_stream, rows_to_csv, rows_to_json
 
 TINY = dict(dims=(1,), n_grid=(50, 100, 200), trials=4, seed=9,
             l_values_odin1=tuple(np.linspace(0.5, 2.0, 6)))
@@ -81,6 +84,30 @@ def test_single_trial_zero_variance():
     (row,) = run_experiment(config)
     assert row.variance == 0.0
     assert row.mse == pytest.approx(row.bias**2, abs=0)
+
+
+def test_rows_equal_standalone_estimates_to_the_bit():
+    # One shared profile per trial must give each estimator exactly what its
+    # own entry point gives on the same samples.
+    config = ExperimentConfig(dims=(3,), n_grid=(100, 400), trials=3, seed=5)
+    spec = config.functional_spec()
+    spec1, spec2 = config.density_specs(3)
+    rows = run_experiment(config)
+    assert len(rows) == 6
+    for row in rows:
+        values = []
+        for trial in range(config.trials):
+            x = sample_truncated_gaussian(spec2, row.n, config.seed,
+                                          _trial_stream(3, row.n, trial, 0))
+            y = sample_truncated_gaussian(spec1, row.n, config.seed,
+                                          _trial_stream(3, row.n, trial, 1))
+            if row.estimator == "plugin":
+                k = round(row.n**0.5)
+                values.append(plugin_estimate(x, y, k, k, spec).value)
+            else:
+                econf = config.ensemble_config(row.estimator, 3, row.n)
+                values.append(ensemble_estimate(x, y, econf, spec).value)
+        assert row.mean_estimate == float(np.mean(values)), row.estimator
 
 
 def test_deterministic_rerun_byte_identical():

@@ -136,3 +136,21 @@ def test_estimate_reports_warnings_and_clamps(capsys, tmp_path):
     np.savetxt(x_path, np.vstack([x, np.repeat(x[:1], 6, axis=0)]), delimiter=",")
     payload = json.loads(run_estimate(capsys, y_path, x_path, "0.5,1.0,2.0", "--format", "json"))
     assert payload["warnings"] == [] and payload["degeneracy_count"] == 7
+
+
+def test_rate_warning_reaches_estimate_and_weights(capsys, tmp_path):
+    y_path, x_path = write_samples(tmp_path)
+    message = ("nu=2 < ceil(1/delta)=4: the parametric MSE rate is not guaranteed for "
+               "this configuration")
+    odin2 = ("--mode", "odin2", "--delta", "0.25", "--nu", "2")
+    with pytest.warns(UserWarning, match="parametric"):
+        payload = json.loads(run_estimate(capsys, y_path, x_path, "1.0,2.0,3.0", *odin2,
+                                          "--format", "json"))
+    assert payload["warnings"] == [message]
+    with pytest.warns(UserWarning, match="parametric"):
+        text = run_estimate(capsys, y_path, x_path, "1.0,2.0,3.0", *odin2)
+    assert "warnings   %s" % message in text
+    with pytest.warns(UserWarning, match="parametric"):
+        assert main(["weights", "-d", "1", "-n", "150", "--l-list", "1.0,2.0,3.0",
+                     "--solver", "exact", *odin2]) == 0
+    assert "warning: %s" % message in capsys.readouterr().err.splitlines()

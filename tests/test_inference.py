@@ -18,7 +18,7 @@ from divknn import (
     solve_weights,
     two_sample_test,
 )
-from divknn import inference
+from divknn import ensemble, inference
 from divknn.synth import rng_stream
 
 RENYI = make_functional("renyi_integral", alpha=0.5)
@@ -251,3 +251,20 @@ def test_interval_estimate_and_diagnostics_match_ensemble_estimate():
     collide = EnsembleConfig("odin1", (0.5, 0.51, 1.0, 1.5, 2.0, 2.5), 1, x.n, solver="exact")
     t = two_sample_test(x, y, collide, RENYI, null_value=1.0, reps=10)
     assert any("k collision" in w for w in t.warnings)
+
+
+def test_interval_builds_schedule_and_weights_once(monkeypatch):
+    x, y, config = small_setup()
+    calls = {}
+    for name in ("k_schedule", "solve_weights"):
+        real = getattr(ensemble, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        for module in (ensemble, inference):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    confidence_interval(x, y, config, RENYI, reps=10, seed=2)
+    assert calls == {"k_schedule": 1, "solve_weights": 1}
