@@ -93,9 +93,7 @@ class ExperimentConfig:
         return max(ks) if ks else 1
 
     def functional_spec(self):
-        if self.functional == "renyi_integral":
-            return make_functional("renyi_integral", alpha=self.alpha)
-        return make_functional(self.functional)
+        return make_functional(self.functional, alpha=self.alpha)
 
     def density_specs(self, d):
         return (

@@ -1,8 +1,12 @@
 """Command-line interface: estimate, bench, weights, truth.
 
-Flags are the source of truth; a flat key=value config file (``--config``)
-supplies defaults that any flag overrides.  Benchmark output embeds the
-canonical configuration as a header comment for provenance.
+Flags are the source of truth.  ``bench --config FILE`` reads a flat
+``key = value`` file (``#`` comments, comma-separated lists) as the bench
+flags it names: each line becomes ``--key=value`` with ``_`` read as ``-``,
+``true`` becomes the bare switch and ``false`` nothing.  Those flags go
+ahead of the command line's and the whole argv is parsed again, so the
+command line wins and an unknown key is an argparse error.  Benchmark output
+embeds the canonical configuration as a header comment for provenance.
 """
 
 import argparse
@@ -20,19 +24,9 @@ from .neighbors import PointSet
 from .synth import TruncatedGaussianSpec, mc_truth, true_renyi_integral
 
 
-def _parse_scalar(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _load_config_file(path):
-    values = {}
+def _config_argv(path):
+    """The flags a flat ``key = value`` config file names, in file order."""
+    argv = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -40,14 +34,13 @@ def _load_config_file(path):
                 continue
             if "=" not in line:
                 raise ParameterError("config line without '=': %r" % line)
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if "," in raw:
-                values[key] = [_parse_scalar(v) for v in raw.split(",")]
-            else:
-                values[key] = _parse_scalar(raw)
-    return values
+            key, _, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            if value.lower() == "true":
+                argv.append(flag)
+            elif value.lower() != "false":
+                argv.append("%s=%s" % (flag, value))
+    return argv
 
 
 def _csv_list(cast):
@@ -100,7 +93,8 @@ def build_parser():
     p.add_argument("--format", default="text", choices=["text", "json"])
 
     p = sub.add_parser("bench", help="grid MSE-convergence experiment")
-    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--config", default=None,
+                   help="flat key=value file of bench flags; the command line wins")
     p.add_argument("--dims", type=_csv_list(int), default=[7])
     p.add_argument("--n-grid", type=_csv_list(int), default=[100, 200, 400, 800, 1600])
     p.add_argument("--trials", type=int, default=200)
@@ -138,10 +132,9 @@ def build_parser():
     return parser
 
 
-def _functional_from_args(args):
-    if args.functional == "renyi_integral":
-        return make_functional("renyi_integral", alpha=args.alpha)
-    return make_functional(args.functional)
+def _ensemble_config(args, d, n):
+    return EnsembleConfig(args.mode, _l_values(args), d, n, delta=args.delta, nu=args.nu,
+                          eta=args.eta, solver=args.solver, k_min=args.k_min)
 
 
 def _read_sample(path, skip_header):
@@ -152,9 +145,8 @@ def _read_sample(path, skip_header):
 def cmd_estimate(args):
     y = _read_sample(args.f1_sample, args.header)
     x = _read_sample(args.f2_sample, args.header)
-    spec = _functional_from_args(args)
-    config = EnsembleConfig(args.mode, _l_values(args), x.dim, x.n, delta=args.delta,
-                            nu=args.nu, eta=args.eta, solver=args.solver, k_min=args.k_min)
+    spec = make_functional(args.functional, alpha=args.alpha)
+    config = _ensemble_config(args, x.dim, x.n)
     null = 1.0 if args.functional == "renyi_integral" else 0.0
     result = confidence_interval(x, y, config, spec, level=args.level, reps=args.reps,
                                  seed=args.seed, null_value=null)
@@ -178,28 +170,13 @@ def cmd_estimate(args):
 
 
 def cmd_bench(args):
-    overrides = _load_config_file(args.config) if args.config else {}
-    defaults = build_parser().parse_args(["bench", "--out", args.out])
-    values = {}
-    for key in ("dims", "n_grid", "trials", "estimators", "functional", "alpha", "mean1",
-                "mean2", "variance", "delta", "nu", "eta", "solver", "k_min", "seed",
-                "threads", "timing"):
-        file_val = overrides.get(key)
-        arg_val = getattr(args, key)
-        default = getattr(defaults, key)
-        values[key] = arg_val if arg_val != default or file_val is None else file_val
-    if isinstance(values["dims"], (int, float)):
-        values["dims"] = [int(values["dims"])]
-    if isinstance(values["estimators"], str):
-        values["estimators"] = [values["estimators"]]
     config = ExperimentConfig(
-        dims=tuple(values["dims"]), n_grid=tuple(values["n_grid"]), trials=values["trials"],
-        estimators=tuple(values["estimators"]), functional=values["functional"],
-        alpha=values["alpha"], mean1=values["mean1"], mean2=values["mean2"],
-        variance=values["variance"], l_values_odin1=_l_values(args),
-        l_values_odin2=tuple(args.l_list_odin2), delta=values["delta"], nu=values["nu"],
-        eta=values["eta"], solver=values["solver"], plugin_k=args.k, k_min=values["k_min"],
-        seed=values["seed"], threads=values["threads"], timing=values["timing"])
+        dims=args.dims, n_grid=args.n_grid, trials=args.trials, estimators=args.estimators,
+        functional=args.functional, alpha=args.alpha, mean1=args.mean1, mean2=args.mean2,
+        variance=args.variance, l_values_odin1=_l_values(args),
+        l_values_odin2=args.l_list_odin2, delta=args.delta, nu=args.nu, eta=args.eta,
+        solver=args.solver, plugin_k=args.k, k_min=args.k_min, seed=args.seed,
+        threads=args.threads, timing=args.timing)
     rows = run_experiment(config)
     emit(rows, args.format, args.out, provenance=config.canonical())
     if args.slopes:
@@ -215,9 +192,7 @@ def cmd_bench(args):
 
 
 def cmd_weights(args):
-    config = EnsembleConfig(args.mode, _l_values(args), args.dim, args.n, delta=args.delta,
-                            nu=args.nu, eta=args.eta, solver=args.solver, k_min=args.k_min)
-    plan = estimation_plan(config)
+    plan = estimation_plan(_ensemble_config(args, args.dim, args.n))
     for (l, k), w in zip(plan.schedule, plan.weights.weights):
         print("l=%-10.6g k=%-6d w=%.17g" % (l, k, w))
     # w_norm = ||w||_2 is the factor by which the ensemble scales up noise.
@@ -235,13 +210,18 @@ def cmd_truth(args):
     if args.functional == "renyi_integral":
         print("%.17g" % true_renyi_integral(spec1, spec2, args.alpha))
     else:
-        result = mc_truth(spec1, spec2, _functional_from_args(args), args.mc_n, args.seed)
+        result = mc_truth(spec1, spec2, make_functional(args.functional, alpha=args.alpha),
+                          args.mc_n, args.seed)
         print("%.17g  (mc std error %.3g)" % (result.value, result.std_error))
     return 0
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
     handlers = {
         "estimate": cmd_estimate,
         "bench": cmd_bench,

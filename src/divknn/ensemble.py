@@ -582,18 +582,18 @@ def estimation_plan(config, weights=None):
                           tuple(sorted({k for _, k in sched})), weights)
 
 
-def ensemble_estimate(x, y, config, spec, mode="robust", weights=None, tables=None):
+def ensemble_estimate(x, y, config, spec, mode="robust", weights=None):
     """Weighted ensemble estimate sum_l w(l) * Ghat_{k(l)} with diagnostics.
 
     Uses k1 = k2 = k(l) with N taken as the f2 sample size, combined by the
     config's EstimationPlan.  ``weights`` may carry its precomputed WeightSolution
     (weights depend only on the config, so loops over samples solve once and reuse).
     """
-    return _estimate(x, y, estimation_plan(config, weights), spec, mode, tables)
+    return _estimate(x, y, estimation_plan(config, weights), spec, mode, None)
 
 
 def _estimate(x, y, plan, spec, mode, tables):
-    """ensemble_estimate with its plan given."""
+    """ensemble_estimate with its plan given; ``tables`` as in ``plugin_profile``."""
     warn = plan.warnings
     if plan.config.n != x.n:
         warn = ("config.n=%d but f2 sample has N=%d; schedule uses config.n"

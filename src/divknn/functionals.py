@@ -31,7 +31,6 @@ class FunctionalSpec:
     name: str
     params: dict = field(default_factory=dict)
     eval: callable = None
-    lipschitz_hint: bool = True
 
     def __call__(self, t1, t2):
         return self.eval(t1, t2)
@@ -61,9 +60,7 @@ def make_functional(name, **params):
         g = params.get("g")
         if g is None or not callable(g):
             raise ParameterError("custom functional requires a callable g=...")
-        return FunctionalSpec(
-            "custom", {}, g, lipschitz_hint=bool(params.get("lipschitz_hint", True))
-        )
+        return FunctionalSpec("custom", {}, g)
     raise ParameterError("unknown functional %r (known: %s)" % (name, ", ".join(BUILTIN_FUNCTIONALS)))
 
 

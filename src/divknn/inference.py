@@ -23,6 +23,7 @@ half of the same tables.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -48,44 +49,11 @@ def normal_cdf(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile (relative error < 1.15e-9); one Newton step against erfc-based
-# normal_cdf then pushes the absolute error below 1e-13.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
 def normal_quantile(p):
-    """Inverse standard normal CDF (Acklam approximation + Newton polish)."""
+    """Inverse standard normal CDF (Wichura's AS241, via ``statistics.NormalDist``)."""
     if not (0.0 < p < 1.0):
         raise ParameterError("quantile level must lie in (0, 1), got %g" % p)
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    err = normal_cdf(z) - p
-    z -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
-    return z
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -168,22 +136,23 @@ def _direct_rows(ref, queries, mult, self_rows, k_max):
     return _resampled_table(dist, counts, np.zeros(len(queries), dtype=int), k_max)[0]
 
 
-def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None,
-                         tables=None):
+def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None):
     """Ensemble estimates on ``reps`` with-replacement resamples of x and y.
 
     Replicate r resamples both samples from the streams keyed by r, and all
     replicates share the config's EstimationPlan.  It is computed through
     the resample's multiplicities from one set of indexed neighbor tables on
-    the original samples (``tables``, as returned by :func:`resample_tables`;
-    built here when not given), and equals ``ensemble_estimate`` on the
-    resampled points to rounding.
+    the original samples (built once, by :func:`resample_tables`), and
+    equals ``ensemble_estimate`` on the resampled points to rounding.
     """
-    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, mode, tables)
+    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, mode, None)
 
 
 def _replicates(x, y, plan, spec, reps, seed, mode, tables):
-    """The plan's estimates on ``reps`` resamples; see :func:`bootstrap_replicates`."""
+    """The plan's estimates on ``reps`` resamples; see :func:`bootstrap_replicates`.
+
+    ``tables`` may carry the :func:`resample_tables` of x and y; they are built when None.
+    """
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
     ks = check_profile_args(x, y, plan.ks)

@@ -13,7 +13,6 @@ from divknn import (
     EnsembleConfig,
     ExperimentConfig,
     TruncatedGaussianSpec,
-    build_basis,
     build_index,
     ensemble_estimate,
     fit_loglog_slope,
@@ -27,10 +26,8 @@ from divknn import (
     true_renyi_integral,
     two_sample_test,
 )
-from divknn.bench import rows_to_csv
 from divknn.cli import main
 from divknn.ensemble import BasisEntry, BasisSystem
-from divknn.functionals import neighbor_tables
 
 F1_MEAN, F2_MEAN, VARIANCE, ALPHA = 0.7, 0.3, 0.1, 0.5
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from divknn import (EnsembleConfig, TruncatedGaussianSpec, sample_truncated_gaussian,
-                    solve_weights, true_renyi_integral)
+from divknn import (EnsembleConfig, ParameterError, TruncatedGaussianSpec,
+                    sample_truncated_gaussian, solve_weights, true_renyi_integral)
 from divknn.cli import main
 
 BENCH_COMMON = ["--dims", "1", "--n-grid", "50,100", "--trials", "2",
@@ -100,6 +100,48 @@ def test_bench_config_file_with_flag_override(tmp_path):
     body = [l for l in out.read_text().splitlines() if not l.startswith(("#", "d,"))]
     assert all(line.split(",")[2] == "plugin" for line in body)
     assert all(line.split(",")[3] == "3" for line in body)
+
+
+def bench_with_config(tmp_path, text, *flags):
+    """Run bench with ``text`` as its config file; returns the provenance as a dict."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run.csv"
+    assert main(["bench", "--out", str(out), "--config", str(cfg), "--trials", "2", *flags]) == 0
+    return dict(item.split("=", 1) for item in out.read_text().splitlines()[0][2:].split())
+
+
+def test_bench_config_loses_to_a_flag_at_its_default(tmp_path):
+    provenance = bench_with_config(tmp_path, "dims = 1\nseed = 3\n", "--n-grid", "50,100",
+                                   "--l-list", "0.5,1,2", "--seed", "0")
+    assert provenance["seed"] == "0"
+
+
+def test_bench_config_one_value_list(tmp_path):
+    provenance = bench_with_config(tmp_path, "dims = 1\nn_grid = 100\n", "--l-list", "0.5,1,2")
+    assert provenance["n_grid"] == "100"
+
+
+def test_bench_config_sets_l_grid_plugin_k_and_switches(tmp_path):
+    provenance = bench_with_config(tmp_path, "dims = 1\nl_list = 0.5,1,2\nk = 3\ntiming = true\n",
+                                   "--n-grid", "50,100")
+    assert provenance["plugin_k"] == "3"
+    assert provenance["l_values_odin1"] == "0.5,1,2"
+    assert provenance["timing"] == "True"
+
+
+def test_bench_config_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ["bench", "--out", str(tmp_path / "run.csv"), "--config", str(cfg), "--trials", "2",
+            "--n-grid", "50,100", "--l-list", "0.5,1,2"]
+    cfg.write_text("dims = 1\ntrails = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "--trails" in capsys.readouterr().err
+    cfg.write_text("dims = 1\ntrials\n")
+    with pytest.raises(ParameterError, match="without '='"):
+        main(argv)
 
 
 def test_estimate_header_flag(tmp_path, capsys):

@@ -38,8 +38,12 @@ def test_normal_quantile_reference_values():
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.025) == pytest.approx(-1.959963984540054, abs=1e-12)
-    # Tail branch of the approximation.
+    # Lower tail.
     assert normal_quantile(1e-6) == pytest.approx(-4.753424308822899, abs=1e-9)
+    # Upper tail (reference values: scipy.stats.norm.ppf).
+    for p, z in ((1 - 1e-6, 4.753424308817087), (1 - 1e-9, 5.997807019601637),
+                 (1 - 1e-12, 7.0344869100478356)):
+        assert normal_quantile(p) == pytest.approx(z, abs=1e-13)
     with pytest.raises(ParameterError):
         normal_quantile(0.0)
     with pytest.raises(ParameterError):

@@ -7,7 +7,6 @@ import pytest
 
 from divknn import (
     DegeneracyError,
-    NeighborIndex,
     ParameterError,
     PointSet,
     build_index,
