@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _round_half_away, estimation_plan
+from .ensemble import EnsembleConfig, _raw_k, estimation_plan
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -83,14 +83,9 @@ class ExperimentConfig:
                 )
 
     def _max_scheduled_k(self, n):
-        ks = []
-        if "plugin" in self.estimators:
-            ks.append(self.plugin_k or _round_half_away(math.sqrt(n)))
-        if "odin1" in self.estimators:
-            ks.append(_round_half_away(max(self.l_values_odin1) * math.sqrt(n)))
-        if "odin2" in self.estimators:
-            ks.append(_round_half_away(max(self.odin2_l_grid(n)) * n**self.delta))
-        return max(ks) if ks else 1
+        """The largest k scheduled at N (k grows with l), before k_schedule clamps it to N-1."""
+        grids = [self._l_grid(e, n) for e in self.estimators]
+        return max((_raw_k(max(grid), n, mode, self.delta) for mode, grid in grids), default=1)
 
     def functional_spec(self):
         return make_functional(self.functional, alpha=self.alpha)
@@ -104,19 +99,27 @@ class ExperimentConfig:
     def odin2_l_grid(self, n):
         if self.l_values_odin2:
             return self.l_values_odin2
+        k0 = _raw_k(self.odin2_l_min, n, "odin2", self.delta)
         base = n**self.delta
-        k0 = _round_half_away(self.odin2_l_min * base)
         return tuple((k0 + i) / base for i in range(self.odin2_count))
 
-    def ensemble_config(self, estimator, d, n):
+    def _l_grid(self, estimator, n):
+        """The estimator's (mode, l grid) at N."""
         if estimator == "plugin":  # one member at k = plugin_k, or at round(sqrt(N)) (l = 1)
-            l = self.plugin_k / math.sqrt(n) if self.plugin_k else 1.0
-            return EnsembleConfig("odin1", (l,), d, n, k_min=1)
+            return "odin1", (self.plugin_k / math.sqrt(n) if self.plugin_k else 1.0,)
         if estimator == "odin1":
-            return EnsembleConfig("odin1", self.l_values_odin1, d, n, eta=self.eta,
-                                  solver=self.solver, k_min=self.k_min)
-        return EnsembleConfig("odin2", self.odin2_l_grid(n), d, n, delta=self.delta,
-                              nu=self.nu, eta=self.eta, solver=self.solver, k_min=self.k_min)
+            return "odin1", self.l_values_odin1
+        return "odin2", self.odin2_l_grid(n)
+
+    def ensemble_config(self, estimator, d, n):
+        mode, grid = self._l_grid(estimator, n)
+        if estimator == "plugin":
+            return EnsembleConfig(mode, grid, d, n, k_min=1)
+        if estimator == "odin1":
+            return EnsembleConfig(mode, grid, d, n, eta=self.eta, solver=self.solver,
+                                  k_min=self.k_min)
+        return EnsembleConfig(mode, grid, d, n, delta=self.delta, nu=self.nu, eta=self.eta,
+                              solver=self.solver, k_min=self.k_min)
 
     def canonical(self):
         """Deterministic flat key=value rendering for provenance comments."""

@@ -145,6 +145,12 @@ def _round_half_away(x):
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
+def _raw_k(l, n, mode, delta):
+    """k(l) before clamping: l * sqrt(N) (ODin1) or l * N^delta (ODin2), rounded half away."""
+    base = math.sqrt(n) if mode == "odin1" else n**delta
+    return _round_half_away(l * base)
+
+
 def k_schedule(config):
     """Map each l to a neighbor count k(l), clamped to [k_min, N-1].
 
@@ -152,7 +158,6 @@ def k_schedule(config):
     Collisions (two l rounding to the same k) are retained but reported.
     """
     n = config.n
-    base = math.sqrt(n) if config.mode == "odin1" else n**config.delta
     lo = max(config.k_min, 1)
     hi = n - 1
     if lo > hi:
@@ -160,8 +165,7 @@ def k_schedule(config):
     sched = []
     warn = []
     for l in config.l_values:
-        k = _round_half_away(l * base)
-        k = min(max(k, lo), hi)
+        k = min(max(_raw_k(l, n, config.mode, config.delta), lo), hi)
         sched.append((l, k))
     ks = [k for _, k in sched]
     if len(config.l_values) > 1 and len(set(ks)) == 1:

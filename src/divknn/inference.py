@@ -14,8 +14,13 @@ distances with neighbor rows, x into y and x into x leave-one-out) is built
 on the original samples; a resampled copy of x_i reads its k-th distance as
 the first table entry where the cumulative multiplicity of row i reaches k,
 after m_i - 1 zero-distance self-copies for leave-one-out, and the outer mean
-weights x_i by m_i.  Rows whose table runs out are answered by a direct query
-over all points.  Replicates are exact: they equal ``ensemble_estimate`` on
+weights x_i by m_i.  The lookup never writes the resampled lists out: it
+bins each row's cumulative counts and reads every k's entry from the running
+sum of the bins (:func:`_resampled_table`).  It first reads only a row's
+leading k_max + 3 sqrt(k_max) entries, which nearly always hold k_max copies,
+and reads the rows they leave short again from the whole table.  Rows whose
+whole table runs out are answered by a direct query over all points, through
+the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
 the resampled points to rounding.  The point estimate of
 :func:`confidence_interval` and :func:`two_sample_test` reads the distance
 half of the same tables.
@@ -88,21 +93,37 @@ def _resampled_table(dist, counts, zeros, k_max):
     Row i of ``dist`` lists a query's sorted distances to the original
     references, ``counts[i]`` their multiplicities in the resample, and
     ``zeros[i]`` extra zero-distance copies ahead of them (a leave-one-out
-    query's other self-copies).  The resample's sorted distance list is then
-    ``zeros[i]`` zeros followed by each entry repeated ``counts`` times, and
-    its k-th distance is the first entry at which the cumulative multiplicity
-    reaches k.  Returns the ``(rows, k_max)`` table and a mask of the rows
-    whose lists run out before ``k_max`` (their values are not meaningful).
+    query's other self-copies).  With c[i, e] = ``zeros[i]`` plus the
+    cumulative multiplicity of entries 0..e, position j < k_max of the
+    resample's sorted list is zero for j < ``zeros[i]`` and otherwise holds
+    entry #{e : c[i, e] <= j}.  Clipping c at ``k_max`` and counting it into
+    ``k_max + 1`` bins per row (one ``bincount`` over row-offset positions)
+    gives those entry numbers for all j as the running sum of the bins.
+    Returns the ``(rows, k_max)`` table and a mask of the rows whose lists run
+    out before ``k_max`` (their values are not meaningful).
     """
-    flat = np.repeat(dist.ravel(), counts.ravel())
-    if not flat.size:  # every list is empty; only the zeros are meaningful
-        flat = np.zeros(1)
-    total = counts.sum(axis=1)
-    start = np.cumsum(total) - total - zeros
-    j = np.arange(k_max)
-    table = flat[np.clip(start[:, None] + j, 0, len(flat) - 1)]
-    table[j < zeros[:, None]] = 0.0
-    return table, total + zeros < k_max
+    rows, depth = counts.shape
+    width = k_max + 1
+    head = int(zeros.max(initial=0))
+    # int32 holds every bin (row offset + zeros + row total) unless the table is huge.
+    bound = rows * width + head + depth * int(counts.max(initial=0))
+    itype = np.int32 if bound < 2**31 else np.int64
+    start = np.arange(0, rows * width, width, dtype=itype)
+    # Bin of entry e of row i: start[i] + min(zeros[i] + cumulative count, k_max).
+    cum = np.cumsum(counts, axis=1, dtype=itype)
+    cum += (start + zeros)[:, None]
+    last = start + k_max
+    np.minimum(cum, last[:, None], out=cum)
+    short = cum[:, -1] < last
+    # entry[i, j]: flat index in ``dist`` of the entry covering position j.
+    entry = np.cumsum(np.bincount(cum.ravel(), minlength=rows * width))
+    entry = entry.reshape(rows, width)[:, :k_max]
+    np.minimum(entry, dist.size - 1, out=entry)  # only a short last row runs past the end
+    table = np.take(dist, entry)
+    head = min(head, k_max)
+    if head:
+        table[:, :head][np.arange(head) < zeros[:, None]] = 0.0
+    return table, short
 
 
 def _replicate_tables(x, y, tables, m_x, m_y, k_max):
@@ -112,15 +133,37 @@ def _replicate_tables(x, y, tables, m_x, m_y, k_max):
     direct query over all references (``_direct_rows``).
     """
     support = np.flatnonzero(m_x)
-    (d1, r1), (d2, r2) = tables
-    self_copies = m_x[support] - 1
-    t1, short1 = _resampled_table(d1[support], m_y[r1[support]], np.zeros_like(support), k_max)
-    t2, short2 = _resampled_table(d2[support], m_x[r2[support]], self_copies, k_max)
+    m_x = m_x.astype(np.int32)
+    m_y = m_y.astype(np.int32)
+    outer = np.take(m_x, support)
+    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), k_max)
+    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, k_max)
     if short1.any():
         t1[short1] = _direct_rows(y, x.points[support[short1]], m_y, None, k_max)
     if short2.any():
         t2[short2] = _direct_rows(x, x.points[support[short2]], m_x, support[short2], k_max)
-    return (t1, t2), m_x[support]
+    return (t1, t2), outer
+
+
+def _indexed_rows(table, mult, support, zeros, k_max):
+    """:func:`_resampled_table` of the ``support`` rows of an indexed table.
+
+    ``mult`` gives each reference's multiplicity.  A resample holds one copy
+    per reference on average, so a row's leading k_max + 3 sqrt(k_max)
+    entries nearly always hold ``k_max`` copies: the lookup reads only those,
+    then reads the rows they leave short again from the whole table.
+    """
+    dist, rows = table
+    lead = min(dist.shape[1], k_max + 3 * math.isqrt(k_max))
+    out, short = _resampled_table(np.take(dist[:, :lead], support, axis=0),
+                                  np.take(mult, np.take(rows[:, :lead], support, axis=0)),
+                                  zeros, k_max)
+    if lead < dist.shape[1] and short.any():
+        again = np.flatnonzero(short)
+        out[again], short[again] = _resampled_table(
+            np.take(dist, support[again], axis=0),
+            np.take(mult, np.take(rows, support[again], axis=0)), zeros[again], k_max)
+    return out, short
 
 
 def _direct_rows(ref, queries, mult, self_rows, k_max):
@@ -130,10 +173,10 @@ def _direct_rows(ref, queries, mult, self_rows, k_max):
     that row then counts one copy fewer.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
-    counts = mult[rows]
+    counts = np.take(mult, rows)
     if self_rows is not None:
-        counts = counts - (rows == self_rows[:, None])
-    return _resampled_table(dist, counts, np.zeros(len(queries), dtype=int), k_max)[0]
+        counts -= rows == self_rows[:, None]
+    return _resampled_table(dist, counts, np.zeros(len(queries), dtype=counts.dtype), k_max)[0]
 
 
 def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from divknn import (
     sample_truncated_gaussian,
 )
 from divknn.bench import CSV_HEADER, _trial_stream, rows_to_csv, rows_to_json
+from divknn.ensemble import k_schedule
 
 TINY = dict(dims=(1,), n_grid=(50, 100, 200), trials=4, seed=9,
             l_values_odin1=tuple(np.linspace(0.5, 2.0, 6)))
@@ -54,6 +56,38 @@ def test_config_validation():
         ExperimentConfig(dims=(1,), n_grid=(10,))  # max k exceeds N-1
     with pytest.raises(ConfigurationError, match="trials"):
         ExperimentConfig(trials=0)
+
+
+@pytest.mark.parametrize("estimator, fields", [
+    ("plugin", {}),
+    ("plugin", {"plugin_k": 30}),
+    ("odin1", {}),
+    ("odin1", {"l_values_odin1": (0.5, 1.0, 6.0)}),
+    ("odin2", {}),
+    ("odin2", {"l_values_odin2": (0.5, 1.0, 4.5), "delta": 0.6}),
+])
+def test_config_raises_exactly_when_the_schedule_clamps_to_n_minus_1(estimator, fields):
+    # k(l) = round(l * sqrt(N)) for ODin1 and the plug-in, round(l * N^delta)
+    # for ODin2, rounded half away from zero; k_schedule clamps it to N-1.
+    valid = ExperimentConfig(dims=(1,), n_grid=(10**6,), estimators=(estimator,), **fields)
+    raised = []
+    for n in range(5, 121):
+        config = valid.ensemble_config(estimator, 1, n)
+        base = math.sqrt(n) if config.mode == "odin1" else n**config.delta
+        raw = [math.floor(l * base + 0.5) for l in config.l_values]
+        try:
+            ExperimentConfig(dims=(1,), n_grid=(n,), estimators=(estimator,), **fields)
+        except ConfigurationError as err:
+            assert "too small" in str(err) and max(raw) > n - 1, n
+            raised.append(n)
+            continue
+        assert max(raw) <= n - 1, n
+        schedule, _ = k_schedule(config)
+        assert [k for _, k in schedule] == [max(k, config.k_min) for k in raw]
+    # The plug-in's default k = round(sqrt(N)) never reaches N; every other
+    # case raises below some N and holds above it.
+    assert bool(raised) == (estimator != "plugin" or bool(fields))
+    assert raised == list(range(5, len(raised) + 5))
 
 
 def test_odin2_default_grid_consecutive_k():

@@ -218,6 +218,91 @@ def test_resampled_table_when_no_reference_is_drawn():
     assert table[0, 0] == 0.0 and short.tolist() == [True]
 
 
+def repeat_table(dist, counts, zeros, k_max):
+    """The definition of a resampled table: each row's list written out in full.
+
+    Row i's resampled list is ``zeros[i]`` zeros followed by each entry of
+    ``dist[i]`` repeated ``counts[i]`` times, and its table is the first
+    ``k_max`` positions of that list.
+    """
+    flat = np.repeat(dist.ravel(), counts.ravel())
+    if not flat.size:
+        flat = np.zeros(1)
+    total = counts.sum(axis=1)
+    start = np.cumsum(total) - total - zeros
+    j = np.arange(k_max)
+    table = flat[np.clip(start[:, None] + j, 0, len(flat) - 1)]
+    table[j < zeros[:, None]] = 0.0
+    return table, total + zeros < k_max
+
+
+def test_resampled_table_equals_the_written_out_lists():
+    rng = np.random.default_rng(17)
+    cases = 0
+    for depth, k_max in ((1, 1), (1, 3), (4, 2), (8, 4), (8, 8), (16, 8), (40, 20)):
+        for dtype in (np.int32, np.int64):
+            rows = 60
+            dist = np.sort(rng.random((rows, depth)), axis=1)
+            counts = rng.poisson(rng.choice([0.3, 1.0, 2.5]), size=(rows, depth)).astype(dtype)
+            zeros = rng.integers(0, 3, size=rows).astype(dtype)
+            counts[:5] = 0  # lists that hold only the zeros
+            zeros[5:10] = k_max + rng.integers(0, 3, size=5)  # zeros alone fill the table
+            # Lists that end exactly at k_max, and one position before it.
+            for i, target in ((10, k_max), (11, k_max), (12, k_max - 1), (13, k_max - 1)):
+                counts[i] = 0
+                zeros[i] = target // 2
+                np.add.at(counts[i], rng.integers(depth, size=target - target // 2), 1)
+            fast, fast_short = inference._resampled_table(dist, counts, zeros, k_max)
+            slow, slow_short = repeat_table(dist, counts.astype(np.int64),
+                                            zeros.astype(np.int64), k_max)
+            assert fast.shape == (rows, k_max)
+            np.testing.assert_array_equal(fast_short, slow_short)
+            assert not fast_short[10:12].any() and fast_short[12:14].all()
+            np.testing.assert_array_equal(fast[~fast_short], slow[~slow_short])
+            cases += 1
+    assert cases == 14
+
+
+def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
+    # Sparse multiplicities leave many rows short within the leading columns
+    # (read again from the whole row) and some short on the whole row.
+    lookup = inference._resampled_table
+    calls = []
+
+    def counting(dist, counts, zeros, k_max):
+        calls.append(len(counts))
+        return lookup(dist, counts, zeros, k_max)
+
+    monkeypatch.setattr(inference, "_resampled_table", counting)
+    rng = np.random.default_rng(5)
+    n, k_max = 300, 40
+    dist = np.sort(rng.random((n, 2 * k_max)), axis=1)
+    rows = rng.integers(0, n, size=(n, 2 * k_max)).astype(np.int32)
+    short_rows = rereads = 0
+    for rate in (0.45, 0.7, 1.0):
+        mult = rng.poisson(rate, size=n).astype(np.int32)
+        support = np.flatnonzero(mult)
+        zeros = rng.integers(0, 3, size=len(support)).astype(np.int32)
+        calls.clear()
+        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, k_max)
+        rereads += len(calls) == 2 and calls[1] < calls[0]  # some rows, not all, read again
+        slow, slow_short = lookup(dist[support], mult[rows[support]], zeros, k_max)
+        np.testing.assert_array_equal(fast_short, slow_short)
+        np.testing.assert_array_equal(fast[~fast_short], slow[~slow_short])
+        short_rows += slow_short.sum()
+    assert short_rows > 0 and rereads > 0
+
+
+def test_resampled_table_with_offsets_beyond_int32():
+    # More leading zeros than int32 holds: the index arithmetic switches to
+    # int64 and the table is all zeros, none of it short.
+    dist = np.array([[0.1, 0.2], [0.3, 0.4]])
+    counts = np.array([[1, 0], [0, 2]])
+    zeros = np.array([2**40, 0])
+    table, short = inference._resampled_table(dist, counts, zeros, 2)
+    assert table.tolist() == [[0.0, 0.0], [0.4, 0.4]] and short.tolist() == [False, False]
+
+
 def test_strict_mode_raises_exactly_when_explicit_does():
     cases = [
         # k = 1 is zero for any point drawn twice: every replicate degenerates.
