@@ -56,8 +56,9 @@ def _add_functional_flags(p):
     p.add_argument("--alpha", type=float, default=0.5)
 
 
-def _add_ensemble_flags(p):
-    p.add_argument("--mode", default="odin1", choices=["odin1", "odin2"])
+def _add_ensemble_flags(p, mode=True):
+    if mode:
+        p.add_argument("--mode", default="odin1", choices=["odin1", "odin2"])
     p.add_argument("--l-min", type=float, default=0.3)
     p.add_argument("--l-max", type=float, default=3.0)
     p.add_argument("--l-count", type=int, default=50)
@@ -100,7 +101,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--estimators", type=_csv_list(str), default=["plugin", "odin1", "odin2"])
     _add_functional_flags(p)
-    _add_ensemble_flags(p)
+    _add_ensemble_flags(p, mode=False)  # --estimators names the modes bench runs
     p.add_argument("--l-list-odin2", type=_csv_list(float), default=[],
                    help="explicit ODin2 l grid; default takes 25 consecutive k "
                         "values starting at k = round(1.4 * N^delta)")
@@ -195,7 +196,8 @@ def cmd_weights(args):
     plan = estimation_plan(_ensemble_config(args, args.dim, args.n))
     for (l, k), w in zip(plan.schedule, plan.weights.weights):
         print("l=%-10.6g k=%-6d w=%.17g" % (l, k, w))
-    # w_norm = ||w||_2 is the factor by which the ensemble scales up noise.
+    # w_norm = ||w||_2 is the factor by which the ensemble scales up noise; levels
+    # counts the pieces of the relaxed solution path walked (0 for exact).
     print("objective=%.17g sum=%.17g w_norm=%.17g levels=%d"
           % (plan.weights.objective, float(np.sum(plan.weights.weights)),
              float(np.linalg.norm(plan.weights.weights)), plan.weights.solver_iterations))

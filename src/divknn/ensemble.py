@@ -31,11 +31,6 @@ DEFAULT_K_MIN = 3
 # together with the triangular solve, the product Q y and the final A w.
 RESIDUAL_FACTOR = 8.0
 
-# The relaxed program stops once its bracket [lo, hi] on the optimal level
-# has hi - lo <= LEVEL_RTOL * hi, which certifies the returned objective to
-# that relative accuracy; 1e-12 sits well above the rounding of h(epsilon).
-LEVEL_RTOL = 1e-12
-
 # A violated unit normal whose QR pivot |R_pp| (its distance from the span of
 # the active normals) is at most this is treated as linearly dependent.
 DEPENDENT_TOL = 1e-10
@@ -128,7 +123,7 @@ class WeightSolution:
     weights: np.ndarray
     residuals: np.ndarray  # gamma_w(i) = sum_l w(l) psi_i(l), per basis entry
     objective: float  # achieved epsilon (relaxed) or ||w||_2 (exact)
-    solver_iterations: int  # Newton/bisection steps on epsilon (relaxed); 0 (exact)
+    solver_iterations: int  # pieces of the solution path walked (relaxed); 0 (exact)
     l_values: tuple = ()
 
 
@@ -238,8 +233,8 @@ def solve_weights_exact(basis, l_values):
         raise SolverError("constraint count %d exceeds ensemble size L=%d" % (m, L))
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
-        bad = _near_dependent_rows(A, basis)
-        raise SolverError("constraint matrix is rank deficient (%s)" % bad)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+        raise SolverError("constraint matrix is rank deficient (cond(A) = %.2g)" % cond)
     b = np.zeros(m)
     b[0] = 1.0
     w, _ = _min_norm(*np.linalg.qr(A.T), b)
@@ -277,16 +272,27 @@ def _check_constraints(A, b, w, a_norm):
         )
 
 
-def _near_dependent_rows(A, basis):
-    labels = ["sum"] + [e.label for e in basis.entries]
-    norms = np.linalg.norm(A, axis=1)
-    unit = A / norms[:, None]
-    gram = np.abs(unit @ unit.T)
-    np.fill_diagonal(gram, 0.0)
-    i, j = np.unravel_index(np.argmax(gram), gram.shape)
-    if gram[i, j] > 1.0 - 1e-8:
-        return "rows %s and %s are nearly collinear" % (labels[i], labels[j])
-    return "no single offending row pair; check the l grid"
+def _exchange(r, u_active):
+    """Trade multipliers for a joining unit normal n_p in the span of the active ones.
+
+    r is the R factor of [normals[active]^T, n_p]; with m = len(active), the
+    system r[:m, :m] coef = r[:m, m] gives n_p = normals[active]^T coef, also
+    when the active normals span R^L and r has only m rows.  Moving theta of
+    multiplier from the active rows (u_active - theta * coef) onto n_p
+    leaves w = normals^T u as it is; theta stops where an inequality
+    multiplier reaches zero.  Returns (theta, coef, i) with i the position
+    in active of the row that leaves, or None when no inequality multiplier
+    can give way (coef[1:] <= 0): the constraints are then infeasible with
+    n_p among them.
+    """
+    m = len(u_active)
+    coef = np.linalg.solve(r[:m, :m], r[:m, m])
+    blocked = np.flatnonzero(coef[1:] > 0) + 1
+    if blocked.size == 0:
+        return None
+    ratio = u_active[blocked] / coef[blocked]
+    i = int(np.argmin(ratio))
+    return ratio[i], coef, int(blocked[i])
 
 
 def _level_qp(normals, rhs):
@@ -294,66 +300,36 @@ def _level_qp(normals, rhs):
 
     Minimizes 1/2 ||w||^2 subject to normals[0] . w = rhs[0] and
     normals[j] . w >= rhs[j] for j >= 1; every row of normals has unit norm.
-    Returns (w, u) with w = normals^T u and u[1:] >= 0, or None when the
-    constraints are infeasible.  It is _active_set_qp started from the
-    equality alone, with factors kept for this call only.
-    """
-    sol = _active_set_qp(normals, rhs, [0], {})
-    return None if sol is None else sol[:2]
-
-
-def _factor(normals, active, factors):
-    """QR factors of normals[active]^T, cached in factors under the ordered active tuple."""
-    key = tuple(active)
-    qr = factors.get(key)
-    if qr is None:
-        qr = factors[key] = np.linalg.qr(normals[active].T)
-    return qr
-
-
-def _active_set_qp(normals, rhs, active, factors):
-    """Goldfarb-Idnani dual active-set solve of _level_qp's QP from a warm start.
-
-    active lists linearly independent rows, beginning with the equality row
-    0.  The start is the minimum-norm point on them, w = normals[active]^T u;
-    while an inequality multiplier of u is negative, those rows are dropped
-    and the point is solved again, which ends at the equality alone at worst.
-    That leaves w the minimizer over its active equalities with u[1:] >= 0,
-    the dual feasibility the method keeps.  From there it adds the most
-    violated constraint and walks the primal-dual path to the minimizer over
-    the enlarged active set, dropping an active constraint whose multiplier
+    From the minimum-norm point on the equality it adds the most violated
+    constraint and walks the primal-dual path to the minimizer over the
+    enlarged active set, dropping an active constraint whose multiplier
     reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).
-    Since the QP is strictly convex, the minimizer does not depend on the
-    start.  Each target point is a QR min-norm solve over the active normals,
-    whose factors come from the cache factors (see _factor).  A constraint
-    counts as violated when its slack is below
+    Each target point is a QR min-norm solve over the active normals.  A
+    constraint counts as violated when its slack is below
     -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
-    normals . w can carry.  Returns (w, u, active) with w = normals^T u,
-    u[1:] >= 0 and active the final active set, or None when the constraints
-    are infeasible: a violated normal lies in the span of the active ones
-    (|R_pp| <= DEPENDENT_TOL) and no active multiplier can give way.
+    normals . w can carry.  Returns (w, u) with w = normals^T u and
+    u[1:] >= 0, or None when the constraints are infeasible: a violated
+    normal lies in the span of the active ones (|R_pp| <= DEPENDENT_TOL) and
+    no active multiplier can give way.  solve_weights_relaxed does not call
+    it: it is the independent reference for one level of that program.
     """
-    tol = RESIDUAL_FACTOR * normals.shape[1] * np.finfo(np.float64).eps
-    active = list(active)
-    while True:
-        w, u_a = _min_norm(*_factor(normals, active, factors), rhs[active])
-        keep = [0] + [j for j, m in zip(active[1:], u_a[1:]) if m >= 0]
-        if len(keep) == len(active):
-            break
-        active = keep
+    L = normals.shape[1]
+    tol = RESIDUAL_FACTOR * L * np.finfo(np.float64).eps
+    active = [0]
+    w = rhs[0] * normals[0]
     u = np.zeros(len(rhs))
-    u[active] = u_a
+    u[0] = rhs[0]
     seen = set()
     while True:
         slack = normals @ w - rhs
         slack[active] = np.inf
         p = int(np.argmin(slack))
         if slack[p] >= -tol * max(1.0, np.linalg.norm(w)):
-            return w, u, active
+            return w, u
         while True:
             s = active + [p]
-            q, r = _factor(normals, s, factors)
-            if abs(r[-1, -1]) > DEPENDENT_TOL:
+            q, r = np.linalg.qr(normals[s].T)
+            if len(s) <= L and abs(r[-1, -1]) > DEPENDENT_TOL:
                 w_t, u_t = _min_norm(q, r, rhs[s])
                 # Multipliers move linearly from u[s] to u_t; an active
                 # inequality whose multiplier would turn negative blocks.
@@ -367,16 +343,14 @@ def _active_set_qp(normals, rhs, active, factors):
                     break
                 drop = s[blocked[np.argmin(ratio)]]
             else:
-                # n_p = normals[active]^T coef: only the multipliers move.
-                coef = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
-                blocked = np.flatnonzero(coef[1:] > 0) + 1
-                if blocked.size == 0:
+                trade = _exchange(r, u[active])
+                if trade is None:
                     return None
-                ratio = u[active][blocked] / coef[blocked]
-                u[active] -= ratio.min() * coef
+                theta, coef, i = trade
+                u[active] -= theta * coef
                 np.maximum(u[1:], 0.0, out=u[1:])
-                u[p] += ratio.min()
-                drop = active[blocked[np.argmin(ratio)]]
+                u[p] += theta
+                drop = active[i]
             u[drop] = 0.0
             active.remove(drop)
         active.append(p)
@@ -410,27 +384,20 @@ def _level_constraints(a, level):
     return normals, _level_rhs(a.shape[1], norms, level)
 
 
-def _piece_root(q, r, rhs_slope, w, level, eta):
-    """Root of h(epsilon) = eta * epsilon on the active set of w, or None.
+def _piece_root(w, w_b, level, eta):
+    """Root of ||w(epsilon)||^2 = eta * epsilon on the piece w(level + t) = w + t * w_b.
 
-    w is the min-norm point at level on an active set whose normals^T have
-    the QR factors (q, r), and rhs_slope is d rhs / d epsilon on that set.
-    While the set stays active, w(level + t) = w + t * w_b with w_b the
-    min-norm solution for rhs_slope, so h = ||w(level + t)||^2 is quadratic
-    in t: c2 t^2 + c1 t + c0 = 0 with c2 = ||w_b||^2, c1 = 2 w . w_b - eta
-    and c0 = ||w||^2 - eta * level.  h decreases (w . w_b <= 0), so c1 < 0
-    and the root nearest the level is the smaller one, taken in the form
+    The root solves c2 t^2 + c1 t + c0 = 0 with c2 = ||w_b||^2,
+    c1 = 2 w . w_b - eta and c0 = ||w||^2 - eta * level.  ||w(epsilon)||^2
+    decreases (w . w_b <= 0), so c1 < 0; above the root c0 <= 0 and the
+    discriminant is at least c1^2.  The smaller root is taken, in the form
     2 c0 / (-c1 + sqrt(c1^2 - 4 c2 c0)), which holds at c2 = 0 and does not
-    cancel.  None when the piece has no root (negative discriminant).
+    cancel.
     """
-    w_b = q @ np.linalg.solve(r.T, rhs_slope)
     c2 = float(w_b @ w_b)
     c1 = 2.0 * float(w @ w_b) - eta
     c0 = float(w @ w) - eta * level
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if not (c1 < 0.0 and disc >= 0.0):
-        return None
-    return level + 2.0 * c0 / (math.sqrt(disc) - c1)
+    return level + 2.0 * c0 / (math.sqrt(c1 * c1 - 4.0 * c2 * c0) - c1)
 
 
 def solve_weights_relaxed(basis, l_values, n, eta):
@@ -438,32 +405,26 @@ def solve_weights_relaxed(basis, l_values, n, eta):
 
     Epigraph form: minimize f(w) = max(max_i |a_i . w|, ||w||^2 / eta) over
     the hyperplane sum(w) = 1, where a_i = sqrt(N) * phi_i(N) * psi_i(l).
-    The optimal level epsilon* is the root of h(epsilon) - eta * epsilon,
-    where h(epsilon) = min ||w||^2 s.t. sum(w) = 1, |a_i . w| <= epsilon is a
-    strictly convex QP, solved exactly by the dual active-set method of
-    _active_set_qp on the rows normalized to a_i / ||a_i||.  h is convex and
-    decreasing with slope h'(epsilon) = -2 sum_i mu_i / ||a_i|| from the QP
-    multipliers mu, so the Newton step on h - eta * epsilon from any solved
-    level lands at or below epsilon*.  A bracket [lo, hi] holds epsilon*: lo
-    starts at 1/(L eta) (||w||^2 >= 1/L) and rises to each Newton point and
-    past each level whose QP is infeasible; hi is the least
-    max(epsilon, h(epsilon) / eta) reached, starting from the uniform
-    weights.  The solve stops once hi - lo <= LEVEL_RTOL * hi and returns the
-    weights that reached hi.
+    For a level epsilon, h(epsilon) = min ||w||^2 s.t. sum(w) = 1,
+    |a_i . w| <= epsilon is a strictly convex QP, posed on the unit normals
+    of _level_normals.  h is decreasing, so the optimal level epsilon* is the
+    root of h(epsilon) = eta * epsilon.
 
-    The levels reuse work.  The normals are built once; only the right-hand
-    side, affine in epsilon, is formed per level.  Each level's QP starts
-    from the previous feasible level's optimal active set (warm start), and
-    the QR factors of every active set met are cached for the whole solve,
-    keyed by the ordered active tuple, and freed when it returns.  On the
-    optimal active set of a level, w is affine in epsilon and h quadratic,
-    so the piece's own root of h(epsilon) = eta * epsilon has a closed form
-    (_piece_root).  The next level is that root when it lies strictly inside
-    (lo, hi) and the last level halved the bracket; otherwise it is the
-    Newton point while that halves the bracket and the midpoint when not.
-    The root only picks the next level; the bracket moves as above.
-    solver_iterations counts the levels solved (root, Newton and bisection
-    steps).
+    The QP's right-hand side is affine in epsilon, so its minimizer w(epsilon)
+    is piecewise affine and h piecewise quadratic.  The solve walks that path
+    down from the level of the uniform weights, where only sum(w) = 1 is
+    active (the homotopy of LARS; Efron et al., Ann. Statist. 32, 2004).  On
+    each piece the active normals are QR-factored; w and the multipliers u
+    are solved afresh at the piece's upper end, so rounding does not build
+    up, and their epsilon-derivatives come from the same factors.  The piece
+    ends at the first of three events: an inactive row turns tight and joins
+    the active set; an active multiplier reaches 0 and its row leaves; or
+    the piece's closed-form root of ||w||^2 = eta * epsilon (_piece_root) is
+    reached, where w and u are solved at the root and returned.  A joining
+    normal with |R_pp| <= DEPENDENT_TOL trades multipliers with the active
+    rows (_exchange); when no multiplier can give way, every lower level is
+    infeasible and the path ends at the current level.  A revisited active
+    set raises SolverError.  solver_iterations counts the pieces.
 
     The returned weights are checked (see _check_relaxed): sum(w) = 1 and the
     level-QP constraints to the backward-error bound, and the KKT signs and
@@ -480,37 +441,53 @@ def solve_weights_relaxed(basis, l_values, n, eta):
         raise ParameterError("eta must be > 0")
     a = basis.scaled_rows(lv, n)
     uniform = np.full(L, 1.0 / L)
-    lo = 1.0 / (L * eta)
-    hi = float(np.max(np.abs(a @ uniform), initial=0.0))
-    if hi <= lo:
-        return WeightSolution(uniform, basis.psi_matrix(lv) @ uniform, lo, 0, tuple(lv))
+    floor = 1.0 / (L * eta)  # ||w||^2 >= 1/L on sum(w) = 1
+    level = float(np.max(np.abs(a @ uniform), initial=0.0))
+    if level <= floor:
+        return WeightSolution(uniform, basis.psi_matrix(lv) @ uniform, floor, 0, tuple(lv))
     normals, norms = _level_normals(a)
-    rhs_slope = _level_rhs(L, norms, 1.0) - _level_rhs(L, norms, 0.0)
-    factors = {}
-    active = [0]
-    best = (uniform, np.r_[L**-0.5, np.zeros(2 * len(a))], hi)  # weights, multipliers, level
-    level, gap, iters = lo, np.inf, 0
-    while hi - lo > LEVEL_RTOL * hi:
-        iters += 1
-        sol = _active_set_qp(normals, _level_rhs(L, norms, level), active, factors)
-        if sol is None:
-            lo = level
+    slope = _level_rhs(L, norms, 1.0) - _level_rhs(L, norms, 0.0)
+    active, seen, pieces = [0], {frozenset([0])}, 0
+    while True:
+        pieces += 1
+        q, r = np.linalg.qr(normals[active].T)
+        rhs = _level_rhs(L, norms, level)
+        w, u_a = _min_norm(q, r, rhs[active])
+        w_b, u_b = _min_norm(q, r, slope[active])
+        # Going down by t, an inactive slack falls at rate normals . w_b - slope
+        # and the active multipliers at rate u_b.
+        rate = normals @ w_b - slope
+        rate[active] = 0.0
+        join = np.flatnonzero(rate > 0)
+        t_join = np.maximum(normals[join] @ w - rhs[join], 0.0) / rate[join]
+        give = np.flatnonzero(u_b[1:] > 0) + 1
+        t_leave = np.maximum(u_a[give], 0.0) / u_b[give]
+        t_in, t_out = t_join.min(initial=np.inf), t_leave.min(initial=np.inf)
+        root = _piece_root(w, w_b, level, eta)
+        if level - root <= min(t_in, t_out):
+            level = root
+            break
+        level -= min(t_in, t_out)
+        if t_out <= t_in:
+            del active[give[np.argmin(t_leave)]]
         else:
-            w, u, active = sol
-            h = float(w @ w)
-            if max(level, h / eta) < hi:  # w reaches f(w) <= max(level, h / eta)
-                hi, best = max(level, h / eta), (w, u, level)
-            slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / norms)
-            lo = max(lo, level + (h - eta * level) / (eta - slope))
-        prev, gap = gap, hi - lo
-        if sol is None or gap > 0.5 * prev:
-            level = 0.5 * (lo + hi)
-            continue
-        root = _piece_root(*_factor(normals, active, factors), rhs_slope[active], w, level, eta)
-        level = root if root is not None and lo < root < hi else lo
-    w, u, level = best
+            p = int(join[np.argmin(t_join)])
+            r_p = np.linalg.qr(normals[active + [p]].T, mode="r")
+            if len(active) == L or abs(r_p[-1, -1]) <= DEPENDENT_TOL:
+                trade = _exchange(r_p, u_a - t_in * u_b)
+                if trade is None:  # every lower level is infeasible
+                    break
+                del active[trade[2]]
+            active.append(p)
+        key = frozenset(active)
+        if key in seen:  # impossible in exact arithmetic: each set holds on one piece
+            raise SolverError("relaxed solution path revisited an active set")
+        seen.add(key)
+    w, u_a = _min_norm(q, r, _level_rhs(L, norms, level)[active])
+    u = np.zeros(len(normals))
+    u[active] = u_a
     objective = _check_relaxed(a, eta, w, u, level)
-    return WeightSolution(w, basis.psi_matrix(lv) @ w, objective, iters, tuple(lv))
+    return WeightSolution(w, basis.psi_matrix(lv) @ w, objective, pieces, tuple(lv))
 
 
 def _check_relaxed(a, eta, w, u, level):

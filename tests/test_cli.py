@@ -144,6 +144,18 @@ def test_bench_config_unknown_key_is_an_error(tmp_path, capsys):
         main(argv)
 
 
+def test_bench_rejects_mode(tmp_path, capsys):
+    # bench runs every estimator --estimators names, so a --mode would be ignored.
+    argv = ["bench", "--out", str(tmp_path / "run.csv"), *BENCH_COMMON]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = odin2\n")
+    for extra in (["--mode", "odin2"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+
 def test_estimate_header_flag(tmp_path, capsys):
     y_path, x_path = write_samples(tmp_path, n=80)
     for p in (y_path, x_path):

@@ -22,16 +22,12 @@ from divknn import (
 )
 from divknn import ensemble
 from divknn.ensemble import (
-    LEVEL_RTOL,
     RESIDUAL_FACTOR,
-    _active_set_qp,
     _check_constraints,
     _check_relaxed,
     _level_constraints,
-    _level_normals,
     _level_qp,
-    _level_rhs,
-    _min_norm,
+    _piece_root,
     _round_half_away,
     solve_weights,
 )
@@ -173,6 +169,12 @@ def test_exact_rank_deficient_duplicate_l():
     basis = BasisSystem((BasisEntry("a", 1.0, -0.5), BasisEntry("b", 1.0, -0.25)), "odin1")
     with pytest.raises(SolverError, match="rank deficient"):
         solve_weights_exact(basis, [1.0, 2.0, 3.0])
+
+
+def test_exact_rank_deficient_names_condition_number():
+    config = ExperimentConfig(solver="exact").ensemble_config("odin1", 7, 100)
+    with pytest.raises(SolverError, match=r"rank deficient \(cond\(A\) = 7\.1e\+10\)"):
+        solve_weights(config)
 
 
 def test_exact_min_norm_against_sampled_feasible_points():
@@ -390,158 +392,153 @@ def _sweep_program(mode, d, n):
     return config, basis, basis.scaled_rows(np.asarray(config.l_values), n)
 
 
-def _bracket_step(a, eta, lo, hi, level, sol):
-    # [lo, hi] after solving a level: an infeasible level raises lo to it; a
-    # solved one raises lo to its Newton point and lowers hi to max(level, h / eta).
-    if sol is None:
-        return level, hi
-    w, u = sol[0], sol[1]
-    h = float(w @ w)
-    slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / np.linalg.norm(a, axis=1))
-    return max(lo, level + (h - eta * level) / (eta - slope)), min(hi, max(level, h / eta))
-
-
-def _initial_bracket(a, eta):
-    L = a.shape[1]
-    return 1.0 / (L * eta), float(np.max(np.abs(a @ np.full(L, 1.0 / L))))
+# The cold oracle's stopping tolerance: its bracket [lo, hi] on the optimal
+# level ends at hi - lo <= LEVEL_RTOL * hi.
+LEVEL_RTOL = 1e-12
 
 
 def _cold_start_relaxed(a, eta):
-    # Reference: the relaxed solve without warm starts or piece roots.  Each
-    # level is a cold _level_qp; the next level is the Newton point lo while
-    # that halves the bracket and the midpoint otherwise.  Returns the
-    # weights, their objective and the number of levels solved.
-    lo, hi = _initial_bracket(a, eta)
-    best = np.full(a.shape[1], 1.0 / a.shape[1])
-    level, gap, levels = lo, np.inf, 0
+    # Reference: the relaxed program solved by searching levels.  Each level
+    # is a cold _level_qp.  A bracket [lo, hi] holds the optimal level: an
+    # infeasible level raises lo to it; a solved one raises lo to its Newton
+    # point on h(epsilon) - eta * epsilon, with h' = -2 sum_i mu_i / ||a_i||,
+    # and lowers hi to max(level, h / eta).  The next level is the Newton point
+    # lo while that halves the bracket and the midpoint otherwise.  Returns
+    # the weights that reached hi and their objective.
+    L = a.shape[1]
+    lo, hi = 1.0 / (L * eta), float(np.max(np.abs(a @ np.full(L, 1.0 / L))))
+    best = np.full(L, 1.0 / L)
+    level, gap = lo, np.inf
     while hi - lo > LEVEL_RTOL * hi:
-        levels += 1
         sol = _level_qp(*_level_constraints(a, level))
-        lo, new_hi = _bracket_step(a, eta, lo, hi, level, sol)
-        if new_hi < hi:
-            hi, best = new_hi, sol[0]
+        if sol is None:
+            lo = level
+        else:
+            w, u = sol
+            h = float(w @ w)
+            slope = -2.0 * np.sum((u[1:len(a) + 1] + u[len(a) + 1:]) / np.linalg.norm(a, axis=1))
+            lo = max(lo, level + (h - eta * level) / (eta - slope))
+            if max(level, h / eta) < hi:
+                hi, best = max(level, h / eta), w
         prev, gap = gap, hi - lo
         level = lo if sol is not None and gap <= 0.5 * prev else 0.5 * (lo + hi)
-    return best, _relaxed_f(a, best, eta), levels
+    return best, _relaxed_f(a, best, eta)
 
 
 @pytest.mark.parametrize("mode,d,n", SWEEP)
 def test_relaxed_matches_cold_start_oracle(mode, d, n):
     config, basis, a = _sweep_program(mode, d, n)
-    w_ref, f_ref, levels_ref = _cold_start_relaxed(a, config.eta)
+    w_ref, f_ref = _cold_start_relaxed(a, config.eta)
     sol = solve_weights(config, basis)
     assert sol.objective == pytest.approx(f_ref, rel=2 * LEVEL_RTOL)
     assert np.max(np.abs(sol.weights - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
-    assert 0 < sol.solver_iterations <= levels_ref
 
 
-def _traced_levels(monkeypatch, config):
-    # Solves config and returns the solution and, per level solved, its
-    # level, its QP answer and the piece root computed after it (or None).
-    trace, formed = [], []
-    real_rhs, real_qp, real_root = ensemble._level_rhs, ensemble._active_set_qp, ensemble._piece_root
+def _checked_answer(monkeypatch, config):
+    # Solves config and returns the weights, multipliers and level that
+    # solve_weights_relaxed handed to _check_relaxed.
+    checked = []
 
-    def rhs_at(L, norms, level):
-        formed.append((level, real_rhs(L, norms, level)))
-        return formed[-1][1]
+    def check(a, eta, w, u, level):
+        checked.append((w, u, level))
+        return _check_relaxed(a, eta, w, u, level)
 
-    def qp(normals, rhs, active, factors):
-        level, last = formed[-1]
-        assert rhs is last  # each level QP gets the right-hand side formed just before it
-        sol = real_qp(normals, rhs, active, factors)
-        trace.append([level, sol, None])
-        return sol
-
-    def root(*args):
-        trace[-1][2] = real_root(*args)
-        return trace[-1][2]
-
-    monkeypatch.setattr(ensemble, "_level_rhs", rhs_at)
-    monkeypatch.setattr(ensemble, "_active_set_qp", qp)
-    monkeypatch.setattr(ensemble, "_piece_root", root)
-    return solve_weights(config), trace
-
-
-def _replayed_schedule(a, eta, trace):
-    # Per traced level: (level, the level the documented schedule picks,
-    # the bracket after it, the piece root after it).
-    lo, hi = _initial_bracket(a, eta)
-    expected, gap, steps = lo, np.inf, []
-    for level, sol, root in trace:
-        chosen = expected
-        lo, hi = _bracket_step(a, eta, lo, hi, level, sol)
-        prev, gap = gap, hi - lo
-        if sol is None or gap > 0.5 * prev:
-            expected = 0.5 * (lo + hi)
-        else:
-            expected = root if root is not None and lo < root < hi else lo
-        steps.append((level, chosen, lo, hi, root))
-    return steps
+    monkeypatch.setattr(ensemble, "_check_relaxed", check)
+    sol = solve_weights(config)
+    assert len(checked) == 1
+    return sol, checked[0]
 
 
 @pytest.mark.parametrize("mode,d,n", SWEEP)
-def test_relaxed_level_schedule(monkeypatch, mode, d, n):
-    # Each level is the midpoint of the bracket unless the last level was
-    # feasible and halved the bracket; then it is the piece root when that
-    # lies strictly inside the bracket, and the Newton point lo otherwise.
+def test_relaxed_path_answer_is_the_level_qp_minimizer(monkeypatch, mode, d, n):
+    # The cold Goldfarb-Idnani solve at the returned level gives the same
+    # weights and multipliers as the end of the path.
     config, _, a = _sweep_program(mode, d, n)
-    sol, trace = _traced_levels(monkeypatch, config)
-    assert len(trace) == sol.solver_iterations
-    for level, chosen, _, _, _ in _replayed_schedule(a, config.eta, trace):
-        assert level == pytest.approx(chosen, rel=1e-14)
+    sol, (w, u, _) = _checked_answer(monkeypatch, config)
+    w_ref, u_ref = _level_qp(*_level_constraints(a, sol.objective))
+    assert np.max(np.abs(w - w_ref)) <= 1e-9 * np.max(np.abs(w))
+    assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
 
 
-def test_relaxed_piece_root_outside_bracket(monkeypatch):
-    # At ODin1 d=3 N=400 the second piece root falls below the Newton point
-    # lo; the next level is lo, and the answer is the cold start's.
-    config, _, a = _sweep_program("odin1", 3, 400)
-    sol, trace = _traced_levels(monkeypatch, config)
-    steps = _replayed_schedule(a, config.eta, trace)
-    outside = [i for i, (_, _, lo, hi, root) in enumerate(steps)
-               if root is not None and root < lo < hi and hi - lo > LEVEL_RTOL * hi]
-    assert outside
-    for i in outside:
-        assert steps[i + 1][0] == pytest.approx(steps[i][2], rel=1e-14)
-    assert sol.objective == pytest.approx(_cold_start_relaxed(a, config.eta)[1],
-                                          rel=2 * LEVEL_RTOL)
+@pytest.mark.parametrize("mode,d,n", SWEEP)
+def test_relaxed_path_ends_at_the_norm_crossing(mode, d, n):
+    # The returned level is the root of ||w||^2 = eta * epsilon.
+    config, basis, _ = _sweep_program(mode, d, n)
+    sol = solve_weights(config, basis)
+    assert sol.weights @ sol.weights / config.eta == pytest.approx(sol.objective, rel=1e-12)
+    assert sol.solver_iterations > 0
 
 
-def test_warm_start_drops_negative_multipliers():
-    # From the optimal active set at the lowest level 1/(L eta), every
-    # inequality multiplier of the min-norm point at the optimal level is
-    # negative.  The warm start drops those rows and reaches the minimizer of
-    # the cold start, with multipliers of the right sign.
-    config, _, a = _sweep_program("odin1", 3, 800)
-    normals, norms = _level_normals(a)
-    lo, _ = _initial_bracket(a, config.eta)
-    start = _active_set_qp(normals, _level_rhs(config.L, norms, lo), [0], {})[2]
-    rhs = _level_rhs(config.L, norms, _cold_start_relaxed(a, config.eta)[1])
-    _, u_start = _min_norm(*np.linalg.qr(normals[start].T), rhs[start])
-    assert len(start) > 1 and np.all(u_start[1:] < 0)
-    w, u, _ = _active_set_qp(normals, rhs, start, {})
-    w_cold, u_cold = _level_qp(normals, rhs)
-    assert np.all(u[1:] >= 0)
-    assert np.max(np.abs(w - w_cold)) <= 1e-12 * np.max(np.abs(w_cold))
-    assert np.max(np.abs(u - u_cold)) <= 1e-9 * np.max(np.abs(u_cold))
+def _random_programs(seed, count):
+    # Relaxed programs on random l grids, kept where the basis is not empty
+    # and cond([1; psi / ||psi||]) < 1e6, the rows of psi scaled to unit norm.
+    rng = np.random.default_rng(seed)
+    while count:
+        mode = ("odin1", "odin2")[int(rng.integers(2))]
+        d, n, L = int(rng.integers(1, 8)), int(rng.integers(50, 2001)), int(rng.integers(2, 41))
+        lv = np.sort(rng.uniform(0.3, 3.0, L))
+        eta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        try:
+            basis = build_basis(EnsembleConfig(mode, lv, d, n, eta=eta))
+        except ConfigurationError:
+            continue
+        if basis.count == 0:
+            continue
+        psi = basis.psi_matrix(lv)
+        if np.linalg.cond(np.vstack([np.ones(L), psi / np.linalg.norm(psi, axis=1)[:, None]])) < 1e6:
+            count -= 1
+            yield basis, lv, n, eta
+
+
+def test_relaxed_path_matches_cold_start_on_random_programs():
+    for basis, lv, n, eta in _random_programs(11, 200):
+        sol = solve_weights_relaxed(basis, lv, n, eta)
+        f_ref = _cold_start_relaxed(basis.scaled_rows(lv, n), eta)[1]
+        assert sol.objective == pytest.approx(f_ref, rel=1e-9)
+
+
+def _line_search_relaxed(a, eta):
+    # Reference for L = 2: f is convex in w = (x, 1 - x), so a ternary search
+    # over x finds its minimum.
+    (a00, a01), (a10, a11) = a
+
+    def f(x):
+        return max(abs(a00 * x + a01 * (1 - x)), abs(a10 * x + a11 * (1 - x)),
+                   (x * x + (1 - x) ** 2) / eta)
+
+    lo, hi = -1e3, 1e3
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (lo, m2) if f(m1) < f(m2) else (m1, hi)
+    return f(0.5 * (lo + hi))
+
+
+def test_relaxed_two_members_two_rows_match_line_search():
+    # With L = 2 the sum row and one row span R^2, so the next row to turn
+    # tight joins in the span of the active normals: it trades multipliers,
+    # or no multiplier can give way and the path ends there.
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        basis = BasisSystem(tuple(BasisEntry(str(i), float(e), float(r)) for i, (e, r) in
+                                  enumerate(zip(rng.uniform(-1.5, 1.5, 2),
+                                                rng.uniform(-0.5, 0.0, 2)))), "odin1")
+        lv = np.array([1.0, rng.uniform(1.2, 3.0)])
+        eta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        a = basis.scaled_rows(lv, 100)
+        f_ref = _line_search_relaxed(a, eta)
+        assert solve_weights_relaxed(basis, lv, 100, eta).objective == pytest.approx(f_ref, rel=1e-9)
+        assert _cold_start_relaxed(a, eta)[1] == pytest.approx(f_ref, rel=1e-9)
 
 
 def test_piece_root_closed_form_without_warnings():
-    # One active normal e_1, so w(level + t) = w + t * slope * e_1.
-    q, r = np.linalg.qr(np.eye(2)[:, :1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # h = (1 - t)^2 meets 0.1 (1 + t) first at t = 0.6.
-        root = ensemble._piece_root(q, r, np.array([-1.0]), np.array([1.0, 0.0]), 1.0, 0.1)
+        # w(1 + t) = (1 - t) e_1: h = (1 - t)^2 meets 0.1 (1 + t) first at t = 0.6.
+        root = _piece_root(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 1.0, 0.1)
         assert root == pytest.approx(1.6, rel=1e-15)
-        # h = (1 - t)^2 + 1 stays above 0.01 (1 + t): a negative discriminant.
-        assert ensemble._piece_root(q, r, np.array([-1.0]), np.array([1.0, 1.0]), 1.0,
-                                    0.01) is None
-        # A rising h (c1 >= 0) gives None.
-        assert ensemble._piece_root(q, r, np.array([1.0]), np.array([1.0, 0.0]), 1.0,
-                                    0.1) is None
-        # A flat piece (c2 = 0) gives the Newton point h / eta.
-        assert ensemble._piece_root(q, r, np.array([0.0]), np.array([1.0, 0.0]), 0.5,
-                                    1.0) == pytest.approx(1.0, rel=1e-15)
+        # A flat piece (w_b = 0) gives the Newton point h / eta.
+        assert _piece_root(np.array([1.0, 0.0]), np.zeros(2), 0.5, 1.0) == pytest.approx(
+            1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------- ensemble_estimate
