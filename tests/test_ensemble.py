@@ -461,6 +461,32 @@ def test_relaxed_path_answer_is_the_level_qp_minimizer(monkeypatch, mode, d, n):
 
 
 @pytest.mark.parametrize("mode,d,n", SWEEP)
+def test_relaxed_level_schedule(monkeypatch, mode, d, n):
+    # The levels the path visits: the first piece starts at the uniform
+    # weights' level, each piece starts no higher than the one before, and the
+    # last ends at the returned level.  On each piece, w at its upper end and
+    # w + t * w_b halfway down it are the cold level-QP minimizers there.
+    config, _, a = _sweep_program(mode, d, n)
+    pieces, real_root = [], ensemble._piece_root
+
+    def root(w, w_b, level, eta):
+        pieces.append((w.copy(), w_b.copy(), level))
+        return real_root(w, w_b, level, eta)
+
+    monkeypatch.setattr(ensemble, "_piece_root", root)
+    sol = solve_weights(config)
+    assert len(pieces) == sol.solver_iterations
+    L = a.shape[1]
+    assert pieces[0][2] == float(np.max(np.abs(a @ np.full(L, 1.0 / L))))
+    ends = [level for _, _, level in pieces[1:]] + [sol.objective]
+    for (w, w_b, level), end in zip(pieces, ends):
+        assert end <= level
+        for at in (level, 0.5 * (level + end)):
+            w_ref = _level_qp(*_level_constraints(a, at))[0]
+            assert np.max(np.abs(w + (at - level) * w_b - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("mode,d,n", SWEEP)
 def test_relaxed_path_ends_at_the_norm_crossing(mode, d, n):
     # The returned level is the root of ||w||^2 = eta * epsilon.
     config, basis, _ = _sweep_program(mode, d, n)
