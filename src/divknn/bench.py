@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _raw_k, estimation_plan
+from .ensemble import (ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _raw_k, estimation_plan,
+                       odin2_default_l_grid)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -45,12 +46,12 @@ class ExperimentConfig:
     mean2: float = 0.3
     variance: float = 0.1
     l_values_odin1: tuple = tuple(np.linspace(0.3, 3.0, 50))
-    # ODin2 grid: by default the smallest index maps to k = round(1.4 * N^delta)
-    # and the remaining members take the next consecutive k values, i.e.
-    # l_i = (k0 + i) / N^delta.  An explicit l_values_odin2 overrides this.
+    # ODin2 grid: by default odin2_count consecutive ks from
+    # k0 = round(odin2_l_min * N^delta) (odin2_default_l_grid).  An explicit
+    # l_values_odin2 overrides this.
     l_values_odin2: tuple = ()
-    odin2_l_min: float = 1.4
-    odin2_count: int = 25
+    odin2_l_min: float = ODIN2_L_MIN
+    odin2_count: int = ODIN2_L_COUNT
     delta: float = 0.5
     nu: int = 2
     eta: float = 1.0
@@ -99,9 +100,7 @@ class ExperimentConfig:
     def odin2_l_grid(self, n):
         if self.l_values_odin2:
             return self.l_values_odin2
-        k0 = _raw_k(self.odin2_l_min, n, "odin2", self.delta)
-        base = n**self.delta
-        return tuple((k0 + i) / base for i in range(self.odin2_count))
+        return odin2_default_l_grid(n, self.delta, self.odin2_l_min, self.odin2_count)
 
     def _l_grid(self, estimator, n):
         """The estimator's (mode, l grid) at N."""

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .bench import ExperimentConfig, emit, fit_loglog_slope, run_experiment
-from .ensemble import EnsembleConfig, estimation_plan
-from .errors import ParameterError
+from .ensemble import EnsembleConfig, estimation_plan, odin2_default_l_grid
+from .errors import ConfigurationError, DegeneracyError, ParameterError, SolverError
 from .functionals import make_functional
 from .inference import confidence_interval
 from .neighbors import PointSet
@@ -56,12 +56,17 @@ def _add_functional_flags(p):
     p.add_argument("--alpha", type=float, default=0.5)
 
 
+# The default l grid, linspace(l_min, l_max, l_count), of ODin1 (and of ODin2
+# when any of its flags is given).
+_L_RANGE = {"l_min": 0.3, "l_max": 3.0, "l_count": 50}
+
+
 def _add_ensemble_flags(p, mode=True):
     if mode:
         p.add_argument("--mode", default="odin1", choices=["odin1", "odin2"])
-    p.add_argument("--l-min", type=float, default=0.3)
-    p.add_argument("--l-max", type=float, default=3.0)
-    p.add_argument("--l-count", type=int, default=50)
+    p.add_argument("--l-min", type=float, default=None, help="default %g" % _L_RANGE["l_min"])
+    p.add_argument("--l-max", type=float, default=None, help="default %g" % _L_RANGE["l_max"])
+    p.add_argument("--l-count", type=int, default=None, help="default %d" % _L_RANGE["l_count"])
     p.add_argument("--l-list", type=_csv_list(float), default=None,
                    help="explicit l grid; overrides --l-min/--l-max/--l-count")
     p.add_argument("--delta", type=float, default=0.5)
@@ -71,10 +76,19 @@ def _add_ensemble_flags(p, mode=True):
     p.add_argument("--k-min", type=int, default=3)
 
 
-def _l_values(args):
+def _l_values(args, n):
+    """The l grid the flags name at N.
+
+    With no l flag, ODin2 takes its own default grid (odin2_default_l_grid)
+    and ODin1 linspace(0.3, 3, 50).
+    """
     if args.l_list:
         return tuple(args.l_list)
-    return tuple(np.linspace(args.l_min, args.l_max, args.l_count))
+    given = {key: getattr(args, key) for key in _L_RANGE if getattr(args, key) is not None}
+    if not given and getattr(args, "mode", None) == "odin2":
+        return odin2_default_l_grid(n, args.delta)
+    grid = {**_L_RANGE, **given}
+    return tuple(np.linspace(grid["l_min"], grid["l_max"], grid["l_count"]))
 
 
 def build_parser():
@@ -134,7 +148,7 @@ def build_parser():
 
 
 def _ensemble_config(args, d, n):
-    return EnsembleConfig(args.mode, _l_values(args), d, n, delta=args.delta, nu=args.nu,
+    return EnsembleConfig(args.mode, _l_values(args, n), d, n, delta=args.delta, nu=args.nu,
                           eta=args.eta, solver=args.solver, k_min=args.k_min)
 
 
@@ -174,7 +188,7 @@ def cmd_bench(args):
     config = ExperimentConfig(
         dims=args.dims, n_grid=args.n_grid, trials=args.trials, estimators=args.estimators,
         functional=args.functional, alpha=args.alpha, mean1=args.mean1, mean2=args.mean2,
-        variance=args.variance, l_values_odin1=_l_values(args),
+        variance=args.variance, l_values_odin1=_l_values(args, None),
         l_values_odin2=args.l_list_odin2, delta=args.delta, nu=args.nu, eta=args.eta,
         solver=args.solver, plugin_k=args.k, k_min=args.k_min, seed=args.seed,
         threads=args.threads, timing=args.timing)
@@ -219,18 +233,23 @@ def cmd_truth(args):
 
 
 def main(argv=None):
+    """Run one command; a library error is printed as one ``error:`` line and exits 1."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
     handlers = {
         "estimate": cmd_estimate,
         "bench": cmd_bench,
         "weights": cmd_weights,
         "truth": cmd_truth,
     }
-    return handlers[args.command](args)
+    try:
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+        return handlers[args.command](args)
+    except (ParameterError, DegeneracyError, ConfigurationError, SolverError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -146,6 +146,19 @@ def _raw_k(l, n, mode, delta):
     return _round_half_away(l * base)
 
 
+# ODin2's default l grid: ODIN2_L_COUNT consecutive ks from round(ODIN2_L_MIN * N^delta).
+ODIN2_L_MIN = 1.4
+ODIN2_L_COUNT = 25
+
+
+def odin2_default_l_grid(n, delta, l_min=ODIN2_L_MIN, count=ODIN2_L_COUNT):
+    """ODin2's default l grid at N: l_i = (k0 + i) / N^delta for ``count`` consecutive ks
+    from k0 = round(l_min * N^delta), so no two members share a k."""
+    k0 = _raw_k(l_min, n, "odin2", delta)
+    base = n**delta
+    return tuple((k0 + i) / base for i in range(count))
+
+
 def k_schedule(config):
     """Map each l to a neighbor count k(l), clamped to [k_min, N-1].
 

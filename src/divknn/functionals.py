@@ -74,23 +74,34 @@ class PluginEstimate:
     degeneracy_count: int = 0
 
 
-def _clamp_count(rho, counts=None):
-    """Degenerate distances along the last axis, row i counted ``counts[i]`` times."""
-    degenerate = rho <= DEGENERATE_RHO
-    if counts is None:
-        return np.count_nonzero(degenerate, axis=-1)
-    return degenerate @ counts
+def _clamp_count(rho):
+    """Degenerate distances along the last axis."""
+    return np.count_nonzero(rho <= DEGENERATE_RHO, axis=-1)
 
 
-def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode, counts=None):
-    """g(f1, f2) at each neighbor distance pair, and the clamp counts along the last axis."""
-    degs = _clamp_count(rho1, counts) + _clamp_count(rho2, counts)
+def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode):
+    """g(f1, f2) at each neighbor distance pair."""
     f1 = knn_density(rho1, k1, m1, d, mode)
     f2 = knn_density(rho2, k2, m2, d, mode)
     if mode == "robust":
         f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
         f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
-    return spec.eval(f1, f2), degs
+    return spec.eval(f1, f2)
+
+
+def _profile_values(rho1, rho2, ks, m1, m2, d, spec, mode, weights=None):
+    """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` distance arrays.
+
+    Each array is contiguous along the rows, so each k's mean is the same
+    pairwise sum as a mean over that k's column alone.  ``weights`` gives
+    each row an integer multiplicity in the outer sample (a bootstrap
+    resample of x): the outer mean then counts row i ``weights[i]`` times.
+    """
+    k_col = np.asarray(ks)[:, None]
+    g = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, d, spec, mode)
+    if weights is None:
+        return np.mean(g, axis=1)
+    return g @ weights / np.sum(weights)
 
 
 def check_profile_args(x, y, ks):
@@ -107,34 +118,20 @@ def check_profile_args(x, y, ks):
     return ks
 
 
-def plugin_profile(x, y, ks, spec, mode="robust", tables=None, outer_weights=None):
+def plugin_profile(x, y, ks, spec, mode="robust", tables=None):
     """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
 
     Returns (values, degeneracy_counts) aligned with ``ks``.  ``tables`` may
     carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays, at
     least max(ks) deep (a bootstrap's point estimate reads its replicates').
-    ``outer_weights`` gives each table row an integer multiplicity in the
-    outer sample (a bootstrap resample of x): the outer mean and the clamp
-    counts then weight row i by ``outer_weights[i]``, and the tables may hold
-    only the rows with positive weight, in the same order.
     """
     ks = check_profile_args(x, y, ks)
-    m1, m2 = y.n, x.n - 1
     if tables is None:
         tables = neighbor_tables(x, y, max(ks))
-    rho1_table, rho2_table = tables
-    # One (|ks|, rows) array per table, contiguous along the rows, so each
-    # k's mean is the same pairwise sum as a mean over that k's column alone.
     cols = np.asarray(ks) - 1
-    rho1 = np.ascontiguousarray(rho1_table[:, cols].T)
-    rho2 = np.ascontiguousarray(rho2_table[:, cols].T)
-    k_col = np.asarray(ks)[:, None]
-    g, degs = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, x.dim, spec, mode, outer_weights)
-    if outer_weights is None:
-        values = np.mean(g, axis=1)
-    else:
-        values = g @ outer_weights / np.sum(outer_weights)
-    return values, degs
+    rho1, rho2 = (np.ascontiguousarray(table[:, cols].T) for table in tables)
+    degs = _clamp_count(rho1) + _clamp_count(rho2)
+    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, mode), degs
 
 
 def neighbor_tables(x, y, k_max, return_indices=False):
@@ -169,5 +166,7 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
         raise ParameterError("k2=%d out of range for M2=%d" % (k2, m2))
     # The tables are exact, so column k of a deeper table is the k-th distance.
     rho1, rho2 = neighbor_tables(x, y, max(k1, k2))
-    g, degs = _plugin_terms(rho1[:, k1 - 1], rho2[:, k2 - 1], k1, k2, m1, m2, x.dim, spec, mode)
+    rho1, rho2 = rho1[:, k1 - 1], rho2[:, k2 - 1]
+    g = _plugin_terms(rho1, rho2, k1, k2, m1, m2, x.dim, spec, mode)
+    degs = _clamp_count(rho1) + _clamp_count(rho2)
     return PluginEstimate(float(np.mean(g)), k1, k2, y.n, x.n, int(degs))

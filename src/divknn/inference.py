@@ -15,18 +15,27 @@ on the original samples; a resampled copy of x_i reads its k-th distance as
 the first table entry where the cumulative multiplicity of row i reaches k,
 after m_i - 1 zero-distance self-copies for leave-one-out, and the outer mean
 weights x_i by m_i.  The lookup never writes the resampled lists out: it
-bins each row's cumulative counts and reads every k's entry from the running
-sum of the bins (:func:`_resampled_table`).  It first reads only a row's
-leading k_max + 3 sqrt(k_max) entries, which nearly always hold k_max copies,
-and reads the rows they leave short again from the whole table.  Rows whose
+bins each row's cumulative counts, and the running sum of the bins names the
+entry that holds each k; it reads only the plan's ks, straight from the whole
+table by flat index, into the ``(ks, rows)`` layout the plug-in values take
+(:func:`_resampled_table`).  It first counts only a row's leading
+k_max + 3 sqrt(k_max) entries, which nearly always hold k_max copies, and
+counts the rows they leave short again over the whole table.  Rows whose
 whole table runs out are answered by a direct query over all points, through
 the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
 the resampled points to rounding.  The point estimate of
 :func:`confidence_interval` and :func:`two_sample_test` reads the distance
 half of the same tables.
+
+Replicates run on a thread pool with one worker per CPU the process may use
+(at most one per replicate).  Each replicate draws from its own streams and
+its value is placed by index, so the values are the same, bit for bit, for
+any worker count.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -34,7 +43,7 @@ import numpy as np
 
 from .ensemble import _estimate, estimation_plan
 from .errors import ParameterError
-from .functionals import check_profile_args, neighbor_tables, plugin_profile
+from .functionals import _profile_values, check_profile_args, neighbor_tables
 from .neighbors import NeighborIndex
 from .synth import rng_stream
 
@@ -87,26 +96,30 @@ def resample_tables(x, y, k_max):
     return neighbor_tables(x, y, RESAMPLE_DEPTH * k_max, return_indices=True)
 
 
-def _resampled_table(dist, counts, zeros, k_max):
-    """Sorted k-NN distances of query copies in a resample, from an indexed table.
+def _resampled_table(dist, which, counts, zeros, ks):
+    """k-NN distances at ``ks`` of query copies in a resample, read from an indexed table.
 
-    Row i of ``dist`` lists a query's sorted distances to the original
-    references, ``counts[i]`` their multiplicities in the resample, and
-    ``zeros[i]`` extra zero-distance copies ahead of them (a leave-one-out
-    query's other self-copies).  With c[i, e] = ``zeros[i]`` plus the
-    cumulative multiplicity of entries 0..e, position j < k_max of the
+    Row ``which[i]`` of ``dist`` lists a query's sorted distances to the
+    original references, ``counts[i]`` the multiplicities in the resample of
+    its leading entries (as many as ``counts`` has columns), and ``zeros[i]``
+    extra zero-distance copies ahead of them (a leave-one-out query's other
+    self-copies).  With c[i, e] = ``zeros[i]`` plus the cumulative
+    multiplicity of entries 0..e, position j < k_max = ``ks[-1]`` of the
     resample's sorted list is zero for j < ``zeros[i]`` and otherwise holds
-    entry #{e : c[i, e] <= j}.  Clipping c at ``k_max`` and counting it into
-    ``k_max + 1`` bins per row (one ``bincount`` over row-offset positions)
-    gives those entry numbers for all j as the running sum of the bins.
-    Returns the ``(rows, k_max)`` table and a mask of the rows whose lists run
-    out before ``k_max`` (their values are not meaningful).
+    entry #{e : c[i, e] <= j}.  Clipping c at k_max and counting it into
+    k_max + 1 bins per row (one ``bincount`` over row-offset positions) gives
+    those entry numbers as the running sum of the bins, and each position
+    k - 1 is read from ``dist`` by flat index (row * depth + entry).  Returns
+    the ``(len(ks), rows)`` table and a mask of the rows whose lists run out
+    before k_max (their values are not meaningful).
     """
-    rows, depth = counts.shape
+    rows, lead = counts.shape
+    cols = np.asarray(ks) - 1
+    k_max = int(cols[-1]) + 1
     width = k_max + 1
     head = int(zeros.max(initial=0))
     # int32 holds every bin (row offset + zeros + row total) unless the table is huge.
-    bound = rows * width + head + depth * int(counts.max(initial=0))
+    bound = rows * width + head + lead * int(counts.max(initial=0))
     itype = np.int32 if bound < 2**31 else np.int64
     start = np.arange(0, rows * width, width, dtype=itype)
     # Bin of entry e of row i: start[i] + min(zeros[i] + cumulative count, k_max).
@@ -115,59 +128,60 @@ def _resampled_table(dist, counts, zeros, k_max):
     last = start + k_max
     np.minimum(cum, last[:, None], out=cum)
     short = cum[:, -1] < last
-    # entry[i, j]: flat index in ``dist`` of the entry covering position j.
+    # The running sum over all bins counts the entries of the rows before row
+    # i as well: entry[i, j] = i * lead + #{e : c[i, e] <= j}.
     entry = np.cumsum(np.bincount(cum.ravel(), minlength=rows * width))
-    entry = entry.reshape(rows, width)[:, :k_max]
-    np.minimum(entry, dist.size - 1, out=entry)  # only a short last row runs past the end
-    table = np.take(dist, entry)
-    head = min(head, k_max)
-    if head:
-        table[:, :head][np.arange(head) < zeros[:, None]] = 0.0
+    # flat[j, i]: flat index in ``dist`` of the entry covering position ks[j] - 1 of row i.
+    flat = np.take(entry, cols[:, None] + start)
+    flat += np.asarray(which) * dist.shape[1] - np.arange(0, rows * lead, lead)
+    table = np.take(dist, flat, mode="clip")  # only a short last row runs past the end
+    below = int(np.searchsorted(cols, head))  # the ks some row's zeros reach
+    if below:
+        table[:below][cols[:below, None] < zeros] = 0.0
     return table, short
 
 
-def _replicate_tables(x, y, tables, m_x, m_y, k_max):
-    """The resample's x->y and leave-one-out x->x tables on the rows with m_x > 0.
+def _replicate_tables(x, y, tables, m_x, m_y, ks):
+    """The resample's x->y and leave-one-out x->x distances at ``ks`` on the rows with m_x > 0.
 
-    Rows whose indexed table is too shallow for ``k_max`` are answered by a
-    direct query over all references (``_direct_rows``).
+    Each is a ``(len(ks), rows)`` array.  Rows whose indexed table is too
+    shallow for the largest k are answered by a direct query over all
+    references (``_direct_rows``).
     """
     support = np.flatnonzero(m_x)
     m_x = m_x.astype(np.int32)
     m_y = m_y.astype(np.int32)
     outer = np.take(m_x, support)
-    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), k_max)
-    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, k_max)
+    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), ks)
+    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, ks)
     if short1.any():
-        t1[short1] = _direct_rows(y, x.points[support[short1]], m_y, None, k_max)
+        t1[:, short1] = _direct_rows(y, x.points[support[short1]], m_y, None, ks)
     if short2.any():
-        t2[short2] = _direct_rows(x, x.points[support[short2]], m_x, support[short2], k_max)
+        t2[:, short2] = _direct_rows(x, x.points[support[short2]], m_x, support[short2], ks)
     return (t1, t2), outer
 
 
-def _indexed_rows(table, mult, support, zeros, k_max):
+def _indexed_rows(table, mult, support, zeros, ks):
     """:func:`_resampled_table` of the ``support`` rows of an indexed table.
 
     ``mult`` gives each reference's multiplicity.  A resample holds one copy
     per reference on average, so a row's leading k_max + 3 sqrt(k_max)
-    entries nearly always hold ``k_max`` copies: the lookup reads only those,
-    then reads the rows they leave short again from the whole table.
+    entries nearly always hold k_max copies: the lookup counts only those,
+    then counts the rows they leave short again over the whole table.
     """
     dist, rows = table
+    k_max = int(ks[-1])
     lead = min(dist.shape[1], k_max + 3 * math.isqrt(k_max))
-    out, short = _resampled_table(np.take(dist[:, :lead], support, axis=0),
-                                  np.take(mult, np.take(rows[:, :lead], support, axis=0)),
-                                  zeros, k_max)
+    out, short = _resampled_table(dist, support, np.take(mult, rows[support, :lead]), zeros, ks)
     if lead < dist.shape[1] and short.any():
         again = np.flatnonzero(short)
-        out[again], short[again] = _resampled_table(
-            np.take(dist, support[again], axis=0),
-            np.take(mult, np.take(rows, support[again], axis=0)), zeros[again], k_max)
+        out[:, again], short[again] = _resampled_table(
+            dist, support[again], np.take(mult, rows[support[again]]), zeros[again], ks)
     return out, short
 
 
-def _direct_rows(ref, queries, mult, self_rows, k_max):
-    """Resampled k-NN tables for ``queries`` from their full distance rows.
+def _direct_rows(ref, queries, mult, self_rows, ks):
+    """Resampled distances at ``ks`` for ``queries`` from their full distance rows.
 
     ``self_rows`` names each query's own row in ``ref`` for leave-one-out;
     that row then counts one copy fewer.
@@ -176,7 +190,16 @@ def _direct_rows(ref, queries, mult, self_rows, k_max):
     counts = np.take(mult, rows)
     if self_rows is not None:
         counts -= rows == self_rows[:, None]
-    return _resampled_table(dist, counts, np.zeros(len(queries), dtype=counts.dtype), k_max)[0]
+    return _resampled_table(dist, np.arange(len(queries)), counts,
+                            np.zeros(len(queries), dtype=counts.dtype), ks)[0]
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None):
@@ -201,17 +224,21 @@ def _replicates(x, y, plan, spec, reps, seed, mode, tables):
     ks = check_profile_args(x, y, plan.ks)
     if tables is None:
         tables = resample_tables(x, y, ks[-1])
-    values = np.empty(reps)
-    for r in range(reps):
+
+    def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, _BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
-        rep_tables, outer = _replicate_tables(x, y, tables, m_x, m_y, ks[-1])
-        profile, _ = plugin_profile(x, y, ks, spec, mode=mode, tables=rep_tables,
-                                    outer_weights=outer)
-        values[r] = plan.combine(ks, profile)
-    return values
+        (rho1, rho2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks)
+        return plan.combine(ks, _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, mode,
+                                                outer))
+
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
+    try:
+        return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def bootstrap_std(x, y, config, spec, reps=200, seed=0, mode="robust", weights=None):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from divknn import (EnsembleConfig, ParameterError, TruncatedGaussianSpec,
+from divknn import (EnsembleConfig, TruncatedGaussianSpec,
                     sample_truncated_gaussian, solve_weights, true_renyi_integral)
 from divknn.cli import main
 
@@ -140,8 +140,8 @@ def test_bench_config_unknown_key_is_an_error(tmp_path, capsys):
     assert exc.value.code != 0
     assert "--trails" in capsys.readouterr().err
     cfg.write_text("dims = 1\ntrials\n")
-    with pytest.raises(ParameterError, match="without '='"):
-        main(argv)
+    assert main(argv) == 1
+    assert "error: config line without '='" in capsys.readouterr().err
 
 
 def test_bench_rejects_mode(tmp_path, capsys):
@@ -208,3 +208,26 @@ def test_rate_warning_reaches_estimate_and_weights(capsys, tmp_path):
         assert main(["weights", "-d", "1", "-n", "150", "--l-list", "1.0,2.0,3.0",
                      "--solver", "exact", *odin2]) == 0
     assert "warning: %s" % message in capsys.readouterr().err.splitlines()
+
+
+def test_library_errors_are_one_line_and_exit_1(capsys):
+    # The exact program is rank deficient at d=7.
+    assert main(["weights", "--mode", "odin1", "-d", "7", "-n", "1600", "--solver", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "cond(A)" in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_odin2_takes_its_own_default_l_grid(capsys):
+    # 25 consecutive ks from round(1.4 * sqrt(100)) = 14, as ExperimentConfig schedules them.
+    assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100"]) == 0
+    captured = capsys.readouterr()
+    assert "k collision" not in captured.err
+    ks = [int(line.split()[1][2:]) for line in captured.out.splitlines() if line.startswith("l=")]
+    assert ks == list(range(14, 39))
+    # Any l flag selects the linspace grid again.
+    assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100", "--l-count", "20"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("l=") for line in out.splitlines()) == 20

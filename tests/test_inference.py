@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -213,8 +215,8 @@ def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
 
 def test_resampled_table_when_no_reference_is_drawn():
     # A leave-one-out query drawn twice whose every neighbor was left out.
-    table, short = inference._resampled_table(np.array([[0.5, 0.7]]), np.zeros((1, 2), int),
-                                              np.array([1]), 2)
+    table, short = inference._resampled_table(np.array([[0.5, 0.7]]), np.array([0]),
+                                              np.zeros((1, 2), int), np.array([1]), [1, 2])
     assert table[0, 0] == 0.0 and short.tolist() == [True]
 
 
@@ -237,6 +239,8 @@ def repeat_table(dist, counts, zeros, k_max):
 
 
 def test_resampled_table_equals_the_written_out_lists():
+    # Each case is read at every k up to k_max and at a few of them, from the
+    # rows of a larger table that holds more columns than the counts cover.
     rng = np.random.default_rng(17)
     cases = 0
     for depth, k_max in ((1, 1), (1, 3), (4, 2), (8, 4), (8, 8), (16, 8), (40, 20)):
@@ -252,13 +256,19 @@ def test_resampled_table_equals_the_written_out_lists():
                 counts[i] = 0
                 zeros[i] = target // 2
                 np.add.at(counts[i], rng.integers(depth, size=target - target // 2), 1)
-            fast, fast_short = inference._resampled_table(dist, counts, zeros, k_max)
             slow, slow_short = repeat_table(dist, counts.astype(np.int64),
                                             zeros.astype(np.int64), k_max)
-            assert fast.shape == (rows, k_max)
-            np.testing.assert_array_equal(fast_short, slow_short)
-            assert not fast_short[10:12].any() and fast_short[12:14].all()
-            np.testing.assert_array_equal(fast[~fast_short], slow[~slow_short])
+            which = rng.permutation(rows + 7)[:rows]
+            big = 2.0 + rng.random((rows + 7, depth + 2))
+            big[which, :depth] = dist
+            some = np.unique(np.append(rng.integers(1, k_max + 1, size=3), k_max))
+            for ks in (np.arange(1, k_max + 1), some):
+                fast, fast_short = inference._resampled_table(big, which, counts, zeros, ks)
+                assert fast.shape == (len(ks), rows)
+                np.testing.assert_array_equal(fast_short, slow_short)
+                assert not fast_short[10:12].any() and fast_short[12:14].all()
+                np.testing.assert_array_equal(fast[:, ~fast_short],
+                                              slow[~slow_short][:, ks - 1].T)
             cases += 1
     assert cases == 14
 
@@ -269,9 +279,9 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
     lookup = inference._resampled_table
     calls = []
 
-    def counting(dist, counts, zeros, k_max):
+    def counting(dist, which, counts, zeros, ks):
         calls.append(len(counts))
-        return lookup(dist, counts, zeros, k_max)
+        return lookup(dist, which, counts, zeros, ks)
 
     monkeypatch.setattr(inference, "_resampled_table", counting)
     rng = np.random.default_rng(5)
@@ -279,16 +289,18 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
     dist = np.sort(rng.random((n, 2 * k_max)), axis=1)
     rows = rng.integers(0, n, size=(n, 2 * k_max)).astype(np.int32)
     short_rows = rereads = 0
-    for rate in (0.45, 0.7, 1.0):
+    for rate, ks in ((0.45, [1, 2, 5, 13, 27, 39, 40]), (0.7, range(1, k_max + 1)),
+                     (1.0, [3, 40])):
         mult = rng.poisson(rate, size=n).astype(np.int32)
         support = np.flatnonzero(mult)
         zeros = rng.integers(0, 3, size=len(support)).astype(np.int32)
         calls.clear()
-        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, k_max)
+        ks = np.asarray(ks)
+        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, ks)
         rereads += len(calls) == 2 and calls[1] < calls[0]  # some rows, not all, read again
-        slow, slow_short = lookup(dist[support], mult[rows[support]], zeros, k_max)
+        slow, slow_short = lookup(dist, support, mult[rows[support]], zeros, ks)
         np.testing.assert_array_equal(fast_short, slow_short)
-        np.testing.assert_array_equal(fast[~fast_short], slow[~slow_short])
+        np.testing.assert_array_equal(fast[:, ~fast_short], slow[:, ~slow_short])
         short_rows += slow_short.sum()
     assert short_rows > 0 and rereads > 0
 
@@ -299,8 +311,60 @@ def test_resampled_table_with_offsets_beyond_int32():
     dist = np.array([[0.1, 0.2], [0.3, 0.4]])
     counts = np.array([[1, 0], [0, 2]])
     zeros = np.array([2**40, 0])
-    table, short = inference._resampled_table(dist, counts, zeros, 2)
-    assert table.tolist() == [[0.0, 0.0], [0.4, 0.4]] and short.tolist() == [False, False]
+    table, short = inference._resampled_table(dist, np.arange(2), counts, zeros, [1, 2])
+    assert table.T.tolist() == [[0.0, 0.0], [0.4, 0.4]] and short.tolist() == [False, False]
+
+
+def record_pool_sizes(monkeypatch):
+    """Patch the replicate pool to record its worker count; returns the record."""
+    sizes = []
+
+    class Recording(inference.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_replicates_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # One setup per mode and dimension, and two whose shallow tables send
+    # many rows to the direct query; each against its one-worker values.
+    # A short switch interval makes the workers interleave often.
+    sizes = record_pool_sizes(monkeypatch)
+    setups = [resample_setup(mode, d, 200, seed=d) + (inference.RESAMPLE_DEPTH,)
+              for mode in ("odin1", "odin2") for d in (1, 3)]
+    setups += [resample_setup(mode, d, 200, seed=4) + (1,)
+               for mode, d in (("odin1", 1), ("odin2", 3))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for x, y, config, depth in setups:
+            monkeypatch.setattr(inference, "RESAMPLE_DEPTH", depth)
+            values = []
+            for count in (1, workers):
+                monkeypatch.setattr(inference, "_usable_cpus", lambda count=count: count)
+                values.append(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=3))
+            assert np.array_equal(*values)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [1, workers] * len(setups)
+
+
+def test_replicate_pool_is_sized_to_the_usable_cpus(monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    x, y, config = small_setup()
+    for cpus in ({0, 1, 2}, set(range(64))):
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        bootstrap_replicates(x, y, config, RENYI, reps=10, seed=1)
+    # Without an affinity call, the CPU count.
+    monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(inference.os, "cpu_count", lambda: 2)
+    bootstrap_replicates(x, y, config, RENYI, reps=10, seed=1)
+    assert sizes == [3, 10, 2]
 
 
 def test_strict_mode_raises_exactly_when_explicit_does():

@@ -217,6 +217,25 @@ def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
         assert np.array_equal(dist[i], np.sqrt(d2[order[:k_max]]))
 
 
+@pytest.mark.parametrize("return_indices", [False, True])
+def test_kth_distance_table_rows_break_ties_at_the_cut(return_indices):
+    # The first k - 1 distances are distinct and the k-th ties with 60 more
+    # entries, so only the tie rule picks the k-th row.
+    rng = np.random.default_rng(29)
+    for k in range(1, 8):
+        near = np.column_stack([0.1 * np.arange(1, k), np.zeros(k - 1)])
+        ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        pts = np.vstack([near, ring[rng.integers(0, 4, size=60)]])[rng.permutation(k + 59)]
+        table = build_index(pts).kth_distance_table(np.zeros((3, 2)), k,
+                                                    return_indices=return_indices)
+        d2 = (pts**2).sum(axis=1)
+        order = np.lexsort((np.arange(len(pts)), d2))[:k]
+        dist = table[0] if return_indices else table
+        assert np.array_equal(dist, np.broadcast_to(np.sqrt(d2[order]), (3, k)))
+        if return_indices:
+            assert np.array_equal(table[1], np.broadcast_to(order, (3, k)))
+
+
 def difference_form_table(pts, queries, k_max, leave_one_out=False):
     """Oracle: the full (queries, M, d) difference tensor, one exact sort per row.
 
