@@ -9,10 +9,12 @@ a block's screen and candidates stay in a core's L2 cache
   below 1 in magnitude, centered on the reference mean, scaled again
   to unit spread (all in float64; the scalings are exact) and cast to
   float32.  Every squared distance is computed in float32 in the expanded
-  form ``|a|^2 + |b|^2 - 2 a.b``, which costs one thin matrix product instead
-  of a (block, M, d) difference tensor.  The k_max smallest screened values
-  of a row, plus every entry within a slack of its k_max-th (near ties at
-  the cut), are its candidates.
+  form ``|a|^2 + |b|^2 - 2 a.b`` as one BLAS product of augmented operands,
+  ``[-2a, |a|^2, 1]`` by ``[b; 1; |b|^2]``, instead of a (block, M, d)
+  difference tensor.  The product is computed in chunks small enough that
+  BLAS runs each on the calling thread (``SCREEN_PRODUCT_SIZE``).  The k_max
+  smallest screened values of a row, plus every entry within a slack of its
+  k_max-th (near ties at the cut), are its candidates.
 * Refine: only the candidates get the exact float64 difference form
   ``sum_k (p_k - q_k)^2`` in the original coordinates, which is then
   partitioned and sorted.  Rows with more candidates than others are padded
@@ -45,9 +47,13 @@ DEGENERATE_RHO = 1e-12
 # (|a| + |b|)^2:
 #   2u          centering each coordinate in float64 (scaling is exact),
 #   2u_s        casting each coordinate to float32,
-#   (d + 3)u_s  the expanded form's two norms, dot product and two additions,
+#   d u_s       the float32 norms |a|^2 and |b|^2, each a d-term sum,
+#   (d + 2)u_s  the augmented product: a (d + 2)-term dot product in any
+#               order, with or without FMA, is off by at most (d + 2)u_s
+#               times the sum of its terms' magnitudes, 2|a.b| + |a|^2 +
+#               |b|^2 <= (|a| + |b|)^2 to first order,
 #   (d + 2)u    the refine's subtractions, squares and sum,
-# that is (d + 5)u_s + (d + 4)u.  Products that underflow in the screen add
+# that is (2d + 4)u_s + (d + 4)u.  Products that underflow in the screen add
 # at most 6d eta_s, and the refine's own underflows d eta s^2 / 2, where
 # eta_s and eta are the smallest float32 and float64 subnormals and s the
 # total scale.  A coordinate that underflows when scaled is off by eta / 2
@@ -55,11 +61,11 @@ DEGENERATE_RHO = 1e-12
 # adds at most 4d eta (1 + 2^-e_spread).  A candidate must lie within twice
 # this bound (its own error and that of the k-th entry) of the k-th screened
 # value, with |b| bounded by the reference radius.  The factor 2 over this
-# first-order bound covers second-order terms and the rounding of the norms,
-# of the slack and of the threshold's cast to float32.  The bound holds for
-# any spread: when the reference is tiny against the queries (its scaled
-# coordinates square into float32's subnormals), the underflow terms widen
-# the candidates, up to every reference.
+# first-order bound covers second-order terms and the rounding of the slack
+# and of the threshold's cast to float32.  The bound holds for any spread:
+# when the reference is tiny against the queries (its scaled coordinates
+# square into float32's subnormals), the underflow terms widen the
+# candidates, up to every reference.
 SCREEN_SLACK = 2.0
 
 # Bytes of one block's screen plus its gathered candidates.  Together with
@@ -68,6 +74,14 @@ SCREEN_SLACK = 2.0
 # per-block interpreter overhead, which threads running tables side by side
 # pay one at a time.
 SCREEN_BLOCK_BYTES = 1024 * 1024
+
+# Largest rows x columns x (d + 2) of one chunk of the screen product.
+# OpenBLAS runs a GEMM of m x n x k <= 65536 x GEMM_MULTITHREAD_THRESHOLD
+# (4 by default) = 2^18 on the calling thread.  A whole block's product is
+# larger; run from the trial pool's threads at once, it starts BLAS
+# threads from each of them, and a pass of the Figure-1 benchmark grid on 2
+# cores took 1.79-1.84 s instead of 1.11 s in chunks.
+SCREEN_PRODUCT_SIZE = 2**18
 
 
 @dataclass(frozen=True)
@@ -185,27 +199,33 @@ class NeighborIndex:
                                   float(np.abs(q_scaled).max())))[1]
         np.ldexp(p_scaled, -e_spread, out=p_scaled)
         np.ldexp(q_scaled, -e_spread, out=q_scaled)
+        # q_aug @ p_aug = |a|^2 + |b|^2 - 2 a.b, norms from the float32 cast
+        # (the factor -2 is exact).
         p_t = np.ascontiguousarray(p_scaled.T, dtype=np.float32)
-        p_norm2 = np.einsum("ij,ij->j", p_t, p_t)
+        p_aug = np.vstack([p_t, np.ones(m, dtype=np.float32), np.einsum("ij,ij->j", p_t, p_t)])
         q_cast = q_scaled.astype(np.float32)
-        q_norm2 = np.einsum("ij,ij->i", q_cast, q_cast)
-        q_cast *= -2.0  # exact
+        q_aug = np.column_stack([-2 * q_cast, np.einsum("ij,ij->i", q_cast, q_cast),
+                                 np.ones(nq, dtype=np.float32)])
         slack = _slack(dim, e_mag, e_spread, q_scaled, p_scaled)
         if block is None:
             row_bytes = 4 * m + 8 * k_max * dim
             block = max(1, SCREEN_BLOCK_BYTES // row_bytes)
         block = int(block)
+        chunk_rows = max(1, SCREEN_PRODUCT_SIZE // (m * (dim + 2)))
+        chunk_cols = max(1, SCREEN_PRODUCT_SIZE // (chunk_rows * (dim + 2)))
+        screen_buf = np.empty((min(block, nq), m), dtype=np.float32)
         out = np.empty((nq, k_max))
         out_rows = np.empty((nq, k_max), dtype=np.int32) if return_indices else None
         for start in range(0, nq, block):
             stop = min(start + block, nq)
             q = queries[start:stop]
             if k_max < m:
-                # einsum, not BLAS: multithreaded BLAS is slow on this thin
-                # (block, d) x (d, M) shape.
-                screen = np.einsum("ik,kj->ij", q_cast[start:stop], p_t)
-                screen += p_norm2
-                screen += q_norm2[start:stop, None]
+                screen = screen_buf[:stop - start]
+                for r in range(start, stop, chunk_rows):
+                    r_stop = min(r + chunk_rows, stop)
+                    for c in range(0, m, chunk_cols):
+                        np.matmul(q_aug[r:r_stop], p_aug[:, c:c + chunk_cols],
+                                  out=screen[r - start:r_stop - start, c:c + chunk_cols])
                 if leave_one_out:
                     own = np.arange(stop - start)
                     screen[own, start + own] = np.inf
@@ -235,7 +255,7 @@ def _slack(dim, e_mag, e_spread, q_scaled, p_scaled):
     """Per-query bound on the gap between a screened value and the scaled
     refined distance, doubled (see ``SCREEN_SLACK``)."""
     f32, f64 = np.finfo(np.float32), np.finfo(np.float64)
-    relative = (dim + 5) * float(f32.eps) + (dim + 4) * float(f64.eps)
+    relative = (2 * dim + 4) * float(f32.eps) + (dim + 4) * float(f64.eps)
     tiny = float(f64.smallest_subnormal)
     scaling_underflow = tiny + math.ldexp(tiny, -e_spread)
     # The refine's underflows, eta s^2 in scaled units with s = 2^-e; past

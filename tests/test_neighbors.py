@@ -447,3 +447,36 @@ def test_kth_distance_table_rejects_bad_queries(queries):
     idx = build_index(np.random.default_rng(47).random((10, 3)))
     with pytest.raises(ParameterError, match="queries|finite"):
         idx.kth_distance_table(queries, 2)
+
+
+@pytest.mark.parametrize("m, d, n_queries, leave_one_out", [
+    (1600, 7, None, True),
+    (5000, 1, 300, False),
+    # One row of the product is past the bound, so rows are cut into columns.
+    (9000, 30, 5, False),
+])
+def test_screen_products_stay_within_the_single_thread_bound(monkeypatch, m, d, n_queries,
+                                                             leave_one_out):
+    import divknn.neighbors as neighbors
+
+    rng = np.random.default_rng(53)
+    pts = rng.random((m, d))
+    queries = pts if leave_one_out else rng.random((n_queries, d))
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append(a.shape[0] * b.shape[1] * a.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    dist, rows = build_index(pts).kth_distance_table(queries, 40, leave_one_out,
+                                                     return_indices=True)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= neighbors.SCREEN_PRODUCT_SIZE
+    # Every entry of every screen is computed once.
+    assert sum(sizes) == len(queries) * m * (d + 2)
+    # The oracle's leading rows, which leave out their own point as the
+    # table does.
+    exp_d, exp_r = difference_form_table(pts, queries[:300], 40, leave_one_out)
+    assert np.array_equal(dist[:300], exp_d) and np.array_equal(rows[:300], exp_r)
