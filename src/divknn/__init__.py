@@ -24,30 +24,25 @@ from .errors import ConfigurationError, DegeneracyError, ParameterError, SolverE
 from .functionals import (
     FunctionalSpec,
     PluginEstimate,
+    knn_density,
     make_functional,
     plugin_estimate,
     plugin_profile,
+    unit_ball_volume,
 )
 from .inference import (
     InferenceResult,
     bootstrap_replicates,
     bootstrap_std,
     confidence_interval,
-    normal_cdf,
     normal_quantile,
     two_sample_test,
 )
-from .neighbors import (
-    NeighborIndex,
-    PointSet,
-    build_index,
-    knn_density,
-    kth_nn_distance,
-    unit_ball_volume,
-)
+from .neighbors import NeighborIndex, PointSet, build_index, kth_nn_distance
 from .synth import (
     TruncatedGaussianSpec,
     mc_truth,
+    normal_cdf,
     sample_truncated_gaussian,
     true_renyi_integral,
     truncated_gaussian_pdf,

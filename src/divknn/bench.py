@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _raw_k, estimation_plan,
-                       odin2_default_l_grid)
+from .ensemble import EnsembleConfig, _raw_k, estimation_plan, odin2_default_l_grid
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -33,6 +32,9 @@ def _trial_stream(d, n, trial, role):
 
 _TRUTH_STREAM = 1 << 62
 
+# Monte Carlo draws behind the truth of a functional with no closed form.
+MC_TRUTH_N = 10**6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -46,12 +48,10 @@ class ExperimentConfig:
     mean2: float = 0.3
     variance: float = 0.1
     l_values_odin1: tuple = tuple(np.linspace(0.3, 3.0, 50))
-    # ODin2 grid: by default odin2_count consecutive ks from
-    # k0 = round(odin2_l_min * N^delta) (odin2_default_l_grid).  An explicit
-    # l_values_odin2 overrides this.
+    # ODin2 grid: by default odin2_default_l_grid, ODIN2_L_COUNT consecutive ks
+    # from k0 = round(ODIN2_L_MIN * N^delta).  An explicit l_values_odin2
+    # overrides this.
     l_values_odin2: tuple = ()
-    odin2_l_min: float = ODIN2_L_MIN
-    odin2_count: int = ODIN2_L_COUNT
     delta: float = 0.5
     nu: int = 2
     eta: float = 1.0
@@ -61,7 +61,6 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = 1
     timing: bool = False
-    mc_truth_n: int = 10**6
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -71,6 +70,8 @@ class ExperimentConfig:
         object.__setattr__(self, "l_values_odin2", tuple(float(l) for l in self.l_values_odin2))
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be >= 1")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigurationError("n_grid must be strictly increasing")
         for e in self.estimators:
@@ -100,7 +101,7 @@ class ExperimentConfig:
     def odin2_l_grid(self, n):
         if self.l_values_odin2:
             return self.l_values_odin2
-        return odin2_default_l_grid(n, self.delta, self.odin2_l_min, self.odin2_count)
+        return odin2_default_l_grid(n, self.delta)
 
     def _l_grid(self, estimator, n):
         """The estimator's (mode, l grid) at N."""
@@ -150,8 +151,8 @@ def _cell_truth(config, d):
     spec1, spec2 = config.density_specs(d)
     if config.functional == "renyi_integral":
         return true_renyi_integral(spec1, spec2, config.alpha)
-    return mc_truth(spec1, spec2, config.functional_spec(), config.mc_truth_n,
-                    config.seed, stream=_TRUTH_STREAM + d).value
+    return mc_truth(spec1, spec2, config.functional_spec(), MC_TRUTH_N, config.seed,
+                    stream=_TRUTH_STREAM + d).value
 
 
 def run_experiment(config):
@@ -204,11 +205,8 @@ def _run_cell(config, spec, spec1, spec2, d, n):
         values, _ = plugin_profile(x, y, union_ks, spec)
         return {est: plan.combine(union_ks, values) for est, plan in plans.items()}
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            trial_results = list(pool.map(run_trial, range(config.trials)))
-    else:
-        trial_results = [run_trial(t) for t in range(config.trials)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        trial_results = list(pool.map(run_trial, range(config.trials)))
     values = {est: np.array([r[est] for r in trial_results]) for est in plans}
     return {**values, **failed}
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import ExperimentConfig, emit, fit_loglog_slope, run_experiment
 from .ensemble import EnsembleConfig, estimation_plan, odin2_default_l_grid
-from .errors import ConfigurationError, DegeneracyError, ParameterError, SolverError
+from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional
 from .inference import confidence_interval
 from .neighbors import PointSet
@@ -247,7 +247,7 @@ def main(argv=None):
         if getattr(args, "config", None):
             args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
         return handlers[args.command](args)
-    except (ParameterError, DegeneracyError, ConfigurationError, SolverError) as exc:
+    except (ParameterError, ConfigurationError, SolverError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

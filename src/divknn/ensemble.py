@@ -133,6 +133,8 @@ class EstimateReport:
     per_k: tuple  # sequence of (l, k, plug-in estimate at k)
     weights: WeightSolution
     warnings: tuple = ()
+    # Clamped neighbor distances over the scheduled ks; positive exactly when
+    # plugin_estimate(..., mode="strict") raises at one of them.
     degeneracy_count: int = 0
 
 
@@ -151,12 +153,12 @@ ODIN2_L_MIN = 1.4
 ODIN2_L_COUNT = 25
 
 
-def odin2_default_l_grid(n, delta, l_min=ODIN2_L_MIN, count=ODIN2_L_COUNT):
-    """ODin2's default l grid at N: l_i = (k0 + i) / N^delta for ``count`` consecutive ks
-    from k0 = round(l_min * N^delta), so no two members share a k."""
-    k0 = _raw_k(l_min, n, "odin2", delta)
+def odin2_default_l_grid(n, delta):
+    """ODin2's default l grid at N: l_i = (k0 + i) / N^delta for ODIN2_L_COUNT consecutive
+    ks from k0 = round(ODIN2_L_MIN * N^delta), so no two members share a k."""
+    k0 = _raw_k(ODIN2_L_MIN, n, "odin2", delta)
     base = n**delta
-    return tuple((k0 + i) / base for i in range(count))
+    return tuple((k0 + i) / base for i in range(ODIN2_L_COUNT))
 
 
 def k_schedule(config):
@@ -576,22 +578,23 @@ def estimation_plan(config, weights=None):
                           tuple(sorted({k for _, k in sched})), weights)
 
 
-def ensemble_estimate(x, y, config, spec, mode="robust", weights=None):
+def ensemble_estimate(x, y, config, spec, weights=None):
     """Weighted ensemble estimate sum_l w(l) * Ghat_{k(l)} with diagnostics.
 
     Uses k1 = k2 = k(l) with N taken as the f2 sample size, combined by the
-    config's EstimationPlan.  ``weights`` may carry its precomputed WeightSolution
+    config's EstimationPlan.  Degenerate distances are clamped and reported
+    in ``degeneracy_count``.  ``weights`` may carry its precomputed WeightSolution
     (weights depend only on the config, so loops over samples solve once and reuse).
     """
-    return _estimate(x, y, estimation_plan(config, weights), spec, mode, None)
+    return _estimate(x, y, estimation_plan(config, weights), spec, None)
 
 
-def _estimate(x, y, plan, spec, mode, tables):
+def _estimate(x, y, plan, spec, tables):
     """ensemble_estimate with its plan given; ``tables`` as in ``plugin_profile``."""
     warn = plan.warnings
     if plan.config.n != x.n:
         warn = ("config.n=%d but f2 sample has N=%d; schedule uses config.n"
                 % (plan.config.n, x.n),) + warn
-    ghat, degs = plugin_profile(x, y, plan.ks, spec, mode=mode, tables=tables)
+    ghat, degs = plugin_profile(x, y, plan.ks, spec, tables=tables)
     per_k = tuple((l, k, float(v)) for (l, k), v in zip(plan.schedule, plan.members(plan.ks, ghat)))
     return EstimateReport(plan.combine(plan.ks, ghat), per_k, plan.weights, warn, int(degs.sum()))

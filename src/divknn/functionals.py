@@ -7,14 +7,24 @@ averaging sample of size N2); the *y* argument is the sample drawn from
 ``f1``.  Density estimates at each x-point use the k1-th neighbor distance
 into y (M1 = N1, no self-exclusion) and the k2-th neighbor distance within
 x excluding the point itself (M2 = N2 - 1).
+
+Degenerate distances (at most ``DEGENERATE_RHO``: duplicate points) are
+clamped and counted, and densities are clipped into [``EVAL_FLOOR``,
+``EVAL_CEIL``] before g.  Only :func:`knn_density` and :func:`plugin_estimate`
+offer ``mode="strict"``, which raises ``DegeneracyError`` instead.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .neighbors import DEGENERATE_RHO, NeighborIndex, PointSet, knn_density
+from .errors import DegeneracyError, ParameterError
+from .neighbors import NeighborIndex, PointSet
+
+# Distances below this floor count as degenerate (duplicate points).
+DEGENERATE_RHO = 1e-12
 
 # Density estimates are clamped into this box before evaluating g in robust
 # mode; the true positivity bounds of the densities are unknown at runtime.
@@ -74,6 +84,58 @@ class PluginEstimate:
     degeneracy_count: int = 0
 
 
+def unit_ball_volume(d):
+    """Volume of the d-dimensional Euclidean unit ball.
+
+    Exact integer factorials where they fit in a float (odd d < 301, even
+    d < 344); above that exp((d/2) log(pi) - lgamma(d/2 + 1)).  Raises
+    ParameterError where the volume underflows float64's normal range.
+    """
+    d = int(d)
+    if d < 1:
+        raise ParameterError("d must be >= 1, got %d" % d)
+    try:
+        if d % 2 == 0:
+            value = math.pi ** (d // 2) / math.factorial(d // 2)
+        else:
+            # Odd d: 2^((d+1)/2) * pi^((d-1)/2) / d!! avoids Gamma rounding at d=1.
+            double_fact = math.prod(range(d, 0, -2))
+            value = 2.0 ** ((d + 1) // 2) * math.pi ** ((d - 1) // 2) / double_fact
+    except OverflowError:
+        value = math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
+    if value < sys.float_info.min:
+        raise ParameterError("unit-ball volume underflows float64 at d=%d" % d)
+    return value
+
+
+def knn_density(rho, k, m, d, mode="robust"):
+    """k-NN density estimate k / (m * c_d * rho^d).
+
+    ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
+    integer or an integer array that broadcasts against it (for example one
+    k per row of a (ks, points) distance array).  Robust mode clamps
+    distances below ``DEGENERATE_RHO``; strict mode raises instead.
+    """
+    if mode not in ("strict", "robust"):
+        raise ParameterError("mode must be 'strict' or 'robust'")
+    k = np.asarray(k, dtype=np.int64)
+    m = int(m)
+    if np.any(k < 1) or np.any(k > m):
+        raise ParameterError("k=%s out of range for m=%d" % (k, m))
+    rho_arr = np.asarray(rho, dtype=np.float64)
+    if not np.all(np.isfinite(rho_arr)):
+        raise ParameterError("rho must be finite")
+    degenerate = rho_arr <= DEGENERATE_RHO
+    if np.any(degenerate):
+        if mode == "strict":
+            raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
+        rho_arr = np.maximum(rho_arr, DEGENERATE_RHO)
+    value = k / (m * unit_ball_volume(d) * rho_arr**d)
+    if np.ndim(value) == 0:
+        return float(value)
+    return value
+
+
 def _clamp_count(rho):
     """Degenerate distances along the last axis."""
     return np.count_nonzero(rho <= DEGENERATE_RHO, axis=-1)
@@ -89,8 +151,8 @@ def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode):
     return spec.eval(f1, f2)
 
 
-def _profile_values(rho1, rho2, ks, m1, m2, d, spec, mode, weights=None):
-    """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` distance arrays.
+def _profile_values(rho1, rho2, ks, m1, m2, d, spec, weights=None):
+    """Robust plug-in estimates at ``ks`` from ``(len(ks), rows)`` distance arrays.
 
     Each array is contiguous along the rows, so each k's mean is the same
     pairwise sum as a mean over that k's column alone.  ``weights`` gives
@@ -98,7 +160,7 @@ def _profile_values(rho1, rho2, ks, m1, m2, d, spec, mode, weights=None):
     resample of x): the outer mean then counts row i ``weights[i]`` times.
     """
     k_col = np.asarray(ks)[:, None]
-    g = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, d, spec, mode)
+    g = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, d, spec, "robust")
     if weights is None:
         return np.mean(g, axis=1)
     return g @ weights / np.sum(weights)
@@ -118,12 +180,13 @@ def check_profile_args(x, y, ks):
     return ks
 
 
-def plugin_profile(x, y, ks, spec, mode="robust", tables=None):
+def plugin_profile(x, y, ks, spec, tables=None):
     """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
 
-    Returns (values, degeneracy_counts) aligned with ``ks``.  ``tables`` may
-    carry precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays, at
-    least max(ks) deep (a bootstrap's point estimate reads its replicates').
+    Returns (values, degeneracy_counts) aligned with ``ks``: degenerate
+    distances are clamped and counted, never raised on.  ``tables`` may carry
+    precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays, at least
+    max(ks) deep (a bootstrap's point estimate reads its replicates').
     """
     ks = check_profile_args(x, y, ks)
     if tables is None:
@@ -131,7 +194,7 @@ def plugin_profile(x, y, ks, spec, mode="robust", tables=None):
     cols = np.asarray(ks) - 1
     rho1, rho2 = (np.ascontiguousarray(table[:, cols].T) for table in tables)
     degs = _clamp_count(rho1) + _clamp_count(rho2)
-    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, mode), degs
+    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec), degs
 
 
 def neighbor_tables(x, y, k_max, return_indices=False):
@@ -152,6 +215,8 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     """Leave-one-out k-NN plug-in estimate of the divergence functional.
 
     x: PointSet sampled from f2 (outer sample).  y: PointSet sampled from f1.
+    Robust mode clamps and counts degenerate distances; strict mode raises
+    ``DegeneracyError`` on them.
     """
     if not isinstance(x, PointSet):
         x = PointSet(np.asarray(x))

@@ -45,7 +45,7 @@ from .ensemble import _estimate, estimation_plan
 from .errors import ParameterError
 from .functionals import _profile_values, check_profile_args, neighbor_tables
 from .neighbors import NeighborIndex
-from .synth import rng_stream
+from .synth import normal_cdf, rng_stream
 
 # Stream-id offsets separating the x and y bootstrap resampling streams.
 _BOOT_STREAM_X = 0x626F6F74_0000
@@ -56,11 +56,6 @@ _BOOT_STREAM_Y = 0x626F6F74_8000
 # replicate row whose table runs out before the largest k falls back to a
 # direct query, so the depth changes speed, never the answer.
 RESAMPLE_DEPTH = 2
-
-
-def normal_cdf(z):
-    """Standard normal CDF via erfc (accurate to ~1e-16)."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def normal_quantile(p):
@@ -82,7 +77,9 @@ class InferenceResult:
     level: float = 0.95
     null_value: float = 0.0
     reject: bool = False
-    degeneracy_count: int = 0  # the point estimate's clamp total
+    # The point estimate's clamp total: positive exactly when the point
+    # estimate's plugin_estimate(..., mode="strict") raises at a scheduled k.
+    degeneracy_count: int = 0
     warnings: tuple = ()  # the point estimate's warnings (rate, k collisions)
 
 
@@ -202,7 +199,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=None):
+def bootstrap_replicates(x, y, config, spec, reps, seed, weights=None):
     """Ensemble estimates on ``reps`` with-replacement resamples of x and y.
 
     Replicate r resamples both samples from the streams keyed by r, and all
@@ -210,11 +207,12 @@ def bootstrap_replicates(x, y, config, spec, reps, seed, mode="robust", weights=
     the resample's multiplicities from one set of indexed neighbor tables on
     the original samples (built once, by :func:`resample_tables`), and
     equals ``ensemble_estimate`` on the resampled points to rounding.
+    Degenerate distances in a resample are clamped, never raised on.
     """
-    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, mode, None)
+    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, None)
 
 
-def _replicates(x, y, plan, spec, reps, seed, mode, tables):
+def _replicates(x, y, plan, spec, reps, seed, tables):
     """The plan's estimates on ``reps`` resamples; see :func:`bootstrap_replicates`.
 
     ``tables`` may carry the :func:`resample_tables` of x and y; they are built when None.
@@ -231,8 +229,7 @@ def _replicates(x, y, plan, spec, reps, seed, mode, tables):
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
         (rho1, rho2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks)
-        return plan.combine(ks, _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, mode,
-                                                outer))
+        return plan.combine(ks, _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, outer))
 
     pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
     try:
@@ -241,22 +238,22 @@ def _replicates(x, y, plan, spec, reps, seed, mode, tables):
         pool.shutdown(cancel_futures=True)
 
 
-def bootstrap_std(x, y, config, spec, reps=200, seed=0, mode="robust", weights=None):
-    """Bootstrap standard error of the ensemble estimate."""
-    values = bootstrap_replicates(x, y, config, spec, reps, seed, mode=mode, weights=weights)
+def bootstrap_std(x, y, config, spec, reps=200, seed=0, weights=None):
+    """Bootstrap standard error of the ensemble estimate (see bootstrap_replicates)."""
+    values = bootstrap_replicates(x, y, config, spec, reps, seed, weights=weights)
     return float(np.std(values, ddof=1))
 
 
 def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed, null_value,
-                      mode, weights):
+                      weights):
     """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.
 
     The point estimate and the replicates share one plan and one set of neighbor tables.
     """
     plan = estimation_plan(config, weights)
     tables = resample_tables(x, y, check_profile_args(x, y, plan.ks)[-1])
-    report = _estimate(x, y, plan, spec, mode, (tables[0][0], tables[1][0]))
-    values = _replicates(x, y, plan, spec, reps, seed, mode, tables)
+    report = _estimate(x, y, plan, spec, (tables[0][0], tables[1][0]))
+    values = _replicates(x, y, plan, spec, reps, seed, tables)
     estimate = report.value
     std = float(np.std(values, ddof=1))
     z_crit = normal_quantile(quantile)
@@ -271,20 +268,23 @@ def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed,
 
 
 def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_value=0.0,
-                        mode="robust", weights=None):
-    """Normal-theory interval: estimate +/- z_{(1+level)/2} * bootstrap std."""
+                        weights=None):
+    """Normal-theory interval: estimate +/- z_{(1+level)/2} * bootstrap std.
+
+    Degenerate distances are clamped; the result's ``degeneracy_count`` reports them.
+    """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
     return _bootstrap_normal(x, y, config, spec, 0.5 * (1.0 + level), 1.0 - level, level, reps,
-                             seed, null_value, mode, weights)
+                             seed, null_value, weights)
 
 
-def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0,
-                    mode="robust", weights=None):
+def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0, weights=None):
     """Two-sided test of H0: G(f1, f2) = null_value via the bootstrap CLT.
 
     Requires a functional with constant g(t, t) so the no-difference null
-    has a known value (renyi_integral: 1, kl and l2: 0).
+    has a known value (renyi_integral: 1, kl and l2: 0).  Degenerate
+    distances are clamped, as in confidence_interval.
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
@@ -296,7 +296,7 @@ def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0
             % spec.name
         )
     result = _bootstrap_normal(x, y, config, spec, 1.0 - level / 2.0, level, 1.0 - level, reps,
-                               seed, null_value, mode, weights)
+                               seed, null_value, weights)
     if result.std_error == 0.0 and result.estimate != null_value:
         raise ParameterError("degenerate variance: std_error=0 with estimate != null")
     return result

@@ -30,15 +30,11 @@ ascending row index.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
-
-# Distances below this floor count as degenerate (duplicate points).
-DEGENERATE_RHO = 1e-12
+from .errors import ParameterError
 
 # Safety factor on the screen's error bound.  Let u_s = 2^-24 and u = 2^-53 be
 # the unit roundoffs of float32 and float64.  In scaled units, with a the
@@ -339,55 +335,3 @@ def build_index(points):
 
 def kth_nn_distance(index, query, k, exclude_self=False):
     return index.kth_nn_distance(query, k, exclude_self=exclude_self)
-
-
-def unit_ball_volume(d):
-    """Volume of the d-dimensional Euclidean unit ball.
-
-    Exact integer factorials where they fit in a float (odd d < 301, even
-    d < 344); above that exp((d/2) log(pi) - lgamma(d/2 + 1)).  Raises
-    ParameterError where the volume underflows float64's normal range.
-    """
-    d = int(d)
-    if d < 1:
-        raise ParameterError("d must be >= 1, got %d" % d)
-    try:
-        if d % 2 == 0:
-            value = math.pi ** (d // 2) / math.factorial(d // 2)
-        else:
-            # Odd d: 2^((d+1)/2) * pi^((d-1)/2) / d!! avoids Gamma rounding at d=1.
-            double_fact = math.prod(range(d, 0, -2))
-            value = 2.0 ** ((d + 1) // 2) * math.pi ** ((d - 1) // 2) / double_fact
-    except OverflowError:
-        value = math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
-    if value < sys.float_info.min:
-        raise ParameterError("unit-ball volume underflows float64 at d=%d" % d)
-    return value
-
-
-def knn_density(rho, k, m, d, mode="robust"):
-    """k-NN density estimate k / (m * c_d * rho^d).
-
-    ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
-    integer or an integer array that broadcasts against it (for example one
-    k per row of a (ks, points) distance array).  Robust mode clamps
-    distances below ``DEGENERATE_RHO``; strict mode raises instead.
-    """
-    if mode not in ("strict", "robust"):
-        raise ParameterError("mode must be 'strict' or 'robust'")
-    k = np.asarray(k, dtype=np.int64)
-    m = int(m)
-    if np.any(k < 1) or np.any(k > m):
-        raise ParameterError("k=%s out of range for m=%d" % (k, m))
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if not np.all(np.isfinite(rho_arr)):
-        raise ParameterError("rho must be finite")
-    degenerate = rho_arr <= DEGENERATE_RHO
-    if np.any(degenerate):
-        if mode == "strict":
-            raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
-        rho_arr = np.maximum(rho_arr, DEGENERATE_RHO)
-    value = k / (m * unit_ball_volume(d) * rho_arr**d)
-    if np.ndim(value) == 0:
-        return float(value)
-    return value

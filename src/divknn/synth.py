@@ -53,13 +53,14 @@ class TruncatedGaussianSpec:
         return math.sqrt(self.variance)
 
 
-def _phi_cdf(z):
+def normal_cdf(z):
+    """Standard normal CDF via erfc (accurate to ~1e-16)."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _truncation_mass(mu, sigma):
     """Probability mass of N(mu, sigma^2) inside [0, 1]."""
-    return _phi_cdf((1.0 - mu) / sigma) - _phi_cdf((0.0 - mu) / sigma)
+    return normal_cdf((1.0 - mu) / sigma) - normal_cdf((0.0 - mu) / sigma)
 
 
 def sample_truncated_gaussian(spec, n, seed, stream=0):

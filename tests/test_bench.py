@@ -56,6 +56,9 @@ def test_config_validation():
         ExperimentConfig(dims=(1,), n_grid=(10,))  # max k exceeds N-1
     with pytest.raises(ConfigurationError, match="trials"):
         ExperimentConfig(trials=0)
+    for threads in (0, -4):
+        with pytest.raises(ConfigurationError, match="threads"):
+            ExperimentConfig(threads=threads)
 
 
 @pytest.mark.parametrize("estimator, fields", [

@@ -141,7 +141,7 @@ def profile_columns(x, y, ks, spec, tables, weights):
     """``_profile_values`` (the bootstrap replicates' outer mean) on table columns ``ks``."""
     cols = np.asarray(ks) - 1
     rho1, rho2 = (np.ascontiguousarray(t[:, cols].T) for t in tables)
-    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, "robust", weights)
+    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, weights)
 
 
 def test_profile_outer_weights_match_repeated_rows():

@@ -16,6 +16,7 @@ from divknn import (
     make_functional,
     normal_cdf,
     normal_quantile,
+    plugin_estimate,
     sample_truncated_gaussian,
     solve_weights,
     two_sample_test,
@@ -150,7 +151,7 @@ def test_p_value_decreases_in_abs_z():
 # --- bootstrap replicates through resample multiplicities ---------------------
 
 
-def explicit_replicates(x, y, config, spec, reps, seed, mode="robust"):
+def explicit_replicates(x, y, config, spec, reps, seed):
     """The definition of a replicate: ensemble_estimate on the resampled points."""
     weights = solve_weights(config)
     values = np.empty(reps)
@@ -158,7 +159,7 @@ def explicit_replicates(x, y, config, spec, reps, seed, mode="robust"):
         ix = rng_stream(seed, inference._BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, inference._BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         values[r] = ensemble_estimate(PointSet(x.points[ix]), PointSet(y.points[iy]), config,
-                                      spec, mode=mode, weights=weights).value
+                                      spec, weights=weights).value
     return values
 
 
@@ -367,29 +368,39 @@ def test_replicate_pool_is_sized_to_the_usable_cpus(monkeypatch):
     assert sizes == [3, 10, 2]
 
 
-def test_strict_mode_raises_exactly_when_explicit_does():
-    cases = [
-        # k = 1 is zero for any point drawn twice: every replicate degenerates.
-        resample_setup("odin1", 1, 200, l_values=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5), k_min=1),
-        resample_setup("odin2", 3, 200, seed=1, l_values=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
-                       k_min=1),
-        # k >= 5 at N = 12 needs one point drawn six times.
-        resample_setup("odin1", 1, 12, l_values=tuple(np.linspace(1.5, 3.0, 6))),
-        resample_setup("odin1", 3, 12, seed=3, l_values=tuple(np.linspace(1.5, 3.0, 6))),
+def strict_plugin_raises(x, y, ks):
+    """Whether the strict plug-in raises at some k in ``ks``."""
+    for k in ks:
+        try:
+            plugin_estimate(x, y, k, k, RENYI, mode="strict")
+        except DegeneracyError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("mode, d", [("odin1", 1), ("odin2", 3)])
+def test_degeneracy_count_is_positive_exactly_when_strict_raises(mode, d):
+    # Ensembles and intervals always clamp; their degeneracy_count stands in
+    # for the strict plug-in's raise at one of the plan's ks.
+    x0, y0, _ = resample_setup(mode, d, 150, seed=5)
+    samples = [
+        (x0, y0),  # no duplicates
+        (PointSet(np.vstack([x0.points, x0.points[:20]])), y0),  # pairs within x
+        (x0, PointSet(np.vstack([y0.points, x0.points[:5]]))),  # x points in y
+        # One point 40 times: its distances are zero even at the large ks.
+        (PointSet(np.vstack([x0.points, np.repeat(x0.points[:1], 40, axis=0)])), y0),
     ]
     outcomes = []
-    for x, y, config in cases:
-        results = []
-        for fn in (bootstrap_replicates, explicit_replicates):
-            try:
-                results.append(fn(x, y, config, RENYI, reps=10, seed=6, mode="strict"))
-            except DegeneracyError:
-                results.append(None)
-        fast, slow = results
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
-        outcomes.append(fast is None)
+    for l_values, k_min in (((0.05, 0.1, 0.2, 0.3, 0.4, 0.5), 1),
+                            (tuple(np.linspace(1.5, 3.0, 6)), 3)):
+        for x, y in samples:
+            config = EnsembleConfig(mode, l_values, d, x.n, k_min=k_min)
+            raises = strict_plugin_raises(x, y, ensemble.estimation_plan(config).ks)
+            report = ensemble_estimate(x, y, config, RENYI)
+            interval = confidence_interval(x, y, config, RENYI, reps=10, seed=6)
+            assert (report.degeneracy_count > 0) == raises
+            assert (interval.degeneracy_count > 0) == raises
+            outcomes.append(raises)
     assert any(outcomes) and not all(outcomes)
 
 
