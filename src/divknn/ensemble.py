@@ -310,76 +310,13 @@ def _exchange(r, u_active):
     return ratio[i], coef, int(blocked[i])
 
 
-def _level_qp(normals, rhs):
-    """Goldfarb-Idnani dual active-set solve of one strictly convex QP, from a cold start.
-
-    Minimizes 1/2 ||w||^2 subject to normals[0] . w = rhs[0] and
-    normals[j] . w >= rhs[j] for j >= 1; every row of normals has unit norm.
-    From the minimum-norm point on the equality it adds the most violated
-    constraint and walks the primal-dual path to the minimizer over the
-    enlarged active set, dropping an active constraint whose multiplier
-    reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).
-    Each target point is a QR min-norm solve over the active normals.  A
-    constraint counts as violated when its slack is below
-    -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
-    normals . w can carry.  Returns (w, u) with w = normals^T u and
-    u[1:] >= 0, or None when the constraints are infeasible: a violated
-    normal lies in the span of the active ones (|R_pp| <= DEPENDENT_TOL) and
-    no active multiplier can give way.  solve_weights_relaxed does not call
-    it: it is the independent reference for one level of that program.
-    """
-    L = normals.shape[1]
-    tol = RESIDUAL_FACTOR * L * np.finfo(np.float64).eps
-    active = [0]
-    w = rhs[0] * normals[0]
-    u = np.zeros(len(rhs))
-    u[0] = rhs[0]
-    seen = set()
-    while True:
-        slack = normals @ w - rhs
-        slack[active] = np.inf
-        p = int(np.argmin(slack))
-        if slack[p] >= -tol * max(1.0, np.linalg.norm(w)):
-            return w, u
-        while True:
-            s = active + [p]
-            q, r = np.linalg.qr(normals[s].T)
-            if len(s) <= L and abs(r[-1, -1]) > DEPENDENT_TOL:
-                w_t, u_t = _min_norm(q, r, rhs[s])
-                # Multipliers move linearly from u[s] to u_t; an active
-                # inequality whose multiplier would turn negative blocks.
-                blocked = np.flatnonzero(u_t[1:-1] < 0) + 1
-                ratio = u[s][blocked] / (u[s][blocked] - u_t[blocked])
-                step = min(1.0, ratio.min(initial=np.inf))
-                w = w + step * (w_t - w)
-                u[s] += step * (u_t - u[s])
-                np.maximum(u[1:], 0.0, out=u[1:])  # a rounding tie must not flip a sign
-                if step == 1.0:
-                    break
-                drop = s[blocked[np.argmin(ratio)]]
-            else:
-                trade = _exchange(r, u[active])
-                if trade is None:
-                    return None
-                theta, coef, i = trade
-                u[active] -= theta * coef
-                np.maximum(u[1:], 0.0, out=u[1:])
-                u[p] += theta
-                drop = active[i]
-            u[drop] = 0.0
-            active.remove(drop)
-        active.append(p)
-        key = frozenset(active)
-        if key in seen:  # impossible in exact arithmetic: the objective rises
-            raise SolverError("active-set solve revisited an active set")
-        seen.add(key)
-
-
 def _level_normals(a):
-    """Unit normals of the level QP in _level_qp's form, and the row norms of a.
+    """Unit normals of the level QP, and the row norms of a.
 
-    Row 0 is sum(w) = 1; rows 1..I are -a_i . w >= -epsilon and rows I+1..2I
-    are a_i . w >= -epsilon; every row is divided by the norm of its normal.
+    Row 0 is the equality sum(w) = 1 (normals[0] . w = rhs[0]); rows 1..I
+    are -a_i . w >= -epsilon and rows I+1..2I are a_i . w >= -epsilon, and
+    every row j >= 1 is an inequality normals[j] . w >= rhs[j].  Every row
+    is divided by the norm of its normal.
     The normals do not depend on epsilon.
     """
     L = a.shape[1]
@@ -394,7 +331,7 @@ def _level_rhs(L, norms, level):
 
 
 def _level_constraints(a, level):
-    """Unit normals and right-hand sides of the level-epsilon QP, in _level_qp's form."""
+    """Unit normals and right-hand sides of the level-epsilon QP (see _level_normals)."""
     normals, norms = _level_normals(a)
     return normals, _level_rhs(a.shape[1], norms, level)
 

@@ -10,7 +10,9 @@ x excluding the point itself (M2 = N2 - 1).
 
 Degenerate distances (at most ``DEGENERATE_RHO``: duplicate points) are
 clamped and counted, and densities are clipped into [``EVAL_FLOOR``,
-``EVAL_CEIL``] before g.  Only :func:`knn_density` and :func:`plugin_estimate`
+``EVAL_CEIL``] before g.  The clamp and the power live in one place,
+:func:`_density_denominators` (m * c_d * rho^d); the density at k is k over
+it.  Only :func:`knn_density` and :func:`plugin_estimate`
 offer ``mode="strict"``, which raises ``DegeneracyError`` instead.
 """
 
@@ -114,7 +116,8 @@ def knn_density(rho, k, m, d, mode="robust"):
     ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
     integer or an integer array that broadcasts against it (for example one
     k per row of a (ks, points) distance array).  Robust mode clamps
-    distances below ``DEGENERATE_RHO``; strict mode raises instead.
+    distances below ``DEGENERATE_RHO`` (the denominator is
+    :func:`_density_denominators`); strict mode raises instead.
     """
     if mode not in ("strict", "robust"):
         raise ParameterError("mode must be 'strict' or 'robust'")
@@ -123,17 +126,35 @@ def knn_density(rho, k, m, d, mode="robust"):
     if np.any(k < 1) or np.any(k > m):
         raise ParameterError("k=%s out of range for m=%d" % (k, m))
     rho_arr = np.asarray(rho, dtype=np.float64)
-    if not np.all(np.isfinite(rho_arr)):
-        raise ParameterError("rho must be finite")
-    degenerate = rho_arr <= DEGENERATE_RHO
-    if np.any(degenerate):
-        if mode == "strict":
-            raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
-        rho_arr = np.maximum(rho_arr, DEGENERATE_RHO)
-    value = k / (m * unit_ball_volume(d) * rho_arr**d)
+    _check_finite(rho_arr)
+    if mode == "strict" and np.any(rho_arr <= DEGENERATE_RHO):
+        raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
+    value = k / _density_denominators(rho_arr, m, d)
     if np.ndim(value) == 0:
         return float(value)
     return value
+
+
+def _check_finite(rho):
+    """Raise ParameterError unless every distance is finite."""
+    if not np.all(np.isfinite(rho)):
+        raise ParameterError("rho must be finite")
+
+
+def _density_denominators(rho, m, d, out=None):
+    """m * c_d * max(rho, DEGENERATE_RHO)^d, so that the robust density at k is k over it.
+
+    Always an array, also for a scalar ``rho``: numpy's scalar power can
+    differ from its array power in the last bit, and every denominator must
+    equal the one an array of distances would give.  ``out`` may be ``rho``
+    itself (float64) to convert a distance table in place.
+    """
+    if out is None:
+        out = np.empty(np.shape(rho))
+    np.maximum(rho, DEGENERATE_RHO, out=out)
+    out **= d
+    out *= m * unit_ball_volume(d)
+    return out
 
 
 def _clamp_count(rho):
@@ -151,16 +172,23 @@ def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode):
     return spec.eval(f1, f2)
 
 
-def _profile_values(rho1, rho2, ks, m1, m2, d, spec, weights=None):
-    """Robust plug-in estimates at ``ks`` from ``(len(ks), rows)`` distance arrays.
+def _denominator_profile(den1, den2, ks, spec, weights=None):
+    """Robust plug-in estimates at ``ks`` from ``(len(ks), rows)`` density denominators.
 
-    Each array is contiguous along the rows, so each k's mean is the same
-    pairwise sum as a mean over that k's column alone.  ``weights`` gives
-    each row an integer multiplicity in the outer sample (a bootstrap
-    resample of x): the outer mean then counts row i ``weights[i]`` times.
+    The density at k is k over the denominator, clipped into [``EVAL_FLOOR``,
+    ``EVAL_CEIL``] before g.  Each array is contiguous along the rows, so
+    each k's mean is the same pairwise sum as a mean over that k's column
+    alone.  ``weights`` gives each row an integer multiplicity in the outer
+    sample (a bootstrap resample of x): the outer mean then counts row i
+    ``weights[i]`` times.  Bootstrap replicates read their denominators from
+    tables converted once, so they do no power and no clamp here.
     """
     k_col = np.asarray(ks)[:, None]
-    g = _plugin_terms(rho1, rho2, k_col, k_col, m1, m2, d, spec, "robust")
+    f1 = k_col / den1
+    f2 = k_col / den2
+    np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
+    np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
+    g = spec.eval(f1, f2)
     if weights is None:
         return np.mean(g, axis=1)
     return g @ weights / np.sum(weights)
@@ -184,30 +212,33 @@ def plugin_profile(x, y, ks, spec, tables=None):
     """Plug-in estimates for several k values (k1 = k2 = k), sharing distance tables.
 
     Returns (values, degeneracy_counts) aligned with ``ks``: degenerate
-    distances are clamped and counted, never raised on.  ``tables`` may carry
-    precomputed ``(rho1_table, rho2_table)`` sorted-distance arrays, at least
-    max(ks) deep (a bootstrap's point estimate reads its replicates').
+    distances are clamped and counted, never raised on; the values are
+    :func:`_denominator_profile` of the distances' denominators.  ``tables``
+    may carry precomputed ``(rho1_table, rho2_table)`` sorted-distance
+    arrays, at least max(ks) deep (a bootstrap's point estimate reads its
+    replicates').
     """
     ks = check_profile_args(x, y, ks)
     if tables is None:
         tables = neighbor_tables(x, y, max(ks))
     cols = np.asarray(ks) - 1
     rho1, rho2 = (np.ascontiguousarray(table[:, cols].T) for table in tables)
+    _check_finite(rho1)
+    _check_finite(rho2)
     degs = _clamp_count(rho1) + _clamp_count(rho2)
-    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec), degs
+    # The gathered distances are this call's own copies: turn them into denominators in place.
+    _density_denominators(rho1, y.n, x.dim, out=rho1)
+    _density_denominators(rho2, x.n - 1, x.dim, out=rho2)
+    return _denominator_profile(rho1, rho2, ks, spec), degs
 
 
-def neighbor_tables(x, y, k_max, return_indices=False):
+def neighbor_tables(x, y, k_max):
     """Sorted neighbor-distance tables (x into y; x into x leave-one-out).
 
-    Each table is at most ``k_max`` deep.  With ``return_indices`` each table
-    is a ``(distances, rows)`` pair; see ``NeighborIndex.kth_distance_table``.
+    Each table is at most ``k_max`` deep; see ``NeighborIndex.kth_distance_table``.
     """
-    index_y = NeighborIndex(y)
-    index_x = NeighborIndex(x)
-    rho1 = index_y.kth_distance_table(x.points, min(k_max, y.n), return_indices=return_indices)
-    rho2 = index_x.kth_distance_table(x.points, min(k_max, x.n - 1), leave_one_out=True,
-                                      return_indices=return_indices)
+    rho1 = NeighborIndex(y).kth_distance_table(x.points, min(k_max, y.n))
+    rho2 = NeighborIndex(x).kth_distance_table(x.points, min(k_max, x.n - 1), leave_one_out=True)
     return rho1, rho2
 
 

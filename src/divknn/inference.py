@@ -11,7 +11,7 @@ so results do not depend on execution order.
 A resample is a vector of multiplicities over the original points, so no
 replicate recomputes neighbors.  One pair of indexed neighbor tables (sorted
 distances with neighbor rows, x into y and x into x leave-one-out) is built
-on the original samples; a resampled copy of x_i reads its k-th distance as
+on the original samples; a resampled copy of x_i reads its k-th neighbor as
 the first table entry where the cumulative multiplicity of row i reaches k,
 after m_i - 1 zero-distance self-copies for leave-one-out, and the outer mean
 weights x_i by m_i.  The lookup never writes the resampled lists out: it
@@ -23,14 +23,22 @@ k_max + 3 sqrt(k_max) entries, which nearly always hold k_max copies, and
 counts the rows they leave short again over the whole table.  Rows whose
 whole table runs out are answered by a direct query over all points, through
 the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
-the resampled points to rounding.  The point estimate of
-:func:`confidence_interval` and :func:`two_sample_test` reads the distance
-half of the same tables.
+the resampled points to rounding.
 
-Replicates run on a thread pool with one worker per CPU the process may use
-(at most one per replicate).  Each replicate draws from its own streams and
-its value is placed by index, so the values are the same, bit for bit, for
-any worker count.
+The point estimate of :func:`confidence_interval` and :func:`two_sample_test`
+reads the distances of the same tables.  Then each table's distances are
+turned, in place, into density denominators m * c_d * max(rho,
+DEGENERATE_RHO)^d (``functionals._density_denominators``), and a self-copy
+reads the denominator of distance 0.  A replicate divides each k by the
+denominators it reads, so the power and the clamp are paid once per table
+entry instead of once per replicate, and the values are the same bits as
+densities from the distances.
+
+One thread pool serves a whole call, with one worker per CPU the process may
+use (at most one per replicate).  It builds the two tables as two tasks side
+by side, and then runs the replicates.  Each replicate draws from its own
+streams and its value is placed by index, so the values are the same, bit
+for bit, for any worker count.
 """
 
 import math
@@ -43,7 +51,7 @@ import numpy as np
 
 from .ensemble import _estimate, estimation_plan
 from .errors import ParameterError
-from .functionals import _profile_values, check_profile_args, neighbor_tables
+from .functionals import _denominator_profile, _density_denominators, check_profile_args
 from .neighbors import NeighborIndex
 from .synth import normal_cdf, rng_stream
 
@@ -83,32 +91,47 @@ class InferenceResult:
     warnings: tuple = ()  # the point estimate's warnings (rate, k collisions)
 
 
-def resample_tables(x, y, k_max):
-    """Indexed neighbor tables on the original samples for bootstrap replicates.
+def _to_denominators(dist, m, d):
+    """Turn a distance table, in place, into its density denominators.
 
-    ``(distances, rows)`` pairs for x into y and x into x leave-one-out,
-    ``RESAMPLE_DEPTH * k_max`` deep (capped at the reference count).  Their
-    distance halves are the point estimate's tables.
+    Each entry becomes ``_density_denominators`` of its distance, so a
+    replicate's density at k is k over the entry it reads.  A distance that is
+    not finite becomes NaN, which a replicate that reads it raises on, as
+    ``knn_density`` raises on the distance.  Returns whether every distance
+    was finite.
     """
-    return neighbor_tables(x, y, RESAMPLE_DEPTH * k_max, return_indices=True)
+    bad = None if math.isfinite(dist.max()) else ~np.isfinite(dist)
+    _density_denominators(dist, m, d, out=dist)
+    if bad is None:
+        return True
+    dist[bad] = np.nan
+    return False
 
 
-def _resampled_table(dist, which, counts, zeros, ks):
-    """k-NN distances at ``ks`` of query copies in a resample, read from an indexed table.
+def _check_read(values):
+    """Raise where a replicate read a denominator whose distance was not finite."""
+    if np.isnan(values).any():
+        raise ParameterError("rho must be finite")
 
-    Row ``which[i]`` of ``dist`` lists a query's sorted distances to the
+
+def _resampled_table(table, which, counts, zeros, ks, zero):
+    """Entries at ``ks`` of the sorted lists of query copies in a resample, read from an indexed table.
+
+    Row ``which[i]`` of ``table`` holds a query's values (distances, or the
+    density denominators made of them) at its sorted neighbors among the
     original references, ``counts[i]`` the multiplicities in the resample of
-    its leading entries (as many as ``counts`` has columns), and ``zeros[i]``
-    extra zero-distance copies ahead of them (a leave-one-out query's other
-    self-copies).  With c[i, e] = ``zeros[i]`` plus the cumulative
-    multiplicity of entries 0..e, position j < k_max = ``ks[-1]`` of the
-    resample's sorted list is zero for j < ``zeros[i]`` and otherwise holds
-    entry #{e : c[i, e] <= j}.  Clipping c at k_max and counting it into
-    k_max + 1 bins per row (one ``bincount`` over row-offset positions) gives
-    those entry numbers as the running sum of the bins, and each position
-    k - 1 is read from ``dist`` by flat index (row * depth + entry).  Returns
-    the ``(len(ks), rows)`` table and a mask of the rows whose lists run out
-    before k_max (their values are not meaningful).
+    its leading entries (as many as ``counts`` has columns), and
+    ``zeros[i]`` extra copies at distance zero ahead of them, whose value is
+    ``zero`` (a leave-one-out query's other self-copies).  With c[i, e] =
+    ``zeros[i]`` plus the cumulative multiplicity of entries 0..e, position
+    j < k_max = ``ks[-1]`` of the resample's sorted list is a zero copy for
+    j < ``zeros[i]`` and otherwise holds entry #{e : c[i, e] <= j}.  Clipping
+    c at k_max and counting it into k_max + 1 bins per row (one ``bincount``
+    over row-offset positions) gives those entry numbers as the running sum
+    of the bins, and each position k - 1 is read from ``table`` by flat index
+    (row * depth + entry).  Returns the ``(len(ks), rows)`` table and a mask
+    of the rows whose lists run out before k_max (their values are not
+    meaningful).
     """
     rows, lead = counts.shape
     cols = np.asarray(ks) - 1
@@ -128,29 +151,31 @@ def _resampled_table(dist, which, counts, zeros, ks):
     # The running sum over all bins counts the entries of the rows before row
     # i as well: entry[i, j] = i * lead + #{e : c[i, e] <= j}.
     entry = np.cumsum(np.bincount(cum.ravel(), minlength=rows * width))
-    # flat[j, i]: flat index in ``dist`` of the entry covering position ks[j] - 1 of row i.
+    # flat[j, i]: flat index in ``table`` of the entry covering position ks[j] - 1 of row i.
     flat = np.take(entry, cols[:, None] + start)
-    flat += np.asarray(which) * dist.shape[1] - np.arange(0, rows * lead, lead)
-    table = np.take(dist, flat, mode="clip")  # only a short last row runs past the end
+    flat += np.asarray(which) * table.shape[1] - np.arange(0, rows * lead, lead)
+    out = np.take(table, flat, mode="clip")  # only a short last row runs past the end
     below = int(np.searchsorted(cols, head))  # the ks some row's zeros reach
     if below:
-        table[:below][cols[:below, None] < zeros] = 0.0
-    return table, short
+        out[:below][cols[:below, None] < zeros] = zero
+    return out, short
 
 
-def _replicate_tables(x, y, tables, m_x, m_y, ks):
-    """The resample's x->y and leave-one-out x->x distances at ``ks`` on the rows with m_x > 0.
+def _replicate_tables(x, y, tables, m_x, m_y, ks, zero):
+    """The resample's x->y and leave-one-out x->x denominators at ``ks`` on the rows with m_x > 0.
 
-    Each is a ``(len(ks), rows)`` array.  Rows whose indexed table is too
-    shallow for the largest k are answered by a direct query over all
-    references (``_direct_rows``).
+    ``tables`` are the indexed tables turned into denominators, and ``zero``
+    is the denominator of a self-copy's distance 0.  Each result is a
+    ``(len(ks), rows)`` array.  Rows whose indexed table is too shallow for
+    the largest k are answered by a direct query over all references
+    (``_direct_rows``).
     """
     support = np.flatnonzero(m_x)
     m_x = m_x.astype(np.int32)
     m_y = m_y.astype(np.int32)
     outer = np.take(m_x, support)
-    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), ks)
-    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, ks)
+    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), ks, zero)
+    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, ks, zero)
     if short1.any():
         t1[:, short1] = _direct_rows(y, x.points[support[short1]], m_y, None, ks)
     if short2.any():
@@ -158,7 +183,7 @@ def _replicate_tables(x, y, tables, m_x, m_y, ks):
     return (t1, t2), outer
 
 
-def _indexed_rows(table, mult, support, zeros, ks):
+def _indexed_rows(table, mult, support, zeros, ks, zero):
     """:func:`_resampled_table` of the ``support`` rows of an indexed table.
 
     ``mult`` gives each reference's multiplicity.  A resample holds one copy
@@ -166,29 +191,36 @@ def _indexed_rows(table, mult, support, zeros, ks):
     entries nearly always hold k_max copies: the lookup counts only those,
     then counts the rows they leave short again over the whole table.
     """
-    dist, rows = table
+    values, rows = table
     k_max = int(ks[-1])
-    lead = min(dist.shape[1], k_max + 3 * math.isqrt(k_max))
-    out, short = _resampled_table(dist, support, np.take(mult, rows[support, :lead]), zeros, ks)
-    if lead < dist.shape[1] and short.any():
+    lead = min(values.shape[1], k_max + 3 * math.isqrt(k_max))
+    out, short = _resampled_table(values, support, np.take(mult, rows[support, :lead]), zeros,
+                                  ks, zero)
+    if lead < values.shape[1] and short.any():
         again = np.flatnonzero(short)
         out[:, again], short[again] = _resampled_table(
-            dist, support[again], np.take(mult, rows[support[again]]), zeros[again], ks)
+            values, support[again], np.take(mult, rows[support[again]]), zeros[again], ks, zero)
     return out, short
 
 
 def _direct_rows(ref, queries, mult, self_rows, ks):
-    """Resampled distances at ``ks`` for ``queries`` from their full distance rows.
+    """Resampled denominators at ``ks`` for ``queries`` from their full distance rows.
 
     ``self_rows`` names each query's own row in ``ref`` for leave-one-out;
-    that row then counts one copy fewer.
+    that row then counts one copy fewer, and the denominators are those of
+    M = ref.n - 1.  The query's own copies are entries of its full row, so
+    its list has no extra zeros and needs no self-copy value.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
     counts = np.take(mult, rows)
     if self_rows is not None:
         counts -= rows == self_rows[:, None]
-    return _resampled_table(dist, np.arange(len(queries)), counts,
-                            np.zeros(len(queries), dtype=counts.dtype), ks)[0]
+    finite = _to_denominators(dist, ref.n - (self_rows is not None), ref.dim)
+    out = _resampled_table(dist, np.arange(len(queries)), counts,
+                           np.zeros(len(queries), dtype=counts.dtype), ks, None)[0]
+    if not finite:
+        _check_read(out)
+    return out
 
 
 def _usable_cpus():
@@ -204,38 +236,68 @@ def bootstrap_replicates(x, y, config, spec, reps, seed, weights=None):
 
     Replicate r resamples both samples from the streams keyed by r, and all
     replicates share the config's EstimationPlan.  It is computed through
-    the resample's multiplicities from one set of indexed neighbor tables on
-    the original samples (built once, by :func:`resample_tables`), and
-    equals ``ensemble_estimate`` on the resampled points to rounding.
-    Degenerate distances in a resample are clamped, never raised on.
+    the resample's multiplicities from one pair of indexed neighbor tables on
+    the original samples (built once, see :func:`_bootstrap`), and equals
+    ``ensemble_estimate`` on the resampled points to rounding.  Degenerate
+    distances in a resample are clamped, never raised on.
     """
-    return _replicates(x, y, estimation_plan(config, weights), spec, reps, seed, None)
+    return _bootstrap(x, y, config, spec, reps, seed, weights, False)[1]
 
 
-def _replicates(x, y, plan, spec, reps, seed, tables):
-    """The plan's estimates on ``reps`` resamples; see :func:`bootstrap_replicates`.
+def _bootstrap(x, y, config, spec, reps, seed, weights, point):
+    """The point estimate's report (when ``point``, else None) and ``reps`` replicate values.
 
-    ``tables`` may carry the :func:`resample_tables` of x and y; they are built when None.
+    ``reps`` is checked before any work.  One pool of min(usable CPUs,
+    ``reps``) workers builds the x->y and the x->x leave-one-out indexed
+    tables, ``RESAMPLE_DEPTH`` times the largest k deep (capped at the
+    reference count), as two tasks side by side, and then runs the
+    replicates.  The point estimate reads the tables' distances; the
+    replicates read their density denominators (see :func:`_replicates`).
     """
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
+    plan = estimation_plan(config, weights)
     ks = check_profile_args(x, y, plan.ks)
-    if tables is None:
-        tables = resample_tables(x, y, ks[-1])
+    depth = RESAMPLE_DEPTH * ks[-1]
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
+    try:
+        xy = pool.submit(NeighborIndex(y).kth_distance_table, x.points, min(depth, y.n),
+                         return_indices=True)
+        xx = pool.submit(NeighborIndex(x).kth_distance_table, x.points, min(depth, x.n - 1),
+                         leave_one_out=True, return_indices=True)
+        tables = (xy.result(), xx.result())
+        report = _estimate(x, y, plan, spec, (tables[0][0], tables[1][0])) if point else None
+        return report, _replicates(x, y, plan, spec, reps, seed, tables, pool)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _replicates(x, y, plan, spec, reps, seed, tables, pool):
+    """The plan's estimates on ``reps`` resamples, run on ``pool``; see :func:`bootstrap_replicates`.
+
+    ``tables`` are the indexed ``(distances, rows)`` tables of x and y.  Their
+    distances are turned into density denominators in place, once, so that a
+    replicate divides k by the entries it reads and does no power, no
+    finiteness scan and no clamp.
+    """
+    ks = plan.ks
+    finite = all([_to_denominators(dist, m, x.dim)
+                  for (dist, _), m in zip(tables, (y.n, x.n - 1))])
+    # Computed on an array, as the table entries are: see _density_denominators.
+    zero = _density_denominators(np.zeros(1), x.n - 1, x.dim)[0]
 
     def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, _BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
-        (rho1, rho2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks)
-        return plan.combine(ks, _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, outer))
+        (den1, den2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks, zero)
+        if not finite:
+            _check_read(den1)
+            _check_read(den2)
+        return plan.combine(ks, _denominator_profile(den1, den2, ks, spec, outer))
 
-    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
-    try:
-        return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
 
 
 def bootstrap_std(x, y, config, spec, reps=200, seed=0, weights=None):
@@ -248,12 +310,10 @@ def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed,
                       weights):
     """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.
 
-    The point estimate and the replicates share one plan and one set of neighbor tables.
+    The point estimate and the replicates share one plan, one pool and one pair of
+    indexed neighbor tables (see :func:`_bootstrap`).
     """
-    plan = estimation_plan(config, weights)
-    tables = resample_tables(x, y, check_profile_args(x, y, plan.ks)[-1])
-    report = _estimate(x, y, plan, spec, (tables[0][0], tables[1][0]))
-    values = _replicates(x, y, plan, spec, reps, seed, tables)
+    report, values = _bootstrap(x, y, config, spec, reps, seed, weights, True)
     estimate = report.value
     std = float(np.std(values, ddof=1))
     z_crit = normal_quantile(quantile)

@@ -282,15 +282,19 @@ def _refine(pts, queries, cand, pad, k, with_rows):
     if pad is not None:
         d2[pad] = np.inf
     if with_rows:
+        nq, width = d2.shape
         order = np.argsort(d2, axis=1)
-        ranked = np.take_along_axis(d2, order[:, :k + 1], axis=1)
+        offset = np.arange(0, nq * width, width)[:, None]
+        ranked = np.take(d2, order[:, :k + 1] + offset)
         # Without two equal values among its k + 1 smallest, a row's first k
-        # are unique in value and order; the rest are sorted again stably.
+        # are unique in value and order; the rest are sorted again stably,
+        # which reorders their rows but not their values.
         tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
         if tied.size:
             order[tied] = np.argsort(d2[tied], axis=1, kind="stable")
         order = order[:, :k]
-        return np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+        # take_along_axis reads a broadcast cand without copying it.
+        return ranked[:, :k], np.take_along_axis(cand, order, axis=1)
     if k < d2.shape[1]:
         d2 = np.partition(d2, k - 1, axis=1)[:, :k]
     d2.sort(axis=1)

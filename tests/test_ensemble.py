@@ -22,11 +22,13 @@ from divknn import (
 )
 from divknn import ensemble
 from divknn.ensemble import (
+    DEPENDENT_TOL,
     RESIDUAL_FACTOR,
     _check_constraints,
     _check_relaxed,
+    _exchange,
     _level_constraints,
-    _level_qp,
+    _min_norm,
     _piece_root,
     _round_half_away,
     solve_weights,
@@ -390,6 +392,71 @@ def _sweep_program(mode, d, n):
     config = ExperimentConfig().ensemble_config(mode, d, n)
     basis = build_basis(config)
     return config, basis, basis.scaled_rows(np.asarray(config.l_values), n)
+
+
+def _level_qp(normals, rhs):
+    """Goldfarb-Idnani dual active-set solve of one strictly convex QP, from a cold start.
+
+    Minimizes 1/2 ||w||^2 subject to normals[0] . w = rhs[0] and
+    normals[j] . w >= rhs[j] for j >= 1; every row of normals has unit norm.
+    From the minimum-norm point on the equality it adds the most violated
+    constraint and walks the primal-dual path to the minimizer over the
+    enlarged active set, dropping an active constraint whose multiplier
+    reaches zero on the way (Goldfarb & Idnani, Math. Programming 27, 1983).
+    Each target point is a QR min-norm solve over the active normals.  A
+    constraint counts as violated when its slack is below
+    -RESIDUAL_FACTOR * L * eps * max(1, ||w||_2), the rounding that
+    normals . w can carry.  Returns (w, u) with w = normals^T u and
+    u[1:] >= 0, or None when the constraints are infeasible: a violated
+    normal lies in the span of the active ones (|R_pp| <= DEPENDENT_TOL) and
+    no active multiplier can give way.  solve_weights_relaxed does not call
+    it: it is the tests' independent reference for one level of that program.
+    """
+    L = normals.shape[1]
+    tol = RESIDUAL_FACTOR * L * np.finfo(np.float64).eps
+    active = [0]
+    w = rhs[0] * normals[0]
+    u = np.zeros(len(rhs))
+    u[0] = rhs[0]
+    seen = set()
+    while True:
+        slack = normals @ w - rhs
+        slack[active] = np.inf
+        p = int(np.argmin(slack))
+        if slack[p] >= -tol * max(1.0, np.linalg.norm(w)):
+            return w, u
+        while True:
+            s = active + [p]
+            q, r = np.linalg.qr(normals[s].T)
+            if len(s) <= L and abs(r[-1, -1]) > DEPENDENT_TOL:
+                w_t, u_t = _min_norm(q, r, rhs[s])
+                # Multipliers move linearly from u[s] to u_t; an active
+                # inequality whose multiplier would turn negative blocks.
+                blocked = np.flatnonzero(u_t[1:-1] < 0) + 1
+                ratio = u[s][blocked] / (u[s][blocked] - u_t[blocked])
+                step = min(1.0, ratio.min(initial=np.inf))
+                w = w + step * (w_t - w)
+                u[s] += step * (u_t - u[s])
+                np.maximum(u[1:], 0.0, out=u[1:])  # a rounding tie must not flip a sign
+                if step == 1.0:
+                    break
+                drop = s[blocked[np.argmin(ratio)]]
+            else:
+                trade = _exchange(r, u[active])
+                if trade is None:
+                    return None
+                theta, coef, i = trade
+                u[active] -= theta * coef
+                np.maximum(u[1:], 0.0, out=u[1:])
+                u[p] += theta
+                drop = active[i]
+            u[drop] = 0.0
+            active.remove(drop)
+        active.append(p)
+        key = frozenset(active)
+        if key in seen:  # impossible in exact arithmetic: the objective rises
+            raise SolverError("active-set solve revisited an active set")
+        seen.add(key)
 
 
 # The cold oracle's stopping tolerance: its bracket [lo, hi] on the optimal

@@ -11,7 +11,7 @@ from divknn import (
     plugin_profile,
     sample_truncated_gaussian,
 )
-from divknn.functionals import _profile_values, neighbor_tables
+from divknn.functionals import _denominator_profile, _density_denominators, neighbor_tables
 
 
 def test_builtin_forms():
@@ -138,10 +138,11 @@ def test_same_sample_renyi_near_one():
 
 
 def profile_columns(x, y, ks, spec, tables, weights):
-    """``_profile_values`` (the bootstrap replicates' outer mean) on table columns ``ks``."""
+    """``_denominator_profile`` (the bootstrap replicates' outer mean) on table columns ``ks``."""
     cols = np.asarray(ks) - 1
     rho1, rho2 = (np.ascontiguousarray(t[:, cols].T) for t in tables)
-    return _profile_values(rho1, rho2, ks, y.n, x.n - 1, x.dim, spec, weights)
+    return _denominator_profile(_density_denominators(rho1, y.n, x.dim),
+                                _density_denominators(rho2, x.n - 1, x.dim), ks, spec, weights)
 
 
 def test_profile_outer_weights_match_repeated_rows():

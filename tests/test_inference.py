@@ -6,6 +6,7 @@ import pytest
 from divknn import (
     DegeneracyError,
     EnsembleConfig,
+    NeighborIndex,
     ParameterError,
     PointSet,
     TruncatedGaussianSpec,
@@ -13,6 +14,7 @@ from divknn import (
     bootstrap_std,
     confidence_interval,
     ensemble_estimate,
+    knn_density,
     make_functional,
     normal_cdf,
     normal_quantile,
@@ -76,6 +78,26 @@ def test_bootstrap_reps_floor():
     x, y, config = small_setup()
     with pytest.raises(ParameterError):
         bootstrap_std(x, y, config, RENYI, reps=5)
+
+
+def test_reps_floor_is_checked_before_any_table(monkeypatch):
+    calls = []
+    table = NeighborIndex.kth_distance_table
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return table(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborIndex, "kth_distance_table", counting)
+    x, y, config = small_setup()
+    for run in (lambda: confidence_interval(x, y, config, RENYI, reps=9),
+                lambda: two_sample_test(x, y, config, RENYI, null_value=1.0, reps=9),
+                lambda: bootstrap_replicates(x, y, config, RENYI, reps=9, seed=0)):
+        with pytest.raises(ParameterError, match="reps must be >= 10"):
+            run()
+    assert calls == []
+    confidence_interval(x, y, config, RENYI, reps=10)
+    assert calls == [x.n, x.n]
 
 
 def test_bootstrap_deterministic():
@@ -214,10 +236,84 @@ def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
     assert len(calls) >= 20 and sum(calls) > 100
 
 
+def distance_replicates(x, y, config, spec, reps, seed):
+    """Replicates as distances read from full tables, each density by knn_density.
+
+    Every row of a full table holds all of a resample's copies, so no row
+    falls back to a direct query, and the lookup reads distances (a
+    self-copy's is 0) which knn_density clamps and raises to the power d
+    after the gather.
+    """
+    plan = ensemble.estimation_plan(config)
+    ks = np.asarray(plan.ks)
+    full_y = NeighborIndex(y).kth_distance_table(x.points, y.n, return_indices=True)
+    full_x = NeighborIndex(x).kth_distance_table(x.points, x.n - 1, leave_one_out=True,
+                                                 return_indices=True)
+    values = np.empty(reps)
+    for r in range(reps):
+        ix = rng_stream(seed, inference._BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
+        iy = rng_stream(seed, inference._BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
+        m_x = np.bincount(ix, minlength=x.n)
+        m_y = np.bincount(iy, minlength=y.n)
+        support = np.flatnonzero(m_x)
+        outer = m_x[support]
+        rho1, short1 = inference._resampled_table(full_y[0], support, m_y[full_y[1][support]],
+                                                  np.zeros_like(outer), ks, 0.0)
+        rho2, short2 = inference._resampled_table(full_x[0], support, m_x[full_x[1][support]],
+                                                  outer - 1, ks, 0.0)
+        assert not short1.any() and not short2.any()
+        f1 = np.clip(knn_density(rho1, ks[:, None], y.n, x.dim), 1e-12, 1e12)
+        f2 = np.clip(knn_density(rho2, ks[:, None], x.n - 1, x.dim), 1e-12, 1e12)
+        values[r] = plan.combine(plan.ks, spec.eval(f1, f2) @ outer / np.sum(outer))
+    return values
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_denominator_replicates_equal_distance_replicates_to_the_bit(monkeypatch, d):
+    # Duplicates within and across the samples, and ks from 1, so that
+    # self-copies and clamps are read; then shallow tables, so that many rows
+    # take the direct query.
+    x, y, _ = resample_setup("odin1", d, 120, seed=9 + d)
+    x = PointSet(np.vstack([x.points, x.points[:40], x.points[:10]]))
+    y = PointSet(np.vstack([y.points, x.points[100:170:7], y.points[:20]]))
+    config = EnsembleConfig("odin1", (0.1, 0.2, 0.5, 1.0, 1.5, 2.0), d, x.n, k_min=1,
+                            solver="exact")
+    calls = []
+    direct = inference._direct_rows
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return direct(*args)
+
+    monkeypatch.setattr(inference, "_direct_rows", counting)
+    want = distance_replicates(x, y, config, RENYI, reps=12, seed=4)
+    assert np.array_equal(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=4), want)
+    assert ensemble.estimation_plan(config).ks[0] == 1
+    monkeypatch.setattr(inference, "RESAMPLE_DEPTH", 1)
+    assert np.array_equal(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=4), want)
+    assert sum(calls) > 50
+
+
+def test_unreadable_distances_raise_only_where_a_replicate_reads_them():
+    # Two clusters 1e160 apart: distances across them overflow to inf.  The
+    # point estimate reads only within-cluster distances; a replicate raises
+    # when it reads across, as knn_density raises on the distance.
+    rng = np.random.default_rng(3)
+    near, far = rng.random((40, 1)), 1e160 * (1.0 + 1e-10 * rng.random((40, 1)))
+    x, y = PointSet(np.vstack([near, far])), PointSet(np.vstack([far, near]))
+    config = EnsembleConfig("odin1", (1.0, 2.5, 4.0), 1, x.n, solver="exact")
+    report = ensemble_estimate(x, y, config, RENYI)
+    assert np.isfinite(report.value) and ensemble.estimation_plan(config).ks[-1] > 20
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        explicit_replicates(x, y, config, RENYI, reps=10, seed=1)
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        confidence_interval(x, y, config, RENYI, reps=10, seed=1)
+
+
 def test_resampled_table_when_no_reference_is_drawn():
     # A leave-one-out query drawn twice whose every neighbor was left out.
     table, short = inference._resampled_table(np.array([[0.5, 0.7]]), np.array([0]),
-                                              np.zeros((1, 2), int), np.array([1]), [1, 2])
+                                              np.zeros((1, 2), int), np.array([1]), [1, 2], 0.0)
     assert table[0, 0] == 0.0 and short.tolist() == [True]
 
 
@@ -264,7 +360,7 @@ def test_resampled_table_equals_the_written_out_lists():
             big[which, :depth] = dist
             some = np.unique(np.append(rng.integers(1, k_max + 1, size=3), k_max))
             for ks in (np.arange(1, k_max + 1), some):
-                fast, fast_short = inference._resampled_table(big, which, counts, zeros, ks)
+                fast, fast_short = inference._resampled_table(big, which, counts, zeros, ks, 0.0)
                 assert fast.shape == (len(ks), rows)
                 np.testing.assert_array_equal(fast_short, slow_short)
                 assert not fast_short[10:12].any() and fast_short[12:14].all()
@@ -280,9 +376,9 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
     lookup = inference._resampled_table
     calls = []
 
-    def counting(dist, which, counts, zeros, ks):
+    def counting(dist, which, counts, zeros, ks, zero):
         calls.append(len(counts))
-        return lookup(dist, which, counts, zeros, ks)
+        return lookup(dist, which, counts, zeros, ks, zero)
 
     monkeypatch.setattr(inference, "_resampled_table", counting)
     rng = np.random.default_rng(5)
@@ -297,9 +393,9 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
         zeros = rng.integers(0, 3, size=len(support)).astype(np.int32)
         calls.clear()
         ks = np.asarray(ks)
-        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, ks)
+        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, ks, 0.0)
         rereads += len(calls) == 2 and calls[1] < calls[0]  # some rows, not all, read again
-        slow, slow_short = lookup(dist, support, mult[rows[support]], zeros, ks)
+        slow, slow_short = lookup(dist, support, mult[rows[support]], zeros, ks, 0.0)
         np.testing.assert_array_equal(fast_short, slow_short)
         np.testing.assert_array_equal(fast[:, ~fast_short], slow[:, ~slow_short])
         short_rows += slow_short.sum()
@@ -312,7 +408,7 @@ def test_resampled_table_with_offsets_beyond_int32():
     dist = np.array([[0.1, 0.2], [0.3, 0.4]])
     counts = np.array([[1, 0], [0, 2]])
     zeros = np.array([2**40, 0])
-    table, short = inference._resampled_table(dist, np.arange(2), counts, zeros, [1, 2])
+    table, short = inference._resampled_table(dist, np.arange(2), counts, zeros, [1, 2], 0.0)
     assert table.T.tolist() == [[0.0, 0.0], [0.4, 0.4]] and short.tolist() == [False, False]
 
 
@@ -332,8 +428,9 @@ def record_pool_sizes(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_replicates_do_not_depend_on_the_worker_count(monkeypatch, workers):
     # One setup per mode and dimension, and two whose shallow tables send
-    # many rows to the direct query; each against its one-worker values.
-    # A short switch interval makes the workers interleave often.
+    # many rows to the direct query; each against its one-worker values, for
+    # the replicates and for an interval, whose tables the pool builds.  A
+    # short switch interval makes the workers interleave often.
     sizes = record_pool_sizes(monkeypatch)
     setups = [resample_setup(mode, d, 200, seed=d) + (inference.RESAMPLE_DEPTH,)
               for mode in ("odin1", "odin2") for d in (1, 3)]
@@ -344,14 +441,16 @@ def test_replicates_do_not_depend_on_the_worker_count(monkeypatch, workers):
     try:
         for x, y, config, depth in setups:
             monkeypatch.setattr(inference, "RESAMPLE_DEPTH", depth)
-            values = []
+            values, intervals = [], []
             for count in (1, workers):
                 monkeypatch.setattr(inference, "_usable_cpus", lambda count=count: count)
                 values.append(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=3))
+                intervals.append(confidence_interval(x, y, config, RENYI, reps=12, seed=3))
             assert np.array_equal(*values)
+            assert intervals[0] == intervals[1]
     finally:
         sys.setswitchinterval(interval)
-    assert sizes == [1, workers] * len(setups)
+    assert sizes == [1, 1, workers, workers] * len(setups)
 
 
 def test_replicate_pool_is_sized_to_the_usable_cpus(monkeypatch):

@@ -395,6 +395,45 @@ def test_candidates_select_through_negative_screen_values():
     assert pad is None and cand.tolist() == [[0, 1, 2]]
 
 
+def take_along_refine(pts, queries, cand, pad, k):
+    """Reference for an indexed refine: a stable sort per row, read by take_along_axis."""
+    d2 = np.einsum("ijk,ijk->ij", pts[cand] - queries[:, None, :], pts[cand] - queries[:, None, :])
+    d2[pad] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(d2, order, axis=1), np.take_along_axis(cand, order, axis=1)
+
+
+def test_refine_with_rows_on_a_ragged_block():
+    # Candidate rows of different lengths, padded as _candidates pads them,
+    # over references with repeated points (ties within and beyond the k
+    # smallest); and every reference in row order, as a broadcast row.
+    from divknn.neighbors import _refine
+
+    rng = np.random.default_rng(23)
+    base = rng.integers(0, 4, size=(30, 2)).astype(np.float64)
+    pts = np.vstack([base, base[:12], rng.random((18, 2))])
+    queries = np.vstack([pts[:6], rng.integers(0, 4, size=(8, 2)) + 0.5, rng.random((6, 2))])
+    counts = rng.integers(5, 25, size=len(queries))
+    width = int(counts.max())
+    cand = np.zeros((len(queries), width), dtype=np.int64)
+    for i, c in enumerate(counts):
+        cand[i, :c] = np.sort(rng.choice(len(pts), size=c, replace=False))
+    pad = np.arange(width) >= counts[:, None]
+    every = np.broadcast_to(np.arange(len(pts)), (len(queries), len(pts)))
+    no_pad = np.zeros(every.shape, dtype=bool)
+    for k in (1, 3, 5):
+        got = _refine(pts, queries, cand, pad, k, True)
+        want = take_along_refine(pts, queries, cand, pad, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        got = _refine(pts, queries, every, None, k, True)
+        want = take_along_refine(pts, queries, every, no_pad, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # k equal to the width: no (k + 1)-th value to look for ties against.
+    got = _refine(pts, queries, every, None, len(pts), True)
+    want = take_along_refine(pts, queries, every, no_pad, len(pts))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("name", ["uniform", "lattice", "near_tie_shell", "d400"])
 def test_table_independent_of_block_size(name):
     pts, outside, k_values, _ = ENGINE_CASES[name]
