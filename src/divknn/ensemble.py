@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import plugin_profile
+from .neighbors import as_pointset
 
 DEFAULT_DELTA = 0.5
 DEFAULT_NU = 2
@@ -523,7 +524,7 @@ def ensemble_estimate(x, y, config, spec, weights=None):
     in ``degeneracy_count``.  ``weights`` may carry its precomputed WeightSolution
     (weights depend only on the config, so loops over samples solve once and reuse).
     """
-    return _estimate(x, y, estimation_plan(config, weights), spec, None)
+    return _estimate(as_pointset(x), as_pointset(y), estimation_plan(config, weights), spec, None)
 
 
 def _estimate(x, y, plan, spec, tables):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .neighbors import NeighborIndex, PointSet
+from .neighbors import NeighborIndex, as_pointset
 
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
@@ -218,6 +218,7 @@ def plugin_profile(x, y, ks, spec, tables=None):
     arrays, at least max(ks) deep (a bootstrap's point estimate reads its
     replicates').
     """
+    x, y = as_pointset(x), as_pointset(y)
     ks = check_profile_args(x, y, ks)
     if tables is None:
         tables = neighbor_tables(x, y, max(ks))
@@ -236,10 +237,12 @@ def neighbor_tables(x, y, k_max):
     """Sorted neighbor-distance tables (x into y; x into x leave-one-out).
 
     Each table is at most ``k_max`` deep; see ``NeighborIndex.kth_distance_table``.
+    The x->x table is built one column deeper, each point's own 0 first, and
+    that column is dropped.
     """
     rho1 = NeighborIndex(y).kth_distance_table(x.points, min(k_max, y.n))
-    rho2 = NeighborIndex(x).kth_distance_table(x.points, min(k_max, x.n - 1), leave_one_out=True)
-    return rho1, rho2
+    rho2 = NeighborIndex(x).kth_distance_table(x.points, min(k_max, x.n - 1) + 1)
+    return rho1, rho2[:, 1:]
 
 
 def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
@@ -249,10 +252,7 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     Robust mode clamps and counts degenerate distances; strict mode raises
     ``DegeneracyError`` on them.
     """
-    if not isinstance(x, PointSet):
-        x = PointSet(np.asarray(x))
-    if not isinstance(y, PointSet):
-        y = PointSet(np.asarray(y))
+    x, y = as_pointset(x), as_pointset(y)
     check_profile_args(x, y, ())
     k1, k2 = int(k1), int(k2)
     m1, m2 = y.n, x.n - 1

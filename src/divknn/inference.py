@@ -10,29 +10,30 @@ so results do not depend on execution order.
 
 A resample is a vector of multiplicities over the original points, so no
 replicate recomputes neighbors.  One pair of indexed neighbor tables (sorted
-distances with neighbor rows, x into y and x into x leave-one-out) is built
-on the original samples; a resampled copy of x_i reads its k-th neighbor as
-the first table entry where the cumulative multiplicity of row i reaches k,
-after m_i - 1 zero-distance self-copies for leave-one-out, and the outer mean
-weights x_i by m_i.  The lookup never writes the resampled lists out: it
-bins each row's cumulative counts, and the running sum of the bins names the
-entry that holds each k; it reads only the plan's ks, straight from the whole
-table by flat index, into the ``(ks, rows)`` layout the plug-in values take
-(:func:`_resampled_table`).  It first counts only a row's leading
-k_max + 3 sqrt(k_max) entries, which nearly always hold k_max copies, and
-counts the rows they leave short again over the whole table.  Rows whose
-whole table runs out are answered by a direct query over all points, through
-the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
+distances with neighbor rows, x into y and x into x) is built on the
+original samples.  A resampled copy of x_i reads its k-th neighbor as the
+first table entry where the cumulative multiplicity of row i reaches k, and
+the outer mean weights x_i by m_i.  The x->x table holds each point's own
+entry, at distance 0 ahead of every other, so its m_i copies head the list
+of a copy of x_i; one of them is the query itself, and the leave-one-out
+k-th neighbor is the (k + 1)-th entry.  The lookup never writes the
+resampled lists out: it bins each row's cumulative counts, and the running
+sum of the bins names the entry that holds each k; it reads only the plan's
+ks, straight from the whole table by flat index, into the ``(ks, rows)``
+layout the plug-in values take (:func:`_resampled_table`).  It first counts
+only a row's leading k_max + 3 sqrt(k_max) entries, which nearly always hold
+k_max copies, and counts the rows they leave short again over the whole
+table.  Rows whose whole table runs out are answered by a direct query over
+all points, through the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
 the resampled points to rounding.
 
 The point estimate of :func:`confidence_interval` and :func:`two_sample_test`
-reads the distances of the same tables.  Then each table's distances are
-turned, in place, into density denominators m * c_d * max(rho,
-DEGENERATE_RHO)^d (``functionals._density_denominators``), and a self-copy
-reads the denominator of distance 0.  A replicate divides each k by the
-denominators it reads, so the power and the clamp are paid once per table
-entry instead of once per replicate, and the values are the same bits as
-densities from the distances.
+reads the distances of the same tables, the x->x one without its column 0.
+Then each table's distances are turned, in place, into density denominators
+m * c_d * max(rho, DEGENERATE_RHO)^d (``functionals._density_denominators``).
+A replicate divides each k by the denominators it reads, so the power and
+the clamp are paid once per table entry instead of once per replicate, and
+the values are the same bits as densities from the distances.
 
 One thread pool serves a whole call, with one worker per CPU the process may
 use (at most one per replicate).  It builds the two tables as two tasks side
@@ -52,8 +53,8 @@ import numpy as np
 from .ensemble import _estimate, estimation_plan
 from .errors import ParameterError
 from .functionals import _denominator_profile, _density_denominators, check_profile_args
-from .neighbors import NeighborIndex
-from .synth import normal_cdf, rng_stream
+from .neighbors import NeighborIndex, as_pointset
+from .synth import rng_stream
 
 # Stream-id offsets separating the x and y bootstrap resampling streams.
 _BOOT_STREAM_X = 0x626F6F74_0000
@@ -114,37 +115,33 @@ def _check_read(values):
         raise ParameterError("rho must be finite")
 
 
-def _resampled_table(table, which, counts, zeros, ks, zero):
+def _resampled_table(table, which, counts, ks):
     """Entries at ``ks`` of the sorted lists of query copies in a resample, read from an indexed table.
 
     Row ``which[i]`` of ``table`` holds a query's values (distances, or the
     density denominators made of them) at its sorted neighbors among the
-    original references, ``counts[i]`` the multiplicities in the resample of
-    its leading entries (as many as ``counts`` has columns), and
-    ``zeros[i]`` extra copies at distance zero ahead of them, whose value is
-    ``zero`` (a leave-one-out query's other self-copies).  With c[i, e] =
-    ``zeros[i]`` plus the cumulative multiplicity of entries 0..e, position
-    j < k_max = ``ks[-1]`` of the resample's sorted list is a zero copy for
-    j < ``zeros[i]`` and otherwise holds entry #{e : c[i, e] <= j}.  Clipping
-    c at k_max and counting it into k_max + 1 bins per row (one ``bincount``
-    over row-offset positions) gives those entry numbers as the running sum
-    of the bins, and each position k - 1 is read from ``table`` by flat index
-    (row * depth + entry).  Returns the ``(len(ks), rows)`` table and a mask
-    of the rows whose lists run out before k_max (their values are not
-    meaningful).
+    original references, and ``counts[i]`` the multiplicities in the
+    resample of its leading entries (as many as ``counts`` has columns).
+    With c[i, e] the cumulative multiplicity of entries 0..e, position
+    j < k_max = ``ks[-1]`` of the resample's sorted list holds entry
+    #{e : c[i, e] <= j}.  Clipping c at k_max and counting it into k_max + 1
+    bins per row (one ``bincount`` over row-offset positions) gives those
+    entry numbers as the running sum of the bins, and each position k - 1 is
+    read from ``table`` by flat index (row * depth + entry).  Returns the
+    ``(len(ks), rows)`` table and a mask of the rows whose lists run out
+    before k_max (their values are not meaningful).
     """
     rows, lead = counts.shape
     cols = np.asarray(ks) - 1
     k_max = int(cols[-1]) + 1
     width = k_max + 1
-    head = int(zeros.max(initial=0))
-    # int32 holds every bin (row offset + zeros + row total) unless the table is huge.
-    bound = rows * width + head + lead * int(counts.max(initial=0))
+    # int32 holds every bin (row offset + row total) unless the table is huge.
+    bound = rows * width + lead * int(counts.max(initial=0))
     itype = np.int32 if bound < 2**31 else np.int64
     start = np.arange(0, rows * width, width, dtype=itype)
-    # Bin of entry e of row i: start[i] + min(zeros[i] + cumulative count, k_max).
+    # Bin of entry e of row i: start[i] + min(cumulative count, k_max).
     cum = np.cumsum(counts, axis=1, dtype=itype)
-    cum += (start + zeros)[:, None]
+    cum += start[:, None]
     last = start + k_max
     np.minimum(cum, last[:, None], out=cum)
     short = cum[:, -1] < last
@@ -154,36 +151,33 @@ def _resampled_table(table, which, counts, zeros, ks, zero):
     # flat[j, i]: flat index in ``table`` of the entry covering position ks[j] - 1 of row i.
     flat = np.take(entry, cols[:, None] + start)
     flat += np.asarray(which) * table.shape[1] - np.arange(0, rows * lead, lead)
-    out = np.take(table, flat, mode="clip")  # only a short last row runs past the end
-    below = int(np.searchsorted(cols, head))  # the ks some row's zeros reach
-    if below:
-        out[:below][cols[:below, None] < zeros] = zero
-    return out, short
+    # Only a short last row runs past the end.
+    return np.take(table, flat, mode="clip"), short
 
 
-def _replicate_tables(x, y, tables, m_x, m_y, ks, zero):
+def _replicate_tables(x, y, tables, m_x, m_y, ks):
     """The resample's x->y and leave-one-out x->x denominators at ``ks`` on the rows with m_x > 0.
 
-    ``tables`` are the indexed tables turned into denominators, and ``zero``
-    is the denominator of a self-copy's distance 0.  Each result is a
-    ``(len(ks), rows)`` array.  Rows whose indexed table is too shallow for
-    the largest k are answered by a direct query over all references
+    ``tables`` are the indexed tables turned into denominators; the x->x one
+    holds each point's own entry, so it is read at ``ks + 1``.  Each result
+    is a ``(len(ks), rows)`` array.  Rows whose indexed table is too shallow
+    for the largest k are answered by a direct query over all references
     (``_direct_rows``).
     """
     support = np.flatnonzero(m_x)
     m_x = m_x.astype(np.int32)
     m_y = m_y.astype(np.int32)
-    outer = np.take(m_x, support)
-    t1, short1 = _indexed_rows(tables[0], m_y, support, np.zeros_like(outer), ks, zero)
-    t2, short2 = _indexed_rows(tables[1], m_x, support, outer - 1, ks, zero)
+    ks_xx = np.asarray(ks) + 1
+    t1, short1 = _indexed_rows(tables[0], m_y, support, ks)
+    t2, short2 = _indexed_rows(tables[1], m_x, support, ks_xx)
     if short1.any():
-        t1[:, short1] = _direct_rows(y, x.points[support[short1]], m_y, None, ks)
+        t1[:, short1] = _direct_rows(y, x.points[support[short1]], m_y, ks, y.n)
     if short2.any():
-        t2[:, short2] = _direct_rows(x, x.points[support[short2]], m_x, support[short2], ks)
-    return (t1, t2), outer
+        t2[:, short2] = _direct_rows(x, x.points[support[short2]], m_x, ks_xx, x.n - 1)
+    return (t1, t2), np.take(m_x, support)
 
 
-def _indexed_rows(table, mult, support, zeros, ks, zero):
+def _indexed_rows(table, mult, support, ks):
     """:func:`_resampled_table` of the ``support`` rows of an indexed table.
 
     ``mult`` gives each reference's multiplicity.  A resample holds one copy
@@ -194,30 +188,23 @@ def _indexed_rows(table, mult, support, zeros, ks, zero):
     values, rows = table
     k_max = int(ks[-1])
     lead = min(values.shape[1], k_max + 3 * math.isqrt(k_max))
-    out, short = _resampled_table(values, support, np.take(mult, rows[support, :lead]), zeros,
-                                  ks, zero)
+    out, short = _resampled_table(values, support, np.take(mult, rows[support, :lead]), ks)
     if lead < values.shape[1] and short.any():
         again = np.flatnonzero(short)
         out[:, again], short[again] = _resampled_table(
-            values, support[again], np.take(mult, rows[support[again]]), zeros[again], ks, zero)
+            values, support[again], np.take(mult, rows[support[again]]), ks)
     return out, short
 
 
-def _direct_rows(ref, queries, mult, self_rows, ks):
+def _direct_rows(ref, queries, mult, ks, m):
     """Resampled denominators at ``ks`` for ``queries`` from their full distance rows.
 
-    ``self_rows`` names each query's own row in ``ref`` for leave-one-out;
-    that row then counts one copy fewer, and the denominators are those of
-    M = ref.n - 1.  The query's own copies are entries of its full row, so
-    its list has no extra zeros and needs no self-copy value.
+    :func:`_resampled_table` on a table over every reference, so no row
+    runs short; the denominators are those of M = ``m``.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
-    counts = np.take(mult, rows)
-    if self_rows is not None:
-        counts -= rows == self_rows[:, None]
-    finite = _to_denominators(dist, ref.n - (self_rows is not None), ref.dim)
-    out = _resampled_table(dist, np.arange(len(queries)), counts,
-                           np.zeros(len(queries), dtype=counts.dtype), ks, None)[0]
+    finite = _to_denominators(dist, m, ref.dim)
+    out = _resampled_table(dist, np.arange(len(queries)), np.take(mult, rows), ks)[0]
     if not finite:
         _check_read(out)
     return out
@@ -248,14 +235,16 @@ def _bootstrap(x, y, config, spec, reps, seed, weights, point):
     """The point estimate's report (when ``point``, else None) and ``reps`` replicate values.
 
     ``reps`` is checked before any work.  One pool of min(usable CPUs,
-    ``reps``) workers builds the x->y and the x->x leave-one-out indexed
-    tables, ``RESAMPLE_DEPTH`` times the largest k deep (capped at the
-    reference count), as two tasks side by side, and then runs the
-    replicates.  The point estimate reads the tables' distances; the
-    replicates read their density denominators (see :func:`_replicates`).
+    ``reps``) workers builds the x->y and the x->x indexed tables,
+    ``RESAMPLE_DEPTH`` times the largest k deep (capped at the reference
+    count; x->x one column deeper for each point's own entry), as two tasks
+    side by side, and then runs the replicates.  The point estimate reads
+    the tables' distances, the x->x one without its column 0; the replicates
+    read their density denominators (see :func:`_replicates`).
     """
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
+    x, y = as_pointset(x), as_pointset(y)
     plan = estimation_plan(config, weights)
     ks = check_profile_args(x, y, plan.ks)
     depth = RESAMPLE_DEPTH * ks[-1]
@@ -263,10 +252,10 @@ def _bootstrap(x, y, config, spec, reps, seed, weights, point):
     try:
         xy = pool.submit(NeighborIndex(y).kth_distance_table, x.points, min(depth, y.n),
                          return_indices=True)
-        xx = pool.submit(NeighborIndex(x).kth_distance_table, x.points, min(depth, x.n - 1),
-                         leave_one_out=True, return_indices=True)
-        tables = (xy.result(), xx.result())
-        report = _estimate(x, y, plan, spec, (tables[0][0], tables[1][0])) if point else None
+        xx = pool.submit(NeighborIndex(x).kth_distance_table, x.points, min(depth + 1, x.n),
+                         return_indices=True)
+        (xy_dist, _), (xx_dist, _) = tables = (xy.result(), xx.result())
+        report = _estimate(x, y, plan, spec, (xy_dist, xx_dist[:, 1:])) if point else None
         return report, _replicates(x, y, plan, spec, reps, seed, tables, pool)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -283,15 +272,13 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
     ks = plan.ks
     finite = all([_to_denominators(dist, m, x.dim)
                   for (dist, _), m in zip(tables, (y.n, x.n - 1))])
-    # Computed on an array, as the table entries are: see _density_denominators.
-    zero = _density_denominators(np.zeros(1), x.n - 1, x.dim)[0]
 
     def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, _BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
-        (den1, den2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks, zero)
+        (den1, den2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks)
         if not finite:
             _check_read(den1)
             _check_read(den2)
@@ -321,7 +308,9 @@ def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed,
         z = (estimate - null_value) / std
     else:
         z = 0.0 if estimate == null_value else math.copysign(math.inf, estimate - null_value)
-    p = 2.0 * (1.0 - normal_cdf(abs(z)))
+    # erfc(|z| / sqrt 2) = 2 (1 - Phi(|z|)) without the cancellation that
+    # rounds far tails to 0.
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return InferenceResult(estimate, std, estimate - z_crit * std, estimate + z_crit * std, z, p,
                            reps, coverage, null_value, reject=p < alpha,
                            degeneracy_count=report.degeneracy_count, warnings=report.warnings)

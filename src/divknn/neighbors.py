@@ -1,9 +1,12 @@
 """Point storage and exact k-nearest-neighbor distance tables.
 
 One engine answers every query: ``NeighborIndex.kth_distance_table``, and
-``kth_nn`` is a one-row table.  It takes the queries in blocks sized so that
-a block's screen and candidates stay in a core's L2 cache
-(``SCREEN_BLOCK_BYTES``), and works on each block in two steps:
+``kth_nn`` is a one-row table.  A query that is one of the reference points
+finds itself at distance exactly 0, ahead of every other entry, so its
+leave-one-out neighbors are its table one column deeper with column 0
+dropped; the engine has no leave-one-out mode.  It takes the queries in
+blocks sized so that a block's screen and candidates stay in a core's L2
+cache (``SCREEN_BLOCK_BYTES``), and works on each block in two steps:
 
 * Screen: the coordinates are scaled by a power of two so that every one is
   below 1 in magnitude, centered on the reference mean, scaled again
@@ -110,14 +113,17 @@ class PointSet:
         return self.points.shape[1]
 
 
+def as_pointset(points):
+    """``points`` itself if it is a :class:`PointSet`, else a PointSet of the (N, d) array."""
+    return points if isinstance(points, PointSet) else PointSet(points)
+
+
 class NeighborIndex:
     """Immutable exact k-NN index over one :class:`PointSet`."""
 
     def __init__(self, pointset):
-        if not isinstance(pointset, PointSet):
-            pointset = PointSet(np.asarray(pointset))
-        self.pointset = pointset
-        self._pts = pointset.points
+        self.pointset = as_pointset(pointset)
+        self._pts = self.pointset.points
 
     @property
     def size(self):
@@ -127,9 +133,9 @@ class NeighborIndex:
         """Return (distance, row index) of the k-th nearest reference point.
 
         ``exclude_self`` implements leave-one-out semantics for member
-        queries: the single zero-distance row with the lowest index is
-        removed from the candidate list before ranking.  Ties in distance
-        are broken by ascending row index.
+        queries: when the query's nearest entry is at distance zero (the
+        one with the lowest row), it is skipped and the entry one further
+        is read.  Ties in distance are broken by ascending row index.
         """
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.pointset.dim:
@@ -142,23 +148,21 @@ class NeighborIndex:
             raise ParameterError("k=%d out of range for M=%d reference points" % (k, m))
         depth = k + 1 if exclude_self else k
         dist, rows = self.kth_distance_table(query[None], depth, return_indices=True)
-        dist, rows = dist[0], rows[0]
-        if exclude_self:
-            first_zero = np.flatnonzero(dist == 0.0)[:1]
-            dist, rows = np.delete(dist, first_zero), np.delete(rows, first_zero)
-        return float(dist[k - 1]), int(rows[k - 1])
+        j = k if exclude_self and dist[0, 0] == 0.0 else k - 1
+        return float(dist[0, j]), int(rows[0, j])
 
     def kth_nn_distance(self, query, k, exclude_self=False):
         return self.kth_nn(query, k, exclude_self)[0]
 
-    def kth_distance_table(self, queries, k_max, leave_one_out=False, block=None,
-                           return_indices=False):
+    def kth_distance_table(self, queries, k_max, block=None, return_indices=False):
         """Sorted distances to the ``k_max`` nearest references for each query.
 
         Exact: screened by the expanded form, refined by the difference form
-        (see the module docstring).  With ``leave_one_out`` the queries must
-        be the index's own point array in row order and each row excludes
-        itself by identity; a duplicate of the query is kept, at distance 0.
+        (see the module docstring).  A query that is a reference point is at
+        distance 0 from itself, so column 0 of its row reads 0.  For
+        leave-one-out distances, ask for ``k_max + 1`` and drop column 0; a
+        duplicate of the query stays, at distance 0 (the dropped row may then
+        be the duplicate's, and the query's own row stays in its place).
         With ``return_indices`` it returns ``(distances, rows)``, where
         ``rows`` holds the reference row of each entry, ordered by distance
         and then by ascending row index; the distances are the same array,
@@ -172,11 +176,8 @@ class NeighborIndex:
         if not np.all(np.isfinite(queries)):
             raise ParameterError("query coordinates must be finite")
         k_max = int(k_max)
-        m = self.size - 1 if leave_one_out else self.size
-        if k_max < 1 or k_max > m:
-            raise ParameterError("k_max=%d out of range for M=%d" % (k_max, m))
-        if leave_one_out and queries.shape[0] != self.size:
-            raise ParameterError("leave-one-out queries must be the index's own points")
+        if k_max < 1 or k_max > self.size:
+            raise ParameterError("k_max=%d out of range for M=%d" % (k_max, self.size))
         if block is not None and int(block) < 1:
             raise ParameterError("block must be >= 1, got %r" % (block,))
         pts = self._pts
@@ -222,9 +223,6 @@ class NeighborIndex:
                     for c in range(0, m, chunk_cols):
                         np.matmul(q_aug[r:r_stop], p_aug[:, c:c + chunk_cols],
                                   out=screen[r - start:r_stop - start, c:c + chunk_cols])
-                if leave_one_out:
-                    own = np.arange(stop - start)
-                    screen[own, start + own] = np.inf
                 cand, pad = _candidates(screen, k_max, slack[start:stop])
             else:
                 cand, pad = np.broadcast_to(np.arange(m), (stop - start, m)), None
@@ -235,8 +233,7 @@ class NeighborIndex:
             over = np.flatnonzero(part[:, -1] == np.inf)
             if over.size:
                 every = np.broadcast_to(np.arange(m), (over.size, m))
-                own = every == (start + over)[:, None] if leave_one_out else None
-                part[over], full = _refine(pts, q[over], every, own, k_max, True)
+                part[over], full = _refine(pts, q[over], every, None, k_max, True)
                 if return_indices:
                     rows[over] = full
             np.sqrt(part, out=out[start:stop])
@@ -264,8 +261,7 @@ def _slack(dim, e_mag, e_spread, q_scaled, p_scaled):
     q_norm = np.sqrt(np.einsum("ij,ij->i", q_scaled, q_scaled))
     slack = SCREEN_SLACK * (relative * (q_norm + radius) ** 2 + absolute)
     # Screened values are at most about 4d, so this cap keeps every
-    # threshold finite in float32, and a leave-one-out row's own inf out of
-    # its candidates.
+    # threshold finite in float32.
     return np.minimum(slack, float(f32.max) / 2)
 
 
@@ -332,9 +328,7 @@ def _candidates(screen, k, slack):
 
 def build_index(points):
     """Build an exact neighbor index over a point set."""
-    if isinstance(points, PointSet):
-        return NeighborIndex(points)
-    return NeighborIndex(PointSet(np.asarray(points)))
+    return NeighborIndex(points)
 
 
 def kth_nn_distance(index, query, k, exclude_self=False):

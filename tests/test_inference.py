@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from divknn import (
     normal_cdf,
     normal_quantile,
     plugin_estimate,
+    plugin_profile,
     sample_truncated_gaussian,
     solve_weights,
     two_sample_test,
@@ -170,6 +172,39 @@ def test_p_value_decreases_in_abs_z():
     assert far.p_value < near.p_value
 
 
+def test_p_value_keeps_its_far_tail():
+    # At |z| > 8.3, 2 (1 - Phi(|z|)) rounds to 0; erfc keeps the tail.
+    x, y, config = small_setup()
+    base = confidence_interval(x, y, config, RENYI, reps=20, seed=2)
+    far = confidence_interval(x, y, config, RENYI, reps=20, seed=2,
+                              null_value=base.estimate + 9.5 * base.std_error)
+    assert far.z_score < -9
+    assert far.p_value > 0.0
+    assert far.p_value == math.erfc(abs(far.z_score) / math.sqrt(2.0))
+    assert far.reject
+
+
+def test_array_samples_equal_point_sets():
+    # Every public entry point takes plain (N, d) arrays as it takes PointSets.
+    x, y, config = small_setup(n=120)
+    xa, ya = np.array(x.points), np.array(y.points)
+    got, want = ensemble_estimate(xa, ya, config, RENYI), ensemble_estimate(x, y, config, RENYI)
+    assert ((got.value, got.per_k, got.warnings, got.degeneracy_count)
+            == (want.value, want.per_k, want.warnings, want.degeneracy_count))
+    ks = ensemble.estimation_plan(config).ks
+    for got, want in zip(plugin_profile(xa, ya, ks, RENYI), plugin_profile(x, y, ks, RENYI)):
+        assert np.array_equal(got, want)
+    assert plugin_estimate(xa, ya, 5, 7, RENYI) == plugin_estimate(x, y, 5, 7, RENYI)
+    assert np.array_equal(bootstrap_replicates(xa, ya, config, RENYI, reps=10, seed=1),
+                          bootstrap_replicates(x, y, config, RENYI, reps=10, seed=1))
+    assert (bootstrap_std(xa, ya, config, RENYI, reps=10, seed=1)
+            == bootstrap_std(x, y, config, RENYI, reps=10, seed=1))
+    assert (confidence_interval(xa, ya, config, RENYI, reps=10, seed=1)
+            == confidence_interval(x, y, config, RENYI, reps=10, seed=1))
+    assert (two_sample_test(xa, ya, config, RENYI, null_value=1.0, reps=10, seed=1)
+            == two_sample_test(x, y, config, RENYI, null_value=1.0, reps=10, seed=1))
+
+
 # --- bootstrap replicates through resample multiplicities ---------------------
 
 
@@ -240,15 +275,15 @@ def distance_replicates(x, y, config, spec, reps, seed):
     """Replicates as distances read from full tables, each density by knn_density.
 
     Every row of a full table holds all of a resample's copies, so no row
-    falls back to a direct query, and the lookup reads distances (a
-    self-copy's is 0) which knn_density clamps and raises to the power d
-    after the gather.
+    falls back to a direct query, and the lookup reads distances (each
+    point's own entry is 0, and x->x is read one entry further for
+    leave-one-out) which knn_density clamps and raises to the power d after
+    the gather.
     """
     plan = ensemble.estimation_plan(config)
     ks = np.asarray(plan.ks)
     full_y = NeighborIndex(y).kth_distance_table(x.points, y.n, return_indices=True)
-    full_x = NeighborIndex(x).kth_distance_table(x.points, x.n - 1, leave_one_out=True,
-                                                 return_indices=True)
+    full_x = NeighborIndex(x).kth_distance_table(x.points, x.n, return_indices=True)
     values = np.empty(reps)
     for r in range(reps):
         ix = rng_stream(seed, inference._BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
@@ -258,9 +293,9 @@ def distance_replicates(x, y, config, spec, reps, seed):
         support = np.flatnonzero(m_x)
         outer = m_x[support]
         rho1, short1 = inference._resampled_table(full_y[0], support, m_y[full_y[1][support]],
-                                                  np.zeros_like(outer), ks, 0.0)
+                                                  ks)
         rho2, short2 = inference._resampled_table(full_x[0], support, m_x[full_x[1][support]],
-                                                  outer - 1, ks, 0.0)
+                                                  ks + 1)
         assert not short1.any() and not short2.any()
         f1 = np.clip(knn_density(rho1, ks[:, None], y.n, x.dim), 1e-12, 1e12)
         f2 = np.clip(knn_density(rho2, ks[:, None], x.n - 1, x.dim), 1e-12, 1e12)
@@ -270,9 +305,9 @@ def distance_replicates(x, y, config, spec, reps, seed):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_denominator_replicates_equal_distance_replicates_to_the_bit(monkeypatch, d):
-    # Duplicates within and across the samples, and ks from 1, so that
-    # self-copies and clamps are read; then shallow tables, so that many rows
-    # take the direct query.
+    # Duplicates within and across the samples, and ks from 1, so that a
+    # point's own copies and clamps are read; then shallow tables, so that
+    # many rows take the direct query.
     x, y, _ = resample_setup("odin1", d, 120, seed=9 + d)
     x = PointSet(np.vstack([x.points, x.points[:40], x.points[:10]]))
     y = PointSet(np.vstack([y.points, x.points[100:170:7], y.points[:20]]))
@@ -311,33 +346,35 @@ def test_unreadable_distances_raise_only_where_a_replicate_reads_them():
 
 
 def test_resampled_table_when_no_reference_is_drawn():
-    # A leave-one-out query drawn twice whose every neighbor was left out.
-    table, short = inference._resampled_table(np.array([[0.5, 0.7]]), np.array([0]),
-                                              np.zeros((1, 2), int), np.array([1]), [1, 2], 0.0)
+    # A leave-one-out query drawn twice whose every neighbor was left out:
+    # its own entry heads the row, and its ks 1, 2 are read at 2, 3.
+    table, short = inference._resampled_table(np.array([[0.0, 0.5, 0.7]]), np.array([0]),
+                                              np.array([[2, 0, 0]]), [2, 3])
     assert table[0, 0] == 0.0 and short.tolist() == [True]
 
 
-def repeat_table(dist, counts, zeros, k_max):
+def repeat_table(dist, counts, k_max):
     """The definition of a resampled table: each row's list written out in full.
 
-    Row i's resampled list is ``zeros[i]`` zeros followed by each entry of
-    ``dist[i]`` repeated ``counts[i]`` times, and its table is the first
-    ``k_max`` positions of that list.
+    Row i's resampled list is each entry of ``dist[i]`` repeated
+    ``counts[i]`` times, and its table is the first ``k_max`` positions of
+    that list.
     """
     flat = np.repeat(dist.ravel(), counts.ravel())
     if not flat.size:
         flat = np.zeros(1)
     total = counts.sum(axis=1)
-    start = np.cumsum(total) - total - zeros
+    start = np.cumsum(total) - total
     j = np.arange(k_max)
     table = flat[np.clip(start[:, None] + j, 0, len(flat) - 1)]
-    table[j < zeros[:, None]] = 0.0
-    return table, total + zeros < k_max
+    return table, total < k_max
 
 
 def test_resampled_table_equals_the_written_out_lists():
     # Each case is read at every k up to k_max and at a few of them, from the
     # rows of a larger table that holds more columns than the counts cover.
+    # Each row is headed by a zero-distance entry (a query's own) whose
+    # count stands for its copies.
     rng = np.random.default_rng(17)
     cases = 0
     for depth, k_max in ((1, 1), (1, 3), (4, 2), (8, 4), (8, 8), (16, 8), (40, 20)):
@@ -346,21 +383,22 @@ def test_resampled_table_equals_the_written_out_lists():
             dist = np.sort(rng.random((rows, depth)), axis=1)
             counts = rng.poisson(rng.choice([0.3, 1.0, 2.5]), size=(rows, depth)).astype(dtype)
             zeros = rng.integers(0, 3, size=rows).astype(dtype)
-            counts[:5] = 0  # lists that hold only the zeros
-            zeros[5:10] = k_max + rng.integers(0, 3, size=5)  # zeros alone fill the table
+            counts[:5] = 0  # lists that hold only the head's copies
+            zeros[5:10] = k_max + rng.integers(0, 3, size=5)  # the head alone fills the table
             # Lists that end exactly at k_max, and one position before it.
             for i, target in ((10, k_max), (11, k_max), (12, k_max - 1), (13, k_max - 1)):
                 counts[i] = 0
                 zeros[i] = target // 2
                 np.add.at(counts[i], rng.integers(depth, size=target - target // 2), 1)
-            slow, slow_short = repeat_table(dist, counts.astype(np.int64),
-                                            zeros.astype(np.int64), k_max)
+            dist = np.column_stack([np.zeros(rows), dist])
+            counts = np.column_stack([zeros, counts])
+            slow, slow_short = repeat_table(dist, counts.astype(np.int64), k_max)
             which = rng.permutation(rows + 7)[:rows]
-            big = 2.0 + rng.random((rows + 7, depth + 2))
-            big[which, :depth] = dist
+            big = 2.0 + rng.random((rows + 7, depth + 3))
+            big[which, :depth + 1] = dist
             some = np.unique(np.append(rng.integers(1, k_max + 1, size=3), k_max))
             for ks in (np.arange(1, k_max + 1), some):
-                fast, fast_short = inference._resampled_table(big, which, counts, zeros, ks, 0.0)
+                fast, fast_short = inference._resampled_table(big, which, counts, ks)
                 assert fast.shape == (len(ks), rows)
                 np.testing.assert_array_equal(fast_short, slow_short)
                 assert not fast_short[10:12].any() and fast_short[12:14].all()
@@ -376,9 +414,9 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
     lookup = inference._resampled_table
     calls = []
 
-    def counting(dist, which, counts, zeros, ks, zero):
+    def counting(dist, which, counts, ks):
         calls.append(len(counts))
-        return lookup(dist, which, counts, zeros, ks, zero)
+        return lookup(dist, which, counts, ks)
 
     monkeypatch.setattr(inference, "_resampled_table", counting)
     rng = np.random.default_rng(5)
@@ -390,12 +428,11 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
                      (1.0, [3, 40])):
         mult = rng.poisson(rate, size=n).astype(np.int32)
         support = np.flatnonzero(mult)
-        zeros = rng.integers(0, 3, size=len(support)).astype(np.int32)
         calls.clear()
         ks = np.asarray(ks)
-        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, zeros, ks, 0.0)
+        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, ks)
         rereads += len(calls) == 2 and calls[1] < calls[0]  # some rows, not all, read again
-        slow, slow_short = lookup(dist, support, mult[rows[support]], zeros, ks, 0.0)
+        slow, slow_short = lookup(dist, support, mult[rows[support]], ks)
         np.testing.assert_array_equal(fast_short, slow_short)
         np.testing.assert_array_equal(fast[:, ~fast_short], slow[:, ~slow_short])
         short_rows += slow_short.sum()
@@ -403,12 +440,11 @@ def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
 
 
 def test_resampled_table_with_offsets_beyond_int32():
-    # More leading zeros than int32 holds: the index arithmetic switches to
-    # int64 and the table is all zeros, none of it short.
-    dist = np.array([[0.1, 0.2], [0.3, 0.4]])
-    counts = np.array([[1, 0], [0, 2]])
-    zeros = np.array([2**40, 0])
-    table, short = inference._resampled_table(dist, np.arange(2), counts, zeros, [1, 2], 0.0)
+    # A head entry with more copies than int32 holds: the index arithmetic
+    # switches to int64 and that row reads its head, none of it short.
+    dist = np.array([[0.0, 0.1, 0.2], [0.0, 0.3, 0.4]])
+    counts = np.array([[2**40, 1, 0], [0, 0, 2]])
+    table, short = inference._resampled_table(dist, np.arange(2), counts, [1, 2])
     assert table.T.tolist() == [[0.0, 0.0], [0.4, 0.4]] and short.tolist() == [False, False]
 
 

@@ -14,6 +14,7 @@ from divknn import (
     kth_nn_distance,
     unit_ball_volume,
 )
+from divknn.functionals import neighbor_tables
 
 
 def brute_kth(points, query, k, exclude_row=None):
@@ -127,10 +128,14 @@ def test_kth_distance_table_matches_single_queries():
 
 
 def test_kth_distance_table_leave_one_out():
+    # Each point's own 0 heads its row; one column deeper without it is its
+    # leave-one-out table.
     rng = np.random.default_rng(17)
     pts = rng.random((80, 3))
     idx = build_index(pts)
-    table = idx.kth_distance_table(pts, 5, leave_one_out=True)
+    full = idx.kth_distance_table(pts, 6)
+    assert not full[:, 0].any()
+    table = full[:, 1:]
     for i in (0, 17, 79):
         exp, _ = brute_kth(pts, pts[i], 3, exclude_row=i)
         assert table[i, 2] == pytest.approx(exp, abs=1e-12)
@@ -199,22 +204,25 @@ def test_knn_density_monotonicity_and_scaling():
 @pytest.mark.parametrize("leave_one_out", [False, True])
 @pytest.mark.parametrize("k_max", [1, 6, 13, 59])
 def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
-    # Integer lattice points with repeats: many exact ties, also at the k_max cut.
+    # Integer lattice points with repeats: many exact ties, also at the k_max
+    # cut.  Leave-one-out rows are the member queries' tables one column
+    # deeper; their rows are checked on that self-inclusive table.
     rng = np.random.default_rng(23)
     pts = rng.integers(0, 4, size=(60, 2)).astype(float)
     idx = build_index(pts)
     queries = pts if leave_one_out else rng.integers(0, 4, size=(25, 2)).astype(float)
-    dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out=leave_one_out,
-                                        block=7, return_indices=True)
-    plain = idx.kth_distance_table(queries, k_max, leave_one_out=leave_one_out, block=7)
+    depth = k_max + leave_one_out
+    dist, rows = idx.kth_distance_table(queries, depth, block=7, return_indices=True)
+    plain = idx.kth_distance_table(queries, depth, block=7)
     assert np.array_equal(dist, plain)
     for i, q in enumerate(queries):
         d2 = ((pts - q) ** 2).sum(axis=1)
         order = np.lexsort((np.arange(len(pts)), d2))
+        assert np.array_equal(rows[i], order[:depth])
+        assert np.array_equal(dist[i], np.sqrt(d2[order[:depth]]))
         if leave_one_out:
-            order = order[order != i]
-        assert np.array_equal(rows[i], order[:k_max])
-        assert np.array_equal(dist[i], np.sqrt(d2[order[:k_max]]))
+            own_out = order[order != i][:k_max]
+            assert np.array_equal(dist[i, 1:], np.sqrt(d2[own_out]))
 
 
 @pytest.mark.parametrize("return_indices", [False, True])
@@ -316,18 +324,33 @@ ENGINE_CASES = _engine_cases()
 
 
 def _engine_mismatches(name):
+    """(leave_one_out, k_max) pairs whose tables differ from the oracle's.
+
+    Leave-one-out tables are the member queries' tables one column deeper:
+    column 0 must be all 0, the rest must equal the leave-one-out oracle's
+    distances, as must ``neighbor_tables``' x->x table, and the rows are
+    checked on the whole self-inclusive table.
+    """
     pts, outside, k_values, block = ENGINE_CASES[name]
     idx = build_index(pts)
     bad = []
     for leave_one_out, queries in ((False, outside), (True, pts)):
         for k_max in k_values:
             k_max = min(k_max, len(pts) - leave_one_out)
-            exp_d, exp_r = difference_form_table(pts, queries, k_max, leave_one_out)
-            plain = idx.kth_distance_table(queries, k_max, leave_one_out, block=block)
-            dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out, block=block,
+            depth = k_max + leave_one_out
+            exp_d, exp_r = difference_form_table(pts, queries, depth)
+            plain = idx.kth_distance_table(queries, depth, block=block)
+            dist, rows = idx.kth_distance_table(queries, depth, block=block,
                                                 return_indices=True)
-            if not (np.array_equal(plain, exp_d) and np.array_equal(dist, exp_d)
-                    and np.array_equal(rows, exp_r)):
+            ok = (np.array_equal(plain, exp_d) and np.array_equal(dist, exp_d)
+                  and np.array_equal(rows, exp_r))
+            if leave_one_out:
+                loo_d, _ = difference_form_table(pts, queries, k_max, leave_one_out=True)
+                ok = (ok and not plain[:, 0].any() and np.array_equal(plain[:, 1:], loo_d)
+                      and np.array_equal(dist[:, 1:], loo_d)
+                      and np.array_equal(neighbor_tables(idx.pointset, idx.pointset, k_max)[1],
+                                         loo_d))
+            if not ok:
                 bad.append((leave_one_out, k_max))
     return bad
 
@@ -346,24 +369,27 @@ def test_kth_nn_bit_identical_to_difference_form(name):
     for i, q in enumerate(outside[:5]):
         for k in (1, 2, 17, m):
             assert idx.kth_nn(q, k) == (exp_d[i, k - 1], exp_r[i, k - 1])
-    # Member queries with exclude_self drop the lowest-row zero-distance entry.
-    exp_d, exp_r = difference_form_table(pts, pts[:5], m)
-    for i in range(5):
+    # Queries with exclude_self drop the lowest-row zero-distance entry, if
+    # any: members always have one, outside queries only at a duplicate.
+    queries = np.vstack([pts[:5], outside[:5]])
+    exp_d, exp_r = difference_form_table(pts, queries, m)
+    for i, q in enumerate(queries):
         first_zero = np.flatnonzero(exp_d[i] == 0.0)[:1]
         row_d, row_r = np.delete(exp_d[i], first_zero), np.delete(exp_r[i], first_zero)
         for k in (1, 2, 17, m - 1):
-            assert idx.kth_nn(pts[i], k, exclude_self=True) == (row_d[k - 1], row_r[k - 1])
+            assert idx.kth_nn(q, k, exclude_self=True) == (row_d[k - 1], row_r[k - 1])
 
 
 def test_leave_one_out_keeps_own_duplicate_at_zero():
+    # Both copies head both rows, in row order; without column 0 each row
+    # still holds one of them at distance 0, and no other row does.
     rng = np.random.default_rng(43)
     pts = rng.random((30, 3))
     pts[7] = pts[3]
-    dist, rows = build_index(pts).kth_distance_table(pts, 3, leave_one_out=True,
-                                                     return_indices=True)
-    assert (dist[3, 0], rows[3, 0]) == (0.0, 7)
-    assert (dist[7, 0], rows[7, 0]) == (0.0, 3)
-    assert np.flatnonzero(dist[:, 0] == 0.0).tolist() == [3, 7]
+    dist, rows = build_index(pts).kth_distance_table(pts, 4, return_indices=True)
+    assert rows[3, :2].tolist() == [3, 7] and rows[7, :2].tolist() == [3, 7]
+    assert not dist[:, 0].any()
+    assert np.flatnonzero(dist[:, 1] == 0.0).tolist() == [3, 7]
 
 
 def test_zero_slack_misses_lattice_ties(monkeypatch):
@@ -440,10 +466,10 @@ def test_table_independent_of_block_size(name):
     idx = build_index(pts)
     k_max = k_values[1]
     for leave_one_out, queries in ((False, outside), (True, pts)):
-        dist, rows = idx.kth_distance_table(queries, k_max, leave_one_out, return_indices=True)
+        depth = k_max + leave_one_out
+        dist, rows = idx.kth_distance_table(queries, depth, return_indices=True)
         for block in (1, 7):
-            got = idx.kth_distance_table(queries, k_max, leave_one_out, block=block,
-                                         return_indices=True)
+            got = idx.kth_distance_table(queries, depth, block=block, return_indices=True)
             assert np.array_equal(got[0], dist) and np.array_equal(got[1], rows)
 
 
@@ -509,13 +535,16 @@ def test_screen_products_stay_within_the_single_thread_bound(monkeypatch, m, d, 
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    dist, rows = build_index(pts).kth_distance_table(queries, 40, leave_one_out,
-                                                     return_indices=True)
+    depth = 40 + leave_one_out
+    dist, rows = build_index(pts).kth_distance_table(queries, depth, return_indices=True)
     monkeypatch.undo()
     assert sizes and max(sizes) <= neighbors.SCREEN_PRODUCT_SIZE
     # Every entry of every screen is computed once.
     assert sum(sizes) == len(queries) * m * (d + 2)
-    # The oracle's leading rows, which leave out their own point as the
-    # table does.
-    exp_d, exp_r = difference_form_table(pts, queries[:300], 40, leave_one_out)
+    # The oracle's leading rows; for member queries also without column 0,
+    # against the oracle that leaves out each query's own point.
+    exp_d, exp_r = difference_form_table(pts, queries[:300], depth)
     assert np.array_equal(dist[:300], exp_d) and np.array_equal(rows[:300], exp_r)
+    if leave_one_out:
+        loo_d, _ = difference_form_table(pts, queries[:300], 40, leave_one_out=True)
+        assert np.array_equal(dist[:300, 1:], loo_d)
