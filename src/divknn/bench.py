@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _raw_k, estimation_plan, odin2_default_l_grid
+from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
+                       _raw_k, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -41,23 +42,22 @@ class ExperimentConfig:
     dims: tuple = (7,)
     n_grid: tuple = (100, 200, 400, 800, 1600)
     trials: int = 200
-    estimators: tuple = ("plugin", "odin1", "odin2")
+    estimators: tuple = _ESTIMATORS
     functional: str = "renyi_integral"
     alpha: float = 0.5
     mean1: float = 0.7
     mean2: float = 0.3
     variance: float = 0.1
-    l_values_odin1: tuple = tuple(np.linspace(0.3, 3.0, 50))
-    # ODin2 grid: by default odin2_default_l_grid, ODIN2_L_COUNT consecutive ks
-    # from k0 = round(ODIN2_L_MIN * N^delta).  An explicit l_values_odin2
-    # overrides this.
+    l_values_odin1: tuple = default_l_grid("odin1", None, DEFAULT_DELTA)
+    # Empty means default_l_grid("odin2", N, delta) at each N: ODIN2_L_COUNT
+    # consecutive ks from round(ODIN2_L_MIN * N^delta).
     l_values_odin2: tuple = ()
-    delta: float = 0.5
-    nu: int = 2
-    eta: float = 1.0
-    solver: str = "relaxed"
+    delta: float = DEFAULT_DELTA
+    nu: int = DEFAULT_NU
+    eta: float = DEFAULT_ETA
+    solver: str = EnsembleConfig.solver
     plugin_k: int = 0  # 0 means round(sqrt(N))
-    k_min: int = 3
+    k_min: int = DEFAULT_K_MIN
     seed: int = 0
     threads: int = 1
     timing: bool = False
@@ -99,9 +99,7 @@ class ExperimentConfig:
         )
 
     def odin2_l_grid(self, n):
-        if self.l_values_odin2:
-            return self.l_values_odin2
-        return odin2_default_l_grid(n, self.delta)
+        return self.l_values_odin2 or default_l_grid("odin2", n, self.delta)
 
     def _l_grid(self, estimator, n):
         """The estimator's (mode, l grid) at N."""
@@ -112,12 +110,10 @@ class ExperimentConfig:
         return "odin2", self.odin2_l_grid(n)
 
     def ensemble_config(self, estimator, d, n):
+        """The estimator's EnsembleConfig at (d, N); ODin1 reads no delta or nu."""
         mode, grid = self._l_grid(estimator, n)
         if estimator == "plugin":
             return EnsembleConfig(mode, grid, d, n, k_min=1)
-        if estimator == "odin1":
-            return EnsembleConfig(mode, grid, d, n, eta=self.eta, solver=self.solver,
-                                  k_min=self.k_min)
         return EnsembleConfig(mode, grid, d, n, delta=self.delta, nu=self.nu, eta=self.eta,
                               solver=self.solver, k_min=self.k_min)
 
@@ -147,12 +143,20 @@ class ResultRow:
     error: str = None
 
 
-def _cell_truth(config, d):
+def oracle_truth(config, d, n_mc=MC_TRUTH_N):
+    """The value the benchmark scores its dimension-d rows against, and its MC standard error.
+
+    The Renyi integral comes from quadrature (standard error None); any other
+    functional is the mean of ``n_mc`` Monte Carlo draws from f2 at the
+    config's seed, on stream ``_TRUTH_STREAM + d``.  ``divknn truth`` prints
+    this value.
+    """
     spec1, spec2 = config.density_specs(d)
     if config.functional == "renyi_integral":
-        return true_renyi_integral(spec1, spec2, config.alpha)
-    return mc_truth(spec1, spec2, config.functional_spec(), MC_TRUTH_N, config.seed,
-                    stream=_TRUTH_STREAM + d).value
+        return true_renyi_integral(spec1, spec2, config.alpha), None
+    result = mc_truth(spec1, spec2, config.functional_spec(), n_mc, config.seed,
+                      stream=_TRUTH_STREAM + d)
+    return result.value, result.std_error
 
 
 def run_experiment(config):
@@ -160,7 +164,7 @@ def run_experiment(config):
     spec = config.functional_spec()
     rows = []
     for d in config.dims:
-        truth = _cell_truth(config, d)
+        truth, _ = oracle_truth(config, d)
         spec1, spec2 = config.density_specs(d)
         for n in config.n_grid:
             t0 = time.perf_counter()

@@ -15,13 +15,14 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentConfig, emit, fit_loglog_slope, run_experiment
-from .ensemble import EnsembleConfig, estimation_plan, odin2_default_l_grid
+from .bench import (MC_TRUTH_N, ExperimentConfig, emit, fit_loglog_slope, oracle_truth,
+                    run_experiment)
+from .ensemble import (ODIN1_L_RANGE, ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, default_l_grid,
+                       estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
-from .functionals import make_functional
+from .functionals import BUILTIN_FUNCTIONALS, make_functional
 from .inference import confidence_interval
 from .neighbors import PointSet
-from .synth import TruncatedGaussianSpec, mc_truth, true_renyi_integral
 
 
 def _config_argv(path):
@@ -51,44 +52,46 @@ def _csv_list(cast):
 
 
 def _add_functional_flags(p):
-    p.add_argument("--functional", default="renyi_integral",
-                   choices=["renyi_integral", "kl", "reverse_kl", "l2", "shannon_entropy"])
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--functional", default=ExperimentConfig.functional,
+                   choices=[name for name in BUILTIN_FUNCTIONALS if name != "custom"])
+    p.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
 
 
-# The default l grid, linspace(l_min, l_max, l_count), of ODin1 (and of ODin2
-# when any of its flags is given).
-_L_RANGE = {"l_min": 0.3, "l_max": 3.0, "l_count": 50}
+def _add_density_flags(p):
+    p.add_argument("--mean1", type=float, default=ExperimentConfig.mean1)
+    p.add_argument("--mean2", type=float, default=ExperimentConfig.mean2)
+    p.add_argument("--variance", type=float, default=ExperimentConfig.variance)
 
 
 def _add_ensemble_flags(p, mode=True):
     if mode:
         p.add_argument("--mode", default="odin1", choices=["odin1", "odin2"])
-    p.add_argument("--l-min", type=float, default=None, help="default %g" % _L_RANGE["l_min"])
-    p.add_argument("--l-max", type=float, default=None, help="default %g" % _L_RANGE["l_max"])
-    p.add_argument("--l-count", type=int, default=None, help="default %d" % _L_RANGE["l_count"])
+    l_min, l_max, l_count = ODIN1_L_RANGE
+    p.add_argument("--l-min", type=float, default=None, help="default %g" % l_min)
+    p.add_argument("--l-max", type=float, default=None, help="default %g" % l_max)
+    p.add_argument("--l-count", type=int, default=None, help="default %d" % l_count)
     p.add_argument("--l-list", type=_csv_list(float), default=None,
                    help="explicit l grid; overrides --l-min/--l-max/--l-count")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--nu", type=int, default=2)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--solver", default="relaxed", choices=["exact", "relaxed"])
-    p.add_argument("--k-min", type=int, default=3)
+    p.add_argument("--delta", type=float, default=EnsembleConfig.delta)
+    p.add_argument("--nu", type=int, default=EnsembleConfig.nu)
+    p.add_argument("--eta", type=float, default=EnsembleConfig.eta)
+    p.add_argument("--solver", default=EnsembleConfig.solver, choices=["exact", "relaxed"])
+    p.add_argument("--k-min", type=int, default=EnsembleConfig.k_min)
 
 
 def _l_values(args, n):
-    """The l grid the flags name at N.
+    """The l grid the flags name at N (``n`` is read only by ODin2's default).
 
-    With no l flag, ODin2 takes its own default grid (odin2_default_l_grid)
-    and ODin1 linspace(0.3, 3, 50).
+    --l-list wins.  Any of --l-min/--l-max/--l-count gives linspace over
+    ODIN1_L_RANGE with those flags in place, in either mode.  With no l flag
+    the mode (ODin1 where there is no --mode) takes default_l_grid.
     """
     if args.l_list:
         return tuple(args.l_list)
-    given = {key: getattr(args, key) for key in _L_RANGE if getattr(args, key) is not None}
-    if not given and getattr(args, "mode", None) == "odin2":
-        return odin2_default_l_grid(n, args.delta)
-    grid = {**_L_RANGE, **given}
-    return tuple(np.linspace(grid["l_min"], grid["l_max"], grid["l_count"]))
+    given = (args.l_min, args.l_max, args.l_count)
+    if given == (None, None, None):
+        return default_l_grid(getattr(args, "mode", "odin1"), n, args.delta)
+    return tuple(np.linspace(*(v if v is not None else d for v, d in zip(given, ODIN1_L_RANGE))))
 
 
 def build_parser():
@@ -110,21 +113,22 @@ def build_parser():
     p = sub.add_parser("bench", help="grid MSE-convergence experiment")
     p.add_argument("--config", default=None,
                    help="flat key=value file of bench flags; the command line wins")
-    p.add_argument("--dims", type=_csv_list(int), default=[7])
-    p.add_argument("--n-grid", type=_csv_list(int), default=[100, 200, 400, 800, 1600])
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--estimators", type=_csv_list(str), default=["plugin", "odin1", "odin2"])
+    # Each flag's dest is the ExperimentConfig field it sets (see cmd_bench).
+    p.add_argument("--dims", type=_csv_list(int), default=ExperimentConfig.dims)
+    p.add_argument("--n-grid", type=_csv_list(int), default=ExperimentConfig.n_grid)
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p.add_argument("--estimators", type=_csv_list(str), default=ExperimentConfig.estimators)
     _add_functional_flags(p)
     _add_ensemble_flags(p, mode=False)  # --estimators names the modes bench runs
-    p.add_argument("--l-list-odin2", type=_csv_list(float), default=[],
-                   help="explicit ODin2 l grid; default takes 25 consecutive k "
-                        "values starting at k = round(1.4 * N^delta)")
-    p.add_argument("--mean1", type=float, default=0.7)
-    p.add_argument("--mean2", type=float, default=0.3)
-    p.add_argument("--variance", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=0, help="plugin k; 0 means round(sqrt(N))")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--l-list-odin2", dest="l_values_odin2", type=_csv_list(float),
+                   default=ExperimentConfig.l_values_odin2,
+                   help="explicit ODin2 l grid; default takes %d consecutive k values "
+                        "starting at k = round(%g * N^delta)" % (ODIN2_L_COUNT, ODIN2_L_MIN))
+    _add_density_flags(p)
+    p.add_argument("--k", dest="plugin_k", type=int, default=ExperimentConfig.plugin_k,
+                   help="plugin k; 0 means round(sqrt(N))")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--threads", type=int, default=ExperimentConfig.threads)
     p.add_argument("--timing", action="store_true",
                    help="record wall times (breaks byte-level determinism)")
     p.add_argument("--slopes", action="store_true", help="print log-log MSE slopes to stderr")
@@ -139,11 +143,9 @@ def build_parser():
     p = sub.add_parser("truth", help="print the oracle value of the functional")
     _add_functional_flags(p)
     p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("--mean1", type=float, default=0.7)
-    p.add_argument("--mean2", type=float, default=0.3)
-    p.add_argument("--variance", type=float, default=0.1)
-    p.add_argument("--mc-n", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_density_flags(p)
+    p.add_argument("--mc-n", type=int, default=MC_TRUTH_N)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     return parser
 
 
@@ -184,14 +186,14 @@ def cmd_estimate(args):
     return 0
 
 
+def _config_fields(args):
+    """The ExperimentConfig fields that the parsed flags set by name."""
+    return {key: value for key, value in vars(args).items()
+            if key in ExperimentConfig.__dataclass_fields__}
+
+
 def cmd_bench(args):
-    config = ExperimentConfig(
-        dims=args.dims, n_grid=args.n_grid, trials=args.trials, estimators=args.estimators,
-        functional=args.functional, alpha=args.alpha, mean1=args.mean1, mean2=args.mean2,
-        variance=args.variance, l_values_odin1=_l_values(args, None),
-        l_values_odin2=args.l_list_odin2, delta=args.delta, nu=args.nu, eta=args.eta,
-        solver=args.solver, plugin_k=args.k, k_min=args.k_min, seed=args.seed,
-        threads=args.threads, timing=args.timing)
+    config = ExperimentConfig(l_values_odin1=_l_values(args, None), **_config_fields(args))
     rows = run_experiment(config)
     emit(rows, args.format, args.out, provenance=config.canonical())
     if args.slopes:
@@ -221,14 +223,13 @@ def cmd_weights(args):
 
 
 def cmd_truth(args):
-    spec1 = TruncatedGaussianSpec(args.dim, (args.mean1,), args.variance)
-    spec2 = TruncatedGaussianSpec(args.dim, (args.mean2,), args.variance)
-    if args.functional == "renyi_integral":
-        print("%.17g" % true_renyi_integral(spec1, spec2, args.alpha))
+    """Print the truth ``bench`` scores its dimension-d rows against, for the same flags."""
+    config = ExperimentConfig(dims=(args.dim,), **_config_fields(args))
+    value, std_error = oracle_truth(config, args.dim, args.mc_n)
+    if std_error is None:
+        print("%.17g" % value)
     else:
-        result = mc_truth(spec1, spec2, make_functional(args.functional, alpha=args.alpha),
-                          args.mc_n, args.seed)
-        print("%.17g  (mc std error %.3g)" % (result.value, result.std_error))
+        print("%.17g  (mc std error %.3g)" % (value, std_error))
     return 0
 
 

@@ -149,14 +149,23 @@ def _raw_k(l, n, mode, delta):
     return _round_half_away(l * base)
 
 
-# ODin2's default l grid: ODIN2_L_COUNT consecutive ks from round(ODIN2_L_MIN * N^delta).
+# The default l grids.  ODin1: linspace(l_min, l_max, l_count) of ODIN1_L_RANGE.
+# ODin2: ODIN2_L_COUNT consecutive ks from round(ODIN2_L_MIN * N^delta).
+ODIN1_L_RANGE = (0.3, 3.0, 50)
 ODIN2_L_MIN = 1.4
 ODIN2_L_COUNT = 25
 
 
-def odin2_default_l_grid(n, delta):
-    """ODin2's default l grid at N: l_i = (k0 + i) / N^delta for ODIN2_L_COUNT consecutive
-    ks from k0 = round(ODIN2_L_MIN * N^delta), so no two members share a k."""
+def default_l_grid(mode, n, delta):
+    """The mode's default l grid at N.
+
+    ODin1's is linspace(*ODIN1_L_RANGE) at every N (``n`` and ``delta`` are
+    not read).  ODin2's is l_i = (k0 + i) / N^delta for ODIN2_L_COUNT
+    consecutive ks from k0 = round(ODIN2_L_MIN * N^delta), so no two members
+    share a k.
+    """
+    if mode == "odin1":
+        return tuple(np.linspace(*ODIN1_L_RANGE))
     k0 = _raw_k(ODIN2_L_MIN, n, "odin2", delta)
     base = n**delta
     return tuple((k0 + i) / base for i in range(ODIN2_L_COUNT))
@@ -202,7 +211,9 @@ def build_basis(config):
         delta, nu = config.delta, config.nu
         j_max = math.ceil(d / (2.0 * (1.0 - delta)))
         entries = []
-        seen = set()
+        # No two (j, q) give the same (l, N) exponents: equal l exponents
+        # j - q/2 mean q' - q = 2 (j' - j), and the rates then differ by
+        # (j' - j) ((1 - delta)/d + delta), which is never 0.
         for j in range(0, j_max + 1):
             for q in range(0, nu + 1):
                 rate = (1.0 - delta) * j / d + q * delta / 2.0
@@ -210,10 +221,6 @@ def build_basis(config):
                     continue
                 if not (j + q / 2.0 > 0.5):
                     continue
-                key = (round(j - q / 2.0, 12), round(-rate, 12))
-                if key in seen:
-                    continue
-                seen.add(key)
                 entries.append(BasisEntry("j=%d,q=%d" % (j, q), j - q / 2.0, -rate))
     basis = BasisSystem(tuple(entries), config.mode)
     if basis.count >= config.L:

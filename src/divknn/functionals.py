@@ -162,32 +162,24 @@ def _clamp_count(rho):
     return np.count_nonzero(rho <= DEGENERATE_RHO, axis=-1)
 
 
-def _plugin_terms(rho1, rho2, k1, k2, m1, m2, d, spec, mode):
-    """g(f1, f2) at each neighbor distance pair."""
-    f1 = knn_density(rho1, k1, m1, d, mode)
-    f2 = knn_density(rho2, k2, m2, d, mode)
-    if mode == "robust":
-        f1 = np.clip(f1, EVAL_FLOOR, EVAL_CEIL)
-        f2 = np.clip(f2, EVAL_FLOOR, EVAL_CEIL)
-    return spec.eval(f1, f2)
-
-
-def _denominator_profile(den1, den2, ks, spec, weights=None):
-    """Robust plug-in estimates at ``ks`` from ``(len(ks), rows)`` density denominators.
+def _denominator_profile(den1, den2, ks, spec, weights=None, clip=True):
+    """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` density denominators.
 
     The density at k is k over the denominator, clipped into [``EVAL_FLOOR``,
-    ``EVAL_CEIL``] before g.  Each array is contiguous along the rows, so
-    each k's mean is the same pairwise sum as a mean over that k's column
-    alone.  ``weights`` gives each row an integer multiplicity in the outer
+    ``EVAL_CEIL``] before g unless ``clip`` is false (the strict plug-in).
+    ``ks`` may also be a pair: the ks of den1's rows, then those of den2's.
+    Each array is contiguous along the rows, so each k's mean is the same
+    pairwise sum as a mean over that k's column alone.  ``weights`` gives each row an integer multiplicity in the outer
     sample (a bootstrap resample of x): the outer mean then counts row i
     ``weights[i]`` times.  Bootstrap replicates read their denominators from
     tables converted once, so they do no power and no clamp here.
     """
-    k_col = np.asarray(ks)[:, None]
-    f1 = k_col / den1
-    f2 = k_col / den2
-    np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
-    np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
+    k1, k2 = np.broadcast_to(ks, (2, len(den1)))[:, :, None]
+    f1 = k1 / den1
+    f2 = k2 / den2
+    if clip:
+        np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
+        np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
     g = spec.eval(f1, f2)
     if weights is None:
         return np.mean(g, axis=1)
@@ -222,15 +214,27 @@ def plugin_profile(x, y, ks, spec, tables=None):
     ks = check_profile_args(x, y, ks)
     if tables is None:
         tables = neighbor_tables(x, y, max(ks))
-    cols = np.asarray(ks) - 1
-    rho1, rho2 = (np.ascontiguousarray(table[:, cols].T) for table in tables)
+    den1, den2, degs = _column_denominators(x, y, tables, ks, ks)
+    return _denominator_profile(den1, den2, ks, spec), degs
+
+
+def _column_denominators(x, y, tables, k1s, k2s):
+    """The density denominators of the x->y table at ``k1s`` and the x->x one at ``k2s``.
+
+    Gathers each table's columns as a ``(len(ks), N2)`` array, contiguous
+    along the rows; raises ParameterError unless every distance is finite;
+    counts the clamped distances of each column pair; and turns the
+    distances into ``_density_denominators``.  Returns (den1, den2, counts).
+    """
+    rho1, rho2 = (np.ascontiguousarray(table[:, np.asarray(ks) - 1].T)
+                  for table, ks in zip(tables, (k1s, k2s)))
     _check_finite(rho1)
     _check_finite(rho2)
     degs = _clamp_count(rho1) + _clamp_count(rho2)
     # The gathered distances are this call's own copies: turn them into denominators in place.
     _density_denominators(rho1, y.n, x.dim, out=rho1)
     _density_denominators(rho2, x.n - 1, x.dim, out=rho2)
-    return _denominator_profile(rho1, rho2, ks, spec), degs
+    return rho1, rho2, degs
 
 
 def neighbor_tables(x, y, k_max):
@@ -249,9 +253,13 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     """Leave-one-out k-NN plug-in estimate of the divergence functional.
 
     x: PointSet sampled from f2 (outer sample).  y: PointSet sampled from f1.
-    Robust mode clamps and counts degenerate distances; strict mode raises
-    ``DegeneracyError`` on them.
+    Robust mode clamps and counts degenerate distances, and clips the
+    densities; strict mode raises ``DegeneracyError`` on a degenerate
+    distance and does not clip.  Both read k1 and k2 through the path of
+    :func:`plugin_profile`.
     """
+    if mode not in ("strict", "robust"):
+        raise ParameterError("mode must be 'strict' or 'robust'")
     x, y = as_pointset(x), as_pointset(y)
     check_profile_args(x, y, ())
     k1, k2 = int(k1), int(k2)
@@ -261,8 +269,9 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     if k2 < 1 or k2 > m2:
         raise ParameterError("k2=%d out of range for M2=%d" % (k2, m2))
     # The tables are exact, so column k of a deeper table is the k-th distance.
-    rho1, rho2 = neighbor_tables(x, y, max(k1, k2))
-    rho1, rho2 = rho1[:, k1 - 1], rho2[:, k2 - 1]
-    g = _plugin_terms(rho1, rho2, k1, k2, m1, m2, x.dim, spec, mode)
-    degs = _clamp_count(rho1) + _clamp_count(rho2)
-    return PluginEstimate(float(np.mean(g)), k1, k2, y.n, x.n, int(degs))
+    tables = neighbor_tables(x, y, max(k1, k2))
+    den1, den2, degs = _column_denominators(x, y, tables, [k1], [k2])
+    if mode == "strict" and degs[0]:
+        raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
+    (value,) = _denominator_profile(den1, den2, [[k1], [k2]], spec, clip=mode == "robust")
+    return PluginEstimate(float(value), k1, k2, y.n, x.n, int(degs[0]))

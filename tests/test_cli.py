@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from divknn import (EnsembleConfig, TruncatedGaussianSpec,
+from divknn import (EnsembleConfig, ExperimentConfig, TruncatedGaussianSpec,
                     sample_truncated_gaussian, solve_weights, true_renyi_integral)
-from divknn.cli import main
+from divknn.bench import MC_TRUTH_N
+from divknn.cli import _l_values, build_parser, main
+from divknn.ensemble import default_l_grid
 
 BENCH_COMMON = ["--dims", "1", "--n-grid", "50,100", "--trials", "2",
                 "--l-list", "0.5,1.0,2.0", "--seed", "3"]
@@ -33,6 +35,42 @@ def test_truth_mc_kl(capsys):
     assert main(["truth", "-d", "1", "--functional", "kl", "--mc-n", "10000"]) == 0
     out = capsys.readouterr().out
     assert "mc std error" in out
+
+
+def test_truth_prints_the_value_bench_scores_against(tmp_path, capsys):
+    assert main(["truth", "-d", "1", "--functional", "kl", "--seed", "3"]) == 0
+    printed = float(capsys.readouterr().out.split()[0])
+    out = tmp_path / "kl.csv"
+    assert main(["bench", "--out", str(out), "--functional", "kl", *BENCH_COMMON]) == 0
+    rows = out.read_text().splitlines()
+    column = rows[1].split(",").index("true_value")
+    assert {float(row.split(",")[column]) for row in rows[2:]} == {printed}
+
+
+ENSEMBLE_FIELDS = ("delta", "nu", "eta", "solver", "k_min")
+BENCH_FIELDS = tuple(name for name in ExperimentConfig.__dataclass_fields__
+                     if name != "l_values_odin1")  # the l flags set the ODin1 grid
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["estimate", "--f1-sample", "y.csv", "--f2-sample", "x.csv"],
+     ("functional", "alpha") + ENSEMBLE_FIELDS),
+    (["weights", "-d", "3", "-n", "400"], ENSEMBLE_FIELDS),
+    (["bench", "--out", "out.csv"], BENCH_FIELDS),
+    (["truth", "-d", "3"], ("functional", "alpha", "mean1", "mean2", "variance", "seed")),
+])
+def test_flag_defaults_are_the_config_defaults(argv, fields):
+    args = build_parser().parse_args(argv)
+    for name in fields:
+        assert getattr(args, name) == getattr(ExperimentConfig, name), name
+        if name in ENSEMBLE_FIELDS:
+            assert getattr(args, name) == getattr(EnsembleConfig, name), name
+    if argv[0] == "truth":
+        assert args.mc_n == MC_TRUTH_N
+        return
+    assert _l_values(args, 400) == default_l_grid(getattr(args, "mode", "odin1"), 400, 0.5)
+    if argv[0] == "bench":
+        assert _l_values(args, None) == ExperimentConfig.l_values_odin1
 
 
 def test_weights_sum_to_one(capsys):

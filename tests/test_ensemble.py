@@ -110,6 +110,22 @@ def test_basis_odin2_exponent_window():
             assert -0.5 < e.n_exponent < 0.0
 
 
+@pytest.mark.filterwarnings("ignore:nu=:UserWarning")
+def test_basis_exponent_pairs_are_distinct():
+    # Equal l exponents j - q/2 force q' - q = 2 (j' - j), and the rates then
+    # differ by (j' - j) ((1 - delta)/d + delta): no two (j, q) share a pair,
+    # also after rounding to 12 digits.
+    grid = tuple(np.linspace(0.1, 40.0, 400))
+    for d in range(1, 11):
+        configs = [odin1(grid, d, 1000)]
+        configs += [odin2(grid, d, 1000, delta=delta, nu=nu)
+                    for delta in np.linspace(0.05, 0.95, 19) for nu in range(1, 5)]
+        for config in configs:
+            pairs = [(e.l_exponent, e.n_exponent) for e in build_basis(config).entries]
+            rounded = {(round(l, 12), round(n, 12)) for l, n in pairs}
+            assert len(rounded) == len(pairs), (config.mode, d, config.delta, config.nu)
+
+
 def test_basis_too_large_for_ensemble():
     with pytest.raises(ConfigurationError, match="increase L"):
         build_basis(odin1((1.0, 2.0), 7, 100))

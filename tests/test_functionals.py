@@ -116,6 +116,23 @@ def test_degeneracy_counted_for_duplicates():
         plugin_estimate(x, y, 1, 1, make_functional("kl"), mode="strict")
 
 
+def test_strict_plugin_does_not_clip_densities():
+    # Points 1e-6 apart in d=3 have densities near 1e18, above EVAL_CEIL, and
+    # no distance near DEGENERATE_RHO: strict mode evaluates g on the densities
+    # themselves, robust mode on the clipped ones.
+    rng = np.random.default_rng(41)
+    x = PointSet(1e-6 * rng.random((50, 3)))
+    y = PointSet(1e-6 * rng.random((40, 3)))
+    kl = make_functional("kl")
+    t1, t2 = neighbor_tables(x, y, 5)
+    f1, f2 = knn_density(t1[:, 2], 3, y.n, 3), knn_density(t2[:, 4], 5, x.n - 1, 3)
+    assert min(f1.min(), f2.min()) > 1e12
+    strict = plugin_estimate(x, y, 3, 5, kl, mode="strict")
+    assert strict.value == float(np.mean(kl.eval(f1, f2))) != 0.0
+    assert strict.degeneracy_count == 0
+    assert plugin_estimate(x, y, 3, 5, kl).value == 0.0  # both densities clip to EVAL_CEIL
+
+
 def test_profile_matches_individual_estimates():
     rng = np.random.default_rng(33)
     x = PointSet(rng.random((70, 2)))

@@ -567,3 +567,18 @@ def test_interval_builds_schedule_and_weights_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     confidence_interval(x, y, config, RENYI, reps=10, seed=2)
     assert calls == {"k_schedule": 1, "solve_weights": 1}
+
+
+def test_zero_variance_branches():
+    # Forty copies of one point as both samples: every resample is the same
+    # sample, so every replicate equals the estimate 1.0 and std_error is 0.
+    pts = np.tile([0.3, 0.6], (40, 1))
+    config = EnsembleConfig("odin1", (1.0,), 2, 40, k_min=1)
+    at_null = confidence_interval(pts, pts, config, RENYI, reps=20, null_value=1.0)
+    assert (at_null.estimate, at_null.std_error) == (1.0, 0.0)
+    assert (at_null.z_score, at_null.p_value, at_null.reject) == (0.0, 1.0, False)
+    off_null = confidence_interval(pts, pts, config, RENYI, reps=20, null_value=0.9)
+    assert (off_null.z_score, off_null.p_value, off_null.reject) == (math.inf, 0.0, True)
+    assert two_sample_test(pts, pts, config, RENYI, 1.0, reps=20).p_value == 1.0
+    with pytest.raises(ParameterError, match="degenerate variance"):
+        two_sample_test(pts, pts, config, RENYI, 0.9, reps=20)
