@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
-                       _raw_k, default_l_grid, estimation_plan)
+                       _raw_k, _require_finite, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -77,6 +77,9 @@ class ExperimentConfig:
         for e in self.estimators:
             if e not in _ESTIMATORS:
                 raise ConfigurationError("unknown estimator %r" % e)
+        _require_finite("l values", *self.l_values_odin1, *self.l_values_odin2)
+        _require_finite("delta", self.delta)
+        _require_finite("eta", self.eta)
         for n in self.n_grid:
             max_k = self._max_scheduled_k(n)
             if max_k > n - 1:

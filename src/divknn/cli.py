@@ -212,11 +212,10 @@ def cmd_weights(args):
     plan = estimation_plan(_ensemble_config(args, args.dim, args.n))
     for (l, k), w in zip(plan.schedule, plan.weights.weights):
         print("l=%-10.6g k=%-6d w=%.17g" % (l, k, w))
-    # w_norm = ||w||_2 is the factor by which the ensemble scales up noise; levels
-    # counts the pieces of the relaxed solution path walked (0 for exact).
+    # levels counts the pieces of the relaxed solution path walked (0 for exact).
     print("objective=%.17g sum=%.17g w_norm=%.17g levels=%d"
           % (plan.weights.objective, float(np.sum(plan.weights.weights)),
-             float(np.linalg.norm(plan.weights.weights)), plan.weights.solver_iterations))
+             plan.weights.w_norm, plan.weights.solver_iterations))
     for message in plan.warnings:
         print("warning: %s" % message, file=sys.stderr)
     return 0

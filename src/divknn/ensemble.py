@@ -10,7 +10,7 @@ without ever computing the unknown bias constants.
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,9 @@ class EnsembleConfig:
         lv = tuple(float(l) for l in self.l_values)
         if len(lv) < 1:
             raise ConfigurationError("need at least one l value")
+        _require_finite("l values", *lv)
+        _require_finite("delta", self.delta)
+        _require_finite("eta", self.eta)
         if any(l <= 0 for l in lv):
             raise ConfigurationError("all l values must be > 0")
         if len(set(lv)) != len(lv):
@@ -79,6 +82,12 @@ class EnsembleConfig:
     @property
     def L(self):
         return len(self.l_values)
+
+
+def _require_finite(name, *values):
+    """Raise ConfigurationError unless every value is finite: a NaN passes every range test."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigurationError("%s must be finite" % name)
 
 
 def _rate_warnings(config):
@@ -112,11 +121,13 @@ class BasisSystem:
             return np.zeros((0, lv.size))
         return np.vstack([lv**e.l_exponent for e in self.entries])
 
+    def row_scale(self, n):
+        """(I,) vector of sqrt(N) * phi_i(N), the factor of psi_i in the relaxed-program rows."""
+        return np.array([n ** (0.5 + e.n_exponent) for e in self.entries])
+
     def scaled_rows(self, l_values, n):
         """(I, L) matrix of sqrt(N) * phi_i(N) * psi_i(l_j), the relaxed-program rows."""
-        psi = self.psi_matrix(l_values)
-        scale = np.array([n ** (0.5 + e.n_exponent) for e in self.entries])
-        return scale[:, None] * psi
+        return self.row_scale(n)[:, None] * self.psi_matrix(l_values)
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,12 @@ class WeightSolution:
     objective: float  # achieved epsilon (relaxed) or ||w||_2 (exact)
     solver_iterations: int  # pieces of the solution path walked (relaxed); 0 (exact)
     l_values: tuple = ()
+    # ||w||_2, the factor by which the ensemble scales up noise; always
+    # computed from the weights.
+    w_norm: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "w_norm", float(np.linalg.norm(self.weights)))
 
 
 @dataclass(frozen=True)
@@ -162,10 +179,11 @@ def default_l_grid(mode, n, delta):
     ODin1's is linspace(*ODIN1_L_RANGE) at every N (``n`` and ``delta`` are
     not read).  ODin2's is l_i = (k0 + i) / N^delta for ODIN2_L_COUNT
     consecutive ks from k0 = round(ODIN2_L_MIN * N^delta), so no two members
-    share a k.
+    share a k.  A non-finite delta raises ConfigurationError.
     """
     if mode == "odin1":
         return tuple(np.linspace(*ODIN1_L_RANGE))
+    _require_finite("delta", delta)
     k0 = _raw_k(ODIN2_L_MIN, n, "odin2", delta)
     base = n**delta
     return tuple((k0 + i) / base for i in range(ODIN2_L_COUNT))
@@ -333,15 +351,30 @@ def _level_normals(a):
     return np.vstack([np.full(L, L**-0.5), -unit, unit]), norms
 
 
-def _level_rhs(L, norms, level):
-    """Right-hand side of the level QP for the normals of _level_normals; affine in level."""
-    return np.r_[L**-0.5, -np.tile(level / norms, 2)]
+class _LevelSystem:
+    """The level QP of the rows a, built once per solve.
 
+    normals and norms are those of _level_normals.  rhs is the right-hand
+    side at the level last passed to at(), which rewrites it in place: L^-1/2
+    in row 0, then -level / norms in rows 1..I and again in rows I+1..2I.
+    slope is its epsilon-derivative, 0 in row 0 and -1 / norms below.
+    """
 
-def _level_constraints(a, level):
-    """Unit normals and right-hand sides of the level-epsilon QP (see _level_normals)."""
-    normals, norms = _level_normals(a)
-    return normals, _level_rhs(a.shape[1], norms, level)
+    def __init__(self, a):
+        self.normals, self.norms = _level_normals(a)
+        self.rhs = np.empty(len(self.normals))
+        self.rhs[0] = a.shape[1] ** -0.5
+        self.slope = self.at(1.0).copy()
+        self.slope[0] = 0.0
+
+    def at(self, level):
+        """The right-hand side at level, written into and returned as self.rhs."""
+        i = len(self.norms)
+        upper = self.rhs[1:i + 1]
+        np.divide(level, self.norms, out=upper)
+        np.negative(upper, out=upper)
+        self.rhs[i + 1:] = upper
+        return self.rhs
 
 
 def _piece_root(w, w_b, level, eta):
@@ -376,15 +409,18 @@ def solve_weights_relaxed(basis, l_values, n, eta):
     active (the homotopy of LARS; Efron et al., Ann. Statist. 32, 2004).  On
     each piece the active normals are QR-factored; w and the multipliers u
     are solved afresh at the piece's upper end, so rounding does not build
-    up, and their epsilon-derivatives come from the same factors.  The piece
-    ends at the first of three events: an inactive row turns tight and joins
-    the active set; an active multiplier reaches 0 and its row leaves; or
-    the piece's closed-form root of ||w||^2 = eta * epsilon (_piece_root) is
-    reached, where w and u are solved at the root and returned.  A joining
-    normal with |R_pp| <= DEPENDENT_TOL trades multipliers with the active
-    rows (_exchange); when no multiplier can give way, every lower level is
-    infeasible and the path ends at the current level.  A revisited active
-    set raises SolverError.  solver_iterations counts the pieces.
+    up, and their epsilon-derivatives come from the same factors.  The
+    normals and the right-hand side (_LevelSystem) are built once per solve.
+    The piece ends at the first of three events: an inactive row turns tight
+    and joins the active set; an active multiplier reaches 0 and its row
+    leaves; or the piece's closed-form root of ||w||^2 = eta * epsilon
+    (_piece_root) is reached, where w and u are solved at the root and
+    returned.  A joining normal with |R_pp| <= DEPENDENT_TOL trades
+    multipliers with the active rows (_exchange); any other joins, and the
+    factors that gave its R_pp serve the next piece.  When no multiplier can
+    give way, every lower level is infeasible and the path ends at the
+    current level.  A revisited active set raises SolverError.
+    solver_iterations counts the pieces.
 
     The returned weights are checked (see _check_relaxed): sum(w) = 1 and the
     level-QP constraints to the backward-error bound, and the KKT signs and
@@ -397,21 +433,23 @@ def solve_weights_relaxed(basis, l_values, n, eta):
     L = lv.size
     if L < 2:
         raise ParameterError("relaxed solver requires L >= 2")
-    if eta <= 0:
-        raise ParameterError("eta must be > 0")
-    a = basis.scaled_rows(lv, n)
+    if not 0.0 < eta < math.inf:
+        raise ParameterError("eta must be finite and > 0")
+    psi = basis.psi_matrix(lv)
+    a = basis.row_scale(n)[:, None] * psi
     uniform = np.full(L, 1.0 / L)
     floor = 1.0 / (L * eta)  # ||w||^2 >= 1/L on sum(w) = 1
     level = float(np.max(np.abs(a @ uniform), initial=0.0))
     if level <= floor:
-        return WeightSolution(uniform, basis.psi_matrix(lv) @ uniform, floor, 0, tuple(lv))
-    normals, norms = _level_normals(a)
-    slope = _level_rhs(L, norms, 1.0) - _level_rhs(L, norms, 0.0)
-    active, seen, pieces = [0], {frozenset([0])}, 0
+        return WeightSolution(uniform, psi @ uniform, floor, 0, tuple(lv))
+    system = _LevelSystem(a)
+    normals, slope = system.normals, system.slope
+    active, seen, pieces, factors = [0], {frozenset([0])}, 0, None
     while True:
         pieces += 1
-        q, r = np.linalg.qr(normals[active].T)
-        rhs = _level_rhs(L, norms, level)
+        q, r = factors if factors else np.linalg.qr(normals[active].T)
+        factors = None
+        rhs = system.at(level)
         w, u_a = _min_norm(q, r, rhs[active])
         w_b, u_b = _min_norm(q, r, slope[active])
         # Going down by t, an inactive slack falls at rate normals . w_b - slope
@@ -432,27 +470,30 @@ def solve_weights_relaxed(basis, l_values, n, eta):
             del active[give[np.argmin(t_leave)]]
         else:
             p = int(join[np.argmin(t_join)])
-            r_p = np.linalg.qr(normals[active + [p]].T, mode="r")
+            q_p, r_p = np.linalg.qr(normals[active + [p]].T)
             if len(active) == L or abs(r_p[-1, -1]) <= DEPENDENT_TOL:
                 trade = _exchange(r_p, u_a - t_in * u_b)
                 if trade is None:  # every lower level is infeasible
                     break
                 del active[trade[2]]
+            else:  # the next piece factors the same matrix
+                factors = q_p, r_p
             active.append(p)
         key = frozenset(active)
         if key in seen:  # impossible in exact arithmetic: each set holds on one piece
             raise SolverError("relaxed solution path revisited an active set")
         seen.add(key)
-    w, u_a = _min_norm(q, r, _level_rhs(L, norms, level)[active])
+    w, u_a = _min_norm(q, r, system.at(level)[active])
     u = np.zeros(len(normals))
     u[active] = u_a
-    objective = _check_relaxed(a, eta, w, u, level)
-    return WeightSolution(w, basis.psi_matrix(lv) @ w, objective, pieces, tuple(lv))
+    objective = _check_relaxed(a, eta, w, u, level, system)
+    return WeightSolution(w, psi @ w, objective, pieces, tuple(lv))
 
 
-def _check_relaxed(a, eta, w, u, level):
+def _check_relaxed(a, eta, w, u, level, system):
     """Check w against its level QP and return f(w) = max(max_i |a_i . w|, ||w||^2 / eta).
 
+    system is the _LevelSystem of a; its right-hand side is written at level.
     With tol = RESIDUAL_FACTOR * L * eps, SolverError is raised unless w is
     finite, |sum(w) - 1| <= tol * sqrt(L) * ||w||_2, no level constraint is
     violated by more than tol * max(1, ||w||_2) (the rows have unit norm), the
@@ -460,7 +501,7 @@ def _check_relaxed(a, eta, w, u, level):
     stationarity w = normals^T u holds to tol * ||u||_1.
     """
     w = np.asarray(w, dtype=np.float64)
-    normals, rhs = _level_constraints(a, level)
+    normals, rhs = system.normals, system.at(level)
     tol = RESIDUAL_FACTOR * w.size * np.finfo(np.float64).eps
     w_norm = np.linalg.norm(w)
     sum_err = abs(w.sum() - 1.0)
@@ -470,9 +511,9 @@ def _check_relaxed(a, eta, w, u, level):
             and violation <= tol * max(1.0, w_norm) and np.all(u[1:] >= 0)
             and stationarity <= tol * np.sum(np.abs(u))):
         raise SolverError(
-            "relaxed weights fail their check: |sum(w) - 1| = %.3g, level violation = "
-            "%.3g, stationarity residual = %.3g, least multiplier = %.3g"
-            % (sum_err, violation, stationarity, np.min(u[1:])),
+            "relaxed weights fail their check at level %.6g: |sum(w) - 1| = %.3g, level "
+            "violation = %.3g, stationarity residual = %.3g, least multiplier = %.3g"
+            % (level, sum_err, violation, stationarity, np.min(u[1:])),
             best_weights=w,
             residuals=a @ w,
         )

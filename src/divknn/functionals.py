@@ -57,8 +57,8 @@ def make_functional(name, **params):
     """
     if name == "renyi_integral":
         alpha = float(params.get("alpha", 0.5))
-        if alpha in (0.0, 1.0):
-            raise ParameterError("renyi_integral requires alpha not in {0, 1}")
+        if alpha in (0.0, 1.0) or not math.isfinite(alpha):
+            raise ParameterError("renyi_integral requires a finite alpha not in {0, 1}")
         return FunctionalSpec(name, {"alpha": alpha}, lambda t1, t2: (t1 / t2) ** alpha)
     if name == "kl":
         return FunctionalSpec(name, {}, lambda t1, t2: (t1 / t2) * np.log(t1 / t2))

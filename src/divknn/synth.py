@@ -144,8 +144,8 @@ def true_renyi_integral(spec1, spec2, alpha):
     """
     if spec1.dim != spec2.dim:
         raise ParameterError("specs must share the dimension")
-    if alpha in (0.0, 1.0):
-        raise ParameterError("alpha must not be 0 or 1")
+    if alpha in (0.0, 1.0) or not math.isfinite(alpha):
+        raise ParameterError("alpha must be finite and not 0 or 1")
     total = 1.0
     cache = {}
     for mu1, mu2 in zip(spec1.mean, spec2.mean):

@@ -258,6 +258,32 @@ def test_library_errors_are_one_line_and_exit_1(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "-d", "3", "-n", "100", "--eta", "nan"],
+    ["weights", "-d", "3", "-n", "100", "--eta", "inf"],
+    ["weights", "-d", "3", "-n", "100", "--l-list", "nan,1"],
+    ["weights", "-d", "3", "-n", "100", "--l-min", "nan"],
+    ["weights", "-d", "3", "-n", "100", "--delta", "nan", "--mode", "odin2"],
+    ["bench", "--l-list", "1,nan", "--dims", "1", "--trials", "1"],
+    ["bench", "--delta", "nan", "--dims", "1", "--trials", "1"],
+    ["bench", "--eta", "nan", "--dims", "1", "--trials", "1"],
+    ["estimate", "--alpha", "nan", "--reps", "5"],
+    ["truth", "-d", "2", "--alpha", "nan"],
+])
+def test_non_finite_flags_are_one_error_line(tmp_path, capsys, argv):
+    if argv[0] == "bench":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    if argv[0] == "estimate":
+        y_path, x_path = write_samples(tmp_path)
+        argv = argv + ["--f1-sample", y_path, "--f2-sample", x_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_odin2_takes_its_own_default_l_grid(capsys):
     # 25 consecutive ks from round(1.4 * sqrt(100)) = 14, as ExperimentConfig schedules them.
     assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from divknn import (
     ConfigurationError,
     EnsembleConfig,
     ExperimentConfig,
+    ParameterError,
     PointSet,
     SolverError,
     build_basis,
@@ -27,10 +29,12 @@ from divknn.ensemble import (
     _check_constraints,
     _check_relaxed,
     _exchange,
-    _level_constraints,
+    _level_normals,
+    _LevelSystem,
     _min_norm,
     _piece_root,
     _round_half_away,
+    default_l_grid,
     solve_weights,
 )
 
@@ -381,7 +385,8 @@ def test_relaxed_check_rejects_corrupted_answers():
     a = basis.scaled_rows(np.asarray(config.l_values), config.n)
     level = solve_weights(config, basis).objective
     w, u = _level_qp(*_level_constraints(a, level))
-    assert _check_relaxed(a, config.eta, w, u, level) == pytest.approx(level, rel=1e-12)
+    system = _LevelSystem(a)  # checked at level, not at the level it was built at
+    assert _check_relaxed(a, config.eta, w, u, level, system) == pytest.approx(level, rel=1e-12)
     # A sum-preserving move that raises the largest |a_i . w| above the level.
     i = int(np.argmax(np.abs(a @ w)))
     up = np.sign(a[i] @ w) * (a[i] - a[i].mean())
@@ -395,7 +400,7 @@ def test_relaxed_check_rejects_corrupted_answers():
     ]
     for bad_w, bad_u in corrupted:
         with pytest.raises(SolverError, match="relaxed weights fail their check") as info:
-            _check_relaxed(a, config.eta, bad_w, bad_u, level)
+            _check_relaxed(a, config.eta, bad_w, bad_u, level, system)
         assert np.array_equal(info.value.best_weights, bad_w, equal_nan=True)
 
 
@@ -408,6 +413,12 @@ def _sweep_program(mode, d, n):
     config = ExperimentConfig().ensemble_config(mode, d, n)
     basis = build_basis(config)
     return config, basis, basis.scaled_rows(np.asarray(config.l_values), n)
+
+
+def _level_constraints(a, level):
+    # The unit normals and right-hand sides of the level-epsilon QP, built cold.
+    system = _LevelSystem(a)
+    return system.normals, system.at(level)
 
 
 def _level_qp(normals, rhs):
@@ -522,9 +533,9 @@ def _checked_answer(monkeypatch, config):
     # solve_weights_relaxed handed to _check_relaxed.
     checked = []
 
-    def check(a, eta, w, u, level):
+    def check(a, eta, w, u, level, *args):
         checked.append((w, u, level))
-        return _check_relaxed(a, eta, w, u, level)
+        return _check_relaxed(a, eta, w, u, level, *args)
 
     monkeypatch.setattr(ensemble, "_check_relaxed", check)
     sol = solve_weights(config)
@@ -576,6 +587,52 @@ def test_relaxed_path_ends_at_the_norm_crossing(mode, d, n):
     sol = solve_weights(config, basis)
     assert sol.weights @ sol.weights / config.eta == pytest.approx(sol.objective, rel=1e-12)
     assert sol.solver_iterations > 0
+
+
+@pytest.mark.parametrize("mode,d,n", [("odin1", 2, 100), ("odin1", 7, 1600),
+                                      ("odin2", 3, 400), ("odin2", 7, 100)])
+def test_level_system_rhs_is_the_fresh_rhs(monkeypatch, mode, d, n):
+    # Each right-hand side the solve writes in place holds the same doubles
+    # as one built fresh at that level, and the normals are _level_normals(a).
+    config, basis, a = _sweep_program(mode, d, n)
+    visited, real_at = [], ensemble._LevelSystem.at
+
+    def at(self, level):
+        visited.append(level)
+        return real_at(self, level)
+
+    monkeypatch.setattr(ensemble._LevelSystem, "at", at)
+    solve_weights(config, basis)
+    monkeypatch.undo()
+    L = a.shape[1]
+    system = _LevelSystem(a)
+    normals, norms = _level_normals(a)
+    assert np.array_equal(system.normals, normals)
+
+    def fresh(level):
+        return np.r_[L**-0.5, -np.tile(level / norms, 2)]
+
+    assert np.array_equal(system.slope, fresh(1.0) - fresh(0.0))
+    uniform_level = float(np.max(np.abs(a @ np.full(L, 1.0 / L))))
+    assert len(visited) > 2
+    for level in [0.0, uniform_level] + visited:
+        assert np.array_equal(system.at(level), fresh(level))
+
+
+def test_w_norm_on_every_path():
+    lv = tuple(np.linspace(0.3, 3.0, 50))
+    solutions = {
+        "exact": solve_weights(odin1(lv, 3, 400, solver="exact")),
+        "relaxed": solve_weights(odin1(lv, 3, 400)),
+        "uniform": solve_weights(odin1(lv, 3, 400, eta=1e-6)),
+        "single": solve_weights(odin1((1.5,), 3, 400)),
+    }
+    assert solutions["relaxed"].solver_iterations > 0
+    assert np.all(solutions["uniform"].weights == 1.0 / 50)
+    for path, sol in solutions.items():
+        assert sol.w_norm == np.linalg.norm(sol.weights), path
+    doubled = dataclasses.replace(solutions["relaxed"], weights=2.0 * solutions["relaxed"].weights)
+    assert doubled.w_norm == np.linalg.norm(doubled.weights)
 
 
 def _random_programs(seed, count):
@@ -722,6 +779,43 @@ def test_config_validation():
         odin2((1.0, 2.0), 1, 100, delta=1.5)
     with pytest.raises(ConfigurationError):
         odin1((1.0,), 1, 100, eta=0.0)
+
+
+@pytest.mark.parametrize("mode,lv,kw", [
+    ("odin1", (float("nan"), 1.0), {}),
+    ("odin1", (1.0, float("inf")), {}),
+    ("odin1", (1.0, 2.0), {"eta": float("nan")}),
+    ("odin1", (1.0, 2.0), {"eta": float("inf")}),
+    ("odin1", (1.0, 2.0), {"delta": float("nan")}),
+    ("odin2", (1.0, 2.0), {"delta": float("nan")}),
+])
+def test_config_rejects_non_finite_parameters(mode, lv, kw):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        EnsembleConfig(mode, lv, 1, 100, **kw)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_default_l_grid_rejects_non_finite_delta(delta):
+    with pytest.raises(ConfigurationError, match="delta must be finite"):
+        default_l_grid("odin2", 100, delta)
+
+
+@pytest.mark.parametrize("kw", [
+    {"l_values_odin1": (1.0, float("nan"))},
+    {"l_values_odin2": (float("inf"), 1.0)},
+    {"delta": float("nan")},
+    {"eta": float("nan")},
+])
+def test_experiment_config_rejects_non_finite_parameters(kw):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0])
+def test_relaxed_solver_rejects_eta_outside_its_range(eta):
+    config = odin1((0.5, 1.0, 2.0), 1, 100)
+    with pytest.raises(ParameterError, match="eta must be finite and > 0"):
+        solve_weights_relaxed(build_basis(config), config.l_values, 100, eta)
 
 
 def test_solve_weights_l1_shortcut():

@@ -10,6 +10,7 @@ from divknn import (
     plugin_estimate,
     plugin_profile,
     sample_truncated_gaussian,
+    true_renyi_integral,
 )
 from divknn.functionals import _denominator_profile, _density_denominators, neighbor_tables
 
@@ -40,6 +41,15 @@ def test_bad_functional_parameters():
         make_functional("no_such_functional")
     with pytest.raises(ParameterError):
         make_functional("custom")  # missing g
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ParameterError, match="finite"):
+        make_functional("renyi_integral", alpha=alpha)
+    spec = TruncatedGaussianSpec(2, (0.5,), 0.1)
+    with pytest.raises(ParameterError, match="finite"):
+        true_renyi_integral(spec, spec, alpha)
 
 
 def test_plugin_hand_case():
