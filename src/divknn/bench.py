@@ -7,21 +7,21 @@ module's oracle truth.  Trial RNG streams are indexed by (d, N, trial, role)
 so aggregates are independent of execution order and thread count.
 """
 
+import csv
+import io
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
-                       _raw_k, _require_finite, default_l_grid, estimation_plan)
+                       _raw_k, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
-
-CSV_HEADER = "d,n,estimator,trials,mean_estimate,true_value,bias,variance,mse,wall_time_ms"
 
 _ESTIMATORS = ("plugin", "odin1", "odin2")
 
@@ -72,25 +72,25 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
+        if not (self.dims and self.n_grid):
+            raise ConfigurationError("dims and n_grid must not be empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigurationError("n_grid must be strictly increasing")
         for e in self.estimators:
             if e not in _ESTIMATORS:
                 raise ConfigurationError("unknown estimator %r" % e)
-        _require_finite("l values", *self.l_values_odin1, *self.l_values_odin2)
-        _require_finite("delta", self.delta)
-        _require_finite("eta", self.eta)
         for n in self.n_grid:
-            max_k = self._max_scheduled_k(n)
+            # Every estimator at every d, run or not: EnsembleConfig judges the ensemble fields.
+            for d in self.dims:
+                configs = {est: self.ensemble_config(est, d, n) for est in _ESTIMATORS}
+            # The largest k scheduled at N (k grows with l, not with d), before k_schedule
+            # clamps it to N-1.
+            max_k = max((_raw_k(max(configs[e].l_values), n, configs[e].mode, self.delta)
+                         for e in self.estimators), default=1)
             if max_k > n - 1:
                 raise ConfigurationError(
                     "N=%d too small: max scheduled k=%d exceeds N-1" % (n, max_k)
                 )
-
-    def _max_scheduled_k(self, n):
-        """The largest k scheduled at N (k grows with l), before k_schedule clamps it to N-1."""
-        grids = [self._l_grid(e, n) for e in self.estimators]
-        return max((_raw_k(max(grid), n, mode, self.delta) for mode, grid in grids), default=1)
 
     def functional_spec(self):
         return make_functional(self.functional, alpha=self.alpha)
@@ -104,21 +104,21 @@ class ExperimentConfig:
     def odin2_l_grid(self, n):
         return self.l_values_odin2 or default_l_grid("odin2", n, self.delta)
 
-    def _l_grid(self, estimator, n):
-        """The estimator's (mode, l grid) at N."""
-        if estimator == "plugin":  # one member at k = plugin_k, or at round(sqrt(N)) (l = 1)
-            return "odin1", (self.plugin_k / math.sqrt(n) if self.plugin_k else 1.0,)
-        if estimator == "odin1":
-            return "odin1", self.l_values_odin1
-        return "odin2", self.odin2_l_grid(n)
-
     def ensemble_config(self, estimator, d, n):
-        """The estimator's EnsembleConfig at (d, N); ODin1 reads no delta or nu."""
-        mode, grid = self._l_grid(estimator, n)
-        if estimator == "plugin":
-            return EnsembleConfig(mode, grid, d, n, k_min=1)
+        """The estimator's EnsembleConfig at (d, N).
+
+        ODin1 reads no delta or nu, and the plug-in (one member, k_min 1) no
+        eta or solver either: solve_weights gives L = 1 the weight 1.
+        """
+        if estimator == "plugin":  # one member at k = plugin_k, or at round(sqrt(N)) (l = 1)
+            mode, grid = "odin1", (self.plugin_k / math.sqrt(n) if self.plugin_k else 1.0,)
+        elif estimator == "odin1":
+            mode, grid = "odin1", self.l_values_odin1
+        else:
+            mode, grid = "odin2", self.odin2_l_grid(n)
         return EnsembleConfig(mode, grid, d, n, delta=self.delta, nu=self.nu, eta=self.eta,
-                              solver=self.solver, k_min=self.k_min)
+                              solver=self.solver,
+                              k_min=1 if estimator == "plugin" else self.k_min)
 
     def canonical(self):
         """Deterministic flat key=value rendering for provenance comments."""
@@ -136,7 +136,7 @@ class ResultRow:
     d: int
     n: int
     estimator: str
-    trial_count: int
+    trials: int
     mean_estimate: float
     true_value: float
     bias: float
@@ -144,6 +144,11 @@ class ResultRow:
     mse: float
     wall_time_ms: float = 0.0
     error: str = None
+
+
+# The CSV columns and JSON keys, in order.
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def oracle_truth(config, d, n_mc=MC_TRUTH_N):
@@ -173,7 +178,7 @@ def run_experiment(config):
             t0 = time.perf_counter()
             try:
                 per_estimator = _run_cell(config, spec, spec1, spec2, d, n)
-            except Exception as exc:  # record and continue with the grid
+            except (SolverError, ValueError) as exc:  # record and continue with the grid
                 per_estimator = {est: str(exc) for est in config.estimators}
             elapsed = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
             for est in config.estimators:
@@ -197,9 +202,8 @@ def _run_cell(config, spec, spec1, spec2, d, n):
     plans = {}
     failed = {}
     for est in config.estimators:
-        econf = config.ensemble_config(est, d, n)
         try:
-            plans[est] = estimation_plan(econf)
+            plans[est] = estimation_plan(config.ensemble_config(est, d, n))
         except (SolverError, ValueError) as exc:  # fails this estimator's row only
             failed[est] = str(exc)
     if not plans:
@@ -232,50 +236,35 @@ def fit_loglog_slope(rows):
     return float(np.polyfit(logn, logm, 1)[0])
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+def _csv_value(value):
+    return "%.17g" % value if isinstance(value, float) else value
+
+
+def _json_value(value):
+    if value is None or isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return str(_csv_value(value))
 
 
 def rows_to_csv(rows, provenance=None):
-    lines = []
+    """One line per row, the ResultRow fields as columns; an OK row's error is empty."""
+    out = io.StringIO()
     if provenance:
-        lines.append("# %s" % provenance)
-    lines.append(CSV_HEADER)
+        out.write("# %s\n" % provenance)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_COLUMNS)
     for r in rows:
-        lines.append(",".join([
-            str(r.d), str(r.n), r.estimator, str(r.trial_count),
-            _fmt(r.mean_estimate), _fmt(r.true_value), _fmt(r.bias),
-            _fmt(r.variance), _fmt(r.mse), _fmt(r.wall_time_ms),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_json(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "null"
-    return _fmt(value)
+        writer.writerow(_csv_value(getattr(r, name)) for name in _COLUMNS)
+    return out.getvalue()
 
 
 def rows_to_json(rows):
     # Hand-rendered so floats carry 17 significant digits.
-    parts = []
-    for r in rows:
-        fields = [
-            '"d": %d' % r.d,
-            '"n": %d' % r.n,
-            '"estimator": %s' % json.dumps(r.estimator),
-            '"trials": %d' % r.trial_count,
-            '"mean_estimate": %s' % _fmt_json(r.mean_estimate),
-            '"true_value": %s' % _fmt_json(r.true_value),
-            '"bias": %s' % _fmt_json(r.bias),
-            '"variance": %s' % _fmt_json(r.variance),
-            '"mse": %s' % _fmt_json(r.mse),
-            '"wall_time_ms": %s' % _fmt_json(r.wall_time_ms),
-            '"error": %s' % json.dumps(r.error),
-        ]
-        parts.append("{" + ", ".join(fields) + "}")
+    parts = ["{" + ", ".join('"%s": %s' % (name, _json_value(getattr(r, name)))
+                             for name in _COLUMNS) + "}"
+             for r in rows]
     return "[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n"
 
 

@@ -70,8 +70,7 @@ class EnsembleConfig:
         if self.solver not in ("exact", "relaxed"):
             raise ConfigurationError("solver must be 'exact' or 'relaxed'")
         if mode == "odin2":
-            if not (0.0 < self.delta < 1.0):
-                raise ConfigurationError("odin2 requires delta in (0, 1)")
+            _require_odin2_delta(self.delta)
             if self.nu < 1:
                 raise ConfigurationError("odin2 requires nu >= 1")
             for message in _rate_warnings(self):
@@ -88,6 +87,13 @@ def _require_finite(name, *values):
     """Raise ConfigurationError unless every value is finite: a NaN passes every range test."""
     if not all(math.isfinite(v) for v in values):
         raise ConfigurationError("%s must be finite" % name)
+
+
+def _require_odin2_delta(delta):
+    """Raise ConfigurationError unless delta is finite and in (0, 1), ODin2's range."""
+    _require_finite("delta", delta)
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError("odin2 requires delta in (0, 1)")
 
 
 def _rate_warnings(config):
@@ -163,7 +169,10 @@ def _round_half_away(x):
 def _raw_k(l, n, mode, delta):
     """k(l) before clamping: l * sqrt(N) (ODin1) or l * N^delta (ODin2), rounded half away."""
     base = math.sqrt(n) if mode == "odin1" else n**delta
-    return _round_half_away(l * base)
+    k = l * base
+    if not math.isfinite(k):
+        raise ConfigurationError("k(l) = l * %.17g overflows at l=%g" % (base, l))
+    return _round_half_away(k)
 
 
 # The default l grids.  ODin1: linspace(l_min, l_max, l_count) of ODIN1_L_RANGE.
@@ -179,11 +188,11 @@ def default_l_grid(mode, n, delta):
     ODin1's is linspace(*ODIN1_L_RANGE) at every N (``n`` and ``delta`` are
     not read).  ODin2's is l_i = (k0 + i) / N^delta for ODIN2_L_COUNT
     consecutive ks from k0 = round(ODIN2_L_MIN * N^delta), so no two members
-    share a k.  A non-finite delta raises ConfigurationError.
+    share a k.  A delta outside (0, 1) raises ConfigurationError.
     """
     if mode == "odin1":
         return tuple(np.linspace(*ODIN1_L_RANGE))
-    _require_finite("delta", delta)
+    _require_odin2_delta(delta)
     k0 = _raw_k(ODIN2_L_MIN, n, "odin2", delta)
     base = n**delta
     return tuple((k0 + i) / base for i in range(ODIN2_L_COUNT))

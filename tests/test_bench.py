@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -110,7 +112,7 @@ def test_run_experiment_shapes_and_identity():
     for r in rows:
         assert r.error is None
         assert r.mse == pytest.approx(r.bias**2 + r.variance, abs=1e-18)
-        assert r.trial_count == 4
+        assert r.trials == 4
         assert r.wall_time_ms == 0.0  # timing off by default
         assert np.isfinite(r.mean_estimate)
 
@@ -172,7 +174,9 @@ def test_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# cfg"
     assert lines[1] == CSV_HEADER
-    assert lines[2] == "7,100,odin1,10,0.5,0.5,0,0.125,0.125,0"
+    assert CSV_HEADER == ("d,n,estimator,trials,mean_estimate,true_value,bias,variance,mse,"
+                          "wall_time_ms,error")
+    assert lines[2] == "7,100,odin1,10,0.5,0.5,0,0.125,0.125,0,"  # an OK row's error is empty
     # Header-only output for an empty row list.
     assert rows_to_csv([]) == CSV_HEADER + "\n"
 
@@ -204,6 +208,22 @@ def test_json_non_finite_becomes_null():
     assert data[0]["error"] == "boom"
 
 
+def test_csv_error_column_reads_back_as_the_json_error():
+    nan = float("nan")
+    message = 'l="0.5, 1" failed, twice'
+    rows = [ResultRow(1, 10, "odin1", 2, nan, 0.1, nan, nan, nan, 0.0, error=message),
+            ResultRow(1, 10, "plugin", 2, 0.2, 0.1, 0.1, 0.0, 0.01)]
+    records = list(csv.reader(io.StringIO(rows_to_csv(rows, provenance="a, b"))))
+    assert records[1] == CSV_HEADER.split(",")
+    assert [len(record) for record in records[1:]] == [11, 11, 11]
+    failed, ok = (dict(zip(records[1], record)) for record in records[2:])
+    data = json.loads(rows_to_json(rows))
+    assert failed["error"] == data[0]["error"] == message
+    assert failed["mse"] == "nan" and data[0]["mse"] is None
+    assert ok["error"] == "" and data[1]["error"] is None
+    assert [list(row) for row in data] == [records[1]] * 2
+
+
 def test_failed_weight_solve_fails_only_its_row():
     # At d=7 the exact program is rank deficient for both ensembles; the
     # plug-in row needs no weights and must still be computed.
@@ -217,6 +237,41 @@ def test_failed_weight_solve_fails_only_its_row():
     data = json.loads(rows_to_json([rows["plugin"], rows["odin1"]]))
     assert data[0]["error"] is None
     assert "rank deficient" in data[1]["error"]
+    records = list(csv.DictReader(io.StringIO(rows_to_csv(rows.values()))))
+    assert [r["estimator"] for r in records] == ["plugin", "odin1", "odin2"]
+    assert records[0]["error"] == ""
+    for record in records[1:]:
+        assert record["error"] == rows[record["estimator"]].error
+        assert record["error"].startswith("constraint matrix is rank deficient")
+
+
+@pytest.mark.parametrize("fields", [
+    {"eta": -1.0},
+    {"eta": 0.0},
+    {"nu": 0},
+    {"solver": "bogus"},
+    {"delta": 1e300},
+    {"delta": -1e300},
+    {"dims": ()},
+    {"n_grid": ()},
+])
+def test_config_rejects_bad_ensemble_parameters_whichever_estimators_run(fields):
+    # EnsembleConfig judges every ensemble field for all three estimators,
+    # so a bad value fails at construction, not as a grid of nan rows.
+    for estimators in (("plugin",), ("plugin", "odin1", "odin2")):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**{**TINY, "estimators": estimators, **fields})
+
+
+def test_programming_error_in_a_cell_propagates(monkeypatch):
+    # Only a failed weight solve or a rejected value makes a failed row; a
+    # bug must not become nan rows.
+    def broken(*args, **kwargs):
+        raise TypeError("broken profile")
+
+    monkeypatch.setattr("divknn.bench.plugin_profile", broken)
+    with pytest.raises(TypeError, match="broken profile"):
+        run_experiment(ExperimentConfig(**{**TINY, "n_grid": (50,)}))
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -115,7 +115,8 @@ def test_bench_csv_deterministic(tmp_path, capsys):
     text = out1.read_text()
     assert text == out2.read_text()
     header = text.splitlines()[1]
-    assert header == "d,n,estimator,trials,mean_estimate,true_value,bias,variance,mse,wall_time_ms"
+    assert header == ("d,n,estimator,trials,mean_estimate,true_value,bias,variance,mse,"
+                      "wall_time_ms,error")
     assert text.splitlines()[0].startswith("# ")  # provenance comment
 
 
@@ -281,6 +282,29 @@ def test_non_finite_flags_are_one_error_line(tmp_path, capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--mode", "odin2", "-d", "3", "-n", "100", "--delta", "1e300"],
+    ["weights", "--mode", "odin2", "-d", "3", "-n", "100", "--delta=-1e300"],
+    ["weights", "-d", "3", "-n", "100", "--l-list", "1,2,1e308"],
+    ["bench", "--delta", "1e300"],
+    ["bench", "--delta=-1e300"],
+    ["bench", "--l-list", "1,2,1e308"],
+    ["bench", "--eta", "-1"],
+    ["bench", "--nu", "0"],
+    ["bench", "--solver", "exact", "--estimators", "plugin", "--eta", "0"],
+])
+def test_out_of_range_flags_are_one_error_line(tmp_path, capsys, argv):
+    if argv[0] == "bench":
+        argv = argv + ["--dims", "1", "--n-grid", "50,100", "--trials", "2",
+                       "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -800,6 +800,22 @@ def test_default_l_grid_rejects_non_finite_delta(delta):
         default_l_grid("odin2", 100, delta)
 
 
+@pytest.mark.parametrize("delta", [1e300, -1e300, 0.0, 1.0])
+def test_odin2_delta_outside_its_range_is_rejected_before_the_power(delta):
+    # N^delta overflows at 1e300 and underflows to a zero divisor at -1e300.
+    with pytest.raises(ConfigurationError, match=r"delta in \(0, 1\)"):
+        default_l_grid("odin2", 100, delta)
+    with pytest.raises(ConfigurationError, match=r"delta in \(0, 1\)"):
+        odin2((1.0, 2.0), 3, 100, delta=delta)
+
+
+@pytest.mark.parametrize("mode", ["odin1", "odin2"])
+def test_k_schedule_rejects_an_overflowing_k(mode):
+    config = EnsembleConfig(mode, (1.0, 2.0, 1e308), 3, 100)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        k_schedule(config)
+
+
 @pytest.mark.parametrize("kw", [
     {"l_values_odin1": (1.0, float("nan"))},
     {"l_values_odin2": (float("inf"), 1.0)},
