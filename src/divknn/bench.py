@@ -4,7 +4,7 @@ Each grid cell runs independent trials with fresh samples from the two
 truncated Gaussians, shares one neighbor-distance sweep per trial across all
 requested estimators, and aggregates bias/variance/MSE against the synth
 module's oracle truth.  Trial RNG streams are indexed by (d, N, trial, role)
-so aggregates are independent of execution order and thread count.
+so aggregates are independent of execution order and worker count.
 """
 
 import csv
@@ -12,13 +12,12 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
-                       _raw_k, default_l_grid, estimation_plan)
+                       _rate_warnings, _raw_k, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -167,20 +166,51 @@ def oracle_truth(config, d, n_mc=MC_TRUTH_N):
     return result.value, result.std_error
 
 
-def run_experiment(config):
-    """Run the full (d, N, estimator) grid and return aggregated rows."""
-    spec = config.functional_spec()
+def run_experiment(config, on_warning=None):
+    """Run the full (d, N, estimator) grid and return aggregated rows.
+
+    This process solves every cell's plans first.  Each cell's trials then run
+    in ``min(threads, trials)`` interleaved chunks: here when ``threads`` is 1,
+    else on ``threads`` forked worker processes that take the chunks of every
+    cell from one queue, largest N first.  ``on_warning``, if given, is called
+    once with each distinct rate warning of the plans built (see
+    ``estimation_plan``); a k collision is not passed on.
+    """
+    plans, failed, solve_s = {}, {}, {}
+    for d in config.dims:
+        for n in config.n_grid:
+            t0 = time.perf_counter()
+            plans[d, n], failed[d, n] = _cell_plans(config, d, n)
+            solve_s[d, n] = time.perf_counter() - t0
+    if on_warning is not None:
+        for message in dict.fromkeys(m for cell in plans.values() for plan in cell.values()
+                                     for m in _rate_warnings(plan.config)):
+            on_warning(message)
+    chunks = min(config.threads, config.trials)
+    tasks = {}
+    for d, n in sorted(plans, key=lambda cell: -cell[1]):
+        if plans[d, n]:
+            union_ks = sorted(set().union(*(plan.ks for plan in plans[d, n].values())))
+            for c in range(chunks):
+                tasks[d, n, c] = (config, d, n, plans[d, n], union_ks,
+                                  range(c, config.trials, chunks))
+    outcomes = _run_tasks(config.threads, tasks)
     rows = []
     for d in config.dims:
         truth, _ = oracle_truth(config, d)
-        spec1, spec2 = config.density_specs(d)
         for n in config.n_grid:
-            t0 = time.perf_counter()
-            try:
-                per_estimator = _run_cell(config, spec, spec1, spec2, d, n)
-            except (SolverError, ValueError) as exc:  # record and continue with the grid
-                per_estimator = {est: str(exc) for est in config.estimators}
-            elapsed = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
+            results = [outcomes[d, n, c] for c in range(chunks) if (d, n, c) in outcomes]
+            errors = [str(r) for r in results if isinstance(r, Exception)]
+            if errors:  # record and continue with the grid
+                per_estimator = {est: errors[0] for est in config.estimators}
+            else:
+                per_estimator = dict(failed[d, n])
+                for est in plans[d, n]:
+                    per_estimator[est] = values = np.empty(config.trials)
+                    for c, (chunk_values, _) in enumerate(results):
+                        values[c::chunks] = chunk_values[est]
+            work_s = solve_s[d, n] + sum(r[1] for r in results if not isinstance(r, Exception))
+            elapsed = work_s * 1e3 if config.timing else 0.0
             for est in config.estimators:
                 values = per_estimator[est]
                 if isinstance(values, str):
@@ -197,29 +227,68 @@ def run_experiment(config):
     return rows
 
 
-def _run_cell(config, spec, spec1, spec2, d, n):
-    """Trial values per estimator, or the error message of an estimator whose weights failed."""
-    plans = {}
-    failed = {}
+def _cell_plans(config, d, n):
+    """The cell's plan per estimator, and the error message of each whose weights failed."""
+    plans, failed = {}, {}
     for est in config.estimators:
         try:
             plans[est] = estimation_plan(config.ensemble_config(est, d, n))
         except (SolverError, ValueError) as exc:  # fails this estimator's row only
             failed[est] = str(exc)
-    if not plans:
-        return failed
-    union_ks = sorted(set().union(*(plan.ks for plan in plans.values())))
+    return plans, failed
 
-    def run_trial(trial):
+
+def _trials(config, d, n, plans, union_ks, trials):
+    """Each plan's estimate on each listed trial's samples, and the seconds that took.
+
+    Module-level, and the functional is rebuilt from the config, so that a
+    worker process can run it from pickled arguments.
+    """
+    t0 = time.perf_counter()
+    spec = config.functional_spec()
+    spec1, spec2 = config.density_specs(d)
+    values = {est: [] for est in plans}
+    for trial in trials:
         x = sample_truncated_gaussian(spec2, n, config.seed, _trial_stream(d, n, trial, 0))
         y = sample_truncated_gaussian(spec1, n, config.seed, _trial_stream(d, n, trial, 1))
-        values, _ = plugin_profile(x, y, union_ks, spec)
-        return {est: plan.combine(union_ks, values) for est, plan in plans.items()}
+        profile, _ = plugin_profile(x, y, union_ks, spec)
+        for est, plan in plans.items():
+            values[est].append(plan.combine(union_ks, profile))
+    return values, time.perf_counter() - t0
 
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        trial_results = list(pool.map(run_trial, range(config.trials)))
-    values = {est: np.array([r[est] for r in trial_results]) for est in plans}
-    return {**values, **failed}
+
+def _outcome(call):
+    """call(), or the SolverError or ValueError it raised, which fails its cell's rows."""
+    try:
+        return call()
+    except (SolverError, ValueError) as exc:
+        return exc
+
+
+def _run_tasks(workers, tasks):
+    """Each task's _trials outcome, in this process or on forked worker processes.
+
+    Tasks are queued in the order given.  No worker outlives the call; an
+    error that propagates cancels the tasks not yet started.
+    """
+    if workers == 1 or not tasks:
+        return {key: _outcome(lambda: _trials(*args)) for key, args in tasks.items()}
+    # Imported here, so that importing divknn does not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        # Fork, since a worker then starts without importing numpy and divknn anew.
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise ConfigurationError("threads > 1 needs the fork start method, "
+                                 "which this platform lacks") from None
+    pool = ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context)
+    try:
+        futures = {key: pool.submit(_trials, *args) for key, args in tasks.items()}
+        return {key: _outcome(future.result) for key, future in futures.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def fit_loglog_slope(rows):

@@ -192,9 +192,13 @@ def _config_fields(args):
             if key in ExperimentConfig.__dataclass_fields__}
 
 
+def _warn(message):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def cmd_bench(args):
     config = ExperimentConfig(l_values_odin1=_l_values(args, None), **_config_fields(args))
-    rows = run_experiment(config)
+    rows = run_experiment(config, on_warning=_warn)
     emit(rows, args.format, args.out, provenance=config.canonical())
     if args.slopes:
         for d in config.dims:
@@ -217,7 +221,7 @@ def cmd_weights(args):
           % (plan.weights.objective, float(np.sum(plan.weights.weights)),
              plan.weights.w_norm, plan.weights.solver_iterations))
     for message in plan.warnings:
-        print("warning: %s" % message, file=sys.stderr)
+        _warn(message)
     return 0
 
 

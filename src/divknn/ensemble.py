@@ -9,7 +9,6 @@ without ever computing the unknown bias constants.
 """
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,8 +72,6 @@ class EnsembleConfig:
             _require_odin2_delta(self.delta)
             if self.nu < 1:
                 raise ConfigurationError("odin2 requires nu >= 1")
-            for message in _rate_warnings(self):
-                _warnings.warn(message)
         if self.eta <= 0:
             raise ConfigurationError("eta must be > 0")
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from divknn import (
     ExperimentConfig,
     ParameterError,
     ResultRow,
+    SolverError,
     emit,
     ensemble_estimate,
     fit_loglog_slope,
@@ -18,6 +20,7 @@ from divknn import (
     run_experiment,
     sample_truncated_gaussian,
 )
+from divknn import bench
 from divknn.bench import CSV_HEADER, _trial_stream, rows_to_csv, rows_to_json
 from divknn.ensemble import k_schedule
 
@@ -159,12 +162,24 @@ def test_deterministic_rerun_byte_identical():
 def test_threaded_matches_serial():
     for fields in (
         {**TINY, "trials": 6},
-        # The neighbor screen's chunked BLAS products run in the pool's threads.
+        # The neighbor screen's chunked BLAS products run in the worker processes.
         dict(dims=(7,), n_grid=(100, 400), trials=4, seed=9),
+        # More workers than trials: one trial per chunk.
+        {**TINY, "trials": 3},
     ):
-        serial = run_experiment(ExperimentConfig(**fields))
-        threaded = run_experiment(ExperimentConfig(**fields, threads=4))
-        assert rows_to_csv(threaded) == rows_to_csv(serial), fields
+        serial = rows_to_csv(run_experiment(ExperimentConfig(**fields)))
+        for threads in (2, 4):
+            assert rows_to_csv(run_experiment(ExperimentConfig(**fields, threads=threads))) \
+                == serial, (fields, threads)
+            assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wall_time_is_the_cells_solve_and_trial_time_under_timing(threads):
+    fields = {**TINY, "threads": threads}
+    timed = run_experiment(ExperimentConfig(**fields, timing=True))
+    assert all(r.error is None and r.wall_time_ms > 0.0 for r in timed)
+    assert all(r.wall_time_ms == 0.0 for r in run_experiment(ExperimentConfig(**fields)))
 
 
 def test_csv_format(tmp_path):
@@ -265,13 +280,50 @@ def test_config_rejects_bad_ensemble_parameters_whichever_estimators_run(fields)
 
 def test_programming_error_in_a_cell_propagates(monkeypatch):
     # Only a failed weight solve or a rejected value makes a failed row; a
-    # bug must not become nan rows.
+    # bug must not become nan rows, here or in a worker process.
     def broken(*args, **kwargs):
         raise TypeError("broken profile")
 
     monkeypatch.setattr("divknn.bench.plugin_profile", broken)
-    with pytest.raises(TypeError, match="broken profile"):
-        run_experiment(ExperimentConfig(**{**TINY, "n_grid": (50,)}))
+    for threads in (1, 2):
+        with pytest.raises(TypeError, match="broken profile"):
+            run_experiment(ExperimentConfig(**{**TINY, "n_grid": (50,), "threads": threads}))
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("error", [ValueError("bad sample"), SolverError("no weights")])
+def test_an_error_in_one_cells_trials_fails_only_that_cell(monkeypatch, threads, error):
+    # The patched profile fails every trial at N=100 only; a worker's error
+    # comes back to the parent, which records it for the cell and goes on.
+    profile = bench.plugin_profile
+
+    def failing_at_100(x, y, ks, spec):
+        if x.n == 100:
+            raise error
+        return profile(x, y, ks, spec)
+
+    config = ExperimentConfig(**{**TINY, "threads": threads})
+    monkeypatch.setattr("divknn.bench.plugin_profile", failing_at_100)
+    rows = run_experiment(config)
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    clean = run_experiment(config)
+    for row, want in zip(rows, clean):
+        if row.n == 100:
+            assert row.error == str(error) and math.isnan(row.mse)
+        else:
+            assert row == want
+
+
+def test_worker_processes_need_fork(monkeypatch):
+    def no_fork(method=None):
+        raise ValueError("cannot find context for %r" % method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with pytest.raises(ConfigurationError, match="fork"):
+        run_experiment(ExperimentConfig(**{**TINY, "threads": 2}))
+    assert run_experiment(ExperimentConfig(**TINY))  # one worker runs here, without a pool
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -231,22 +232,42 @@ def test_estimate_reports_warnings_and_clamps(capsys, tmp_path):
     assert payload["warnings"] == [] and payload["degeneracy_count"] == 7
 
 
+RATE_MESSAGE = ("nu=2 < ceil(1/delta)=4: the parametric MSE rate is not guaranteed for "
+                "this configuration")
+
+
 def test_rate_warning_reaches_estimate_and_weights(capsys, tmp_path):
+    # The message is data (plan.warnings), never a Python warning: under
+    # "error" a warnings.warn anywhere would raise.
     y_path, x_path = write_samples(tmp_path)
-    message = ("nu=2 < ceil(1/delta)=4: the parametric MSE rate is not guaranteed for "
-               "this configuration")
     odin2 = ("--mode", "odin2", "--delta", "0.25", "--nu", "2")
-    with pytest.warns(UserWarning, match="parametric"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         payload = json.loads(run_estimate(capsys, y_path, x_path, "1.0,2.0,3.0", *odin2,
                                           "--format", "json"))
-    assert payload["warnings"] == [message]
-    with pytest.warns(UserWarning, match="parametric"):
+        assert payload["warnings"] == [RATE_MESSAGE]
         text = run_estimate(capsys, y_path, x_path, "1.0,2.0,3.0", *odin2)
-    assert "warnings   %s" % message in text
-    with pytest.warns(UserWarning, match="parametric"):
+        assert "warnings   %s" % RATE_MESSAGE in text
         assert main(["weights", "-d", "1", "-n", "150", "--l-list", "1.0,2.0,3.0",
                      "--solver", "exact", *odin2]) == 0
-    assert "warning: %s" % message in capsys.readouterr().err.splitlines()
+    assert capsys.readouterr().err.splitlines() == ["warning: %s" % RATE_MESSAGE]
+
+
+@pytest.mark.parametrize("estimators, expected", [
+    ("plugin,odin1,odin2", ["warning: %s" % RATE_MESSAGE]),
+    ("odin2", ["warning: %s" % RATE_MESSAGE]),
+    ("plugin,odin1", []),  # the ODin2 config is judged but not run
+])
+def test_bench_prints_the_rate_warning_once_when_odin2_runs(tmp_path, capsys, estimators,
+                                                            expected):
+    # ODin1's l = 0.5 and 0.52 collide at k = 4 (N = 50): bench does not print
+    # k collisions, which the default ODin1 grid has at every small N.
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", "--out", str(out), *BENCH_COMMON, "--l-list", "0.5,0.52,2.0",
+                     "--delta", "0.25", "--estimators", estimators, "--threads", "2"]) == 0
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_library_errors_are_one_line_and_exit_1(capsys):

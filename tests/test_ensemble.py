@@ -35,6 +35,7 @@ from divknn.ensemble import (
     _piece_root,
     _round_half_away,
     default_l_grid,
+    estimation_plan,
     solve_weights,
 )
 
@@ -114,7 +115,6 @@ def test_basis_odin2_exponent_window():
             assert -0.5 < e.n_exponent < 0.0
 
 
-@pytest.mark.filterwarnings("ignore:nu=:UserWarning")
 def test_basis_exponent_pairs_are_distinct():
     # Equal l exponents j - q/2 force q' - q = 2 (j' - j), and the rates then
     # differ by (j' - j) ((1 - delta)/d + delta): no two (j, q) share a pair,
@@ -136,8 +136,13 @@ def test_basis_too_large_for_ensemble():
 
 
 def test_nu_warning_when_rate_not_guaranteed():
-    with pytest.warns(UserWarning, match="parametric"):
-        odin2((1.0, 2.0, 3.0), 2, 100, delta=0.25, nu=2)
+    # The warning is the plan's data, not a Python warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = estimation_plan(odin2((1.0, 2.0, 3.0), 2, 100, delta=0.25, nu=2))
+    assert plan.warnings == ("nu=2 < ceil(1/delta)=4: the parametric MSE rate is not "
+                             "guaranteed for this configuration",)
+    assert estimation_plan(odin2((1.0, 2.0, 3.0), 2, 100, delta=0.5, nu=2)).warnings == ()
 
 
 # ---------------------------------------------------------------- exact solver
