@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
-                       _rate_warnings, _raw_k, default_l_grid, estimation_plan)
+                       _raw_k, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
@@ -166,15 +166,13 @@ def oracle_truth(config, d, n_mc=MC_TRUTH_N):
     return result.value, result.std_error
 
 
-def run_experiment(config, on_warning=None):
+def run_experiment(config):
     """Run the full (d, N, estimator) grid and return aggregated rows.
 
     This process solves every cell's plans first.  Each cell's trials then run
     in ``min(threads, trials)`` interleaved chunks: here when ``threads`` is 1,
     else on ``threads`` forked worker processes that take the chunks of every
-    cell from one queue, largest N first.  ``on_warning``, if given, is called
-    once with each distinct rate warning of the plans built (see
-    ``estimation_plan``); a k collision is not passed on.
+    cell from one queue, largest N first.
     """
     plans, failed, solve_s = {}, {}, {}
     for d in config.dims:
@@ -182,10 +180,6 @@ def run_experiment(config, on_warning=None):
             t0 = time.perf_counter()
             plans[d, n], failed[d, n] = _cell_plans(config, d, n)
             solve_s[d, n] = time.perf_counter() - t0
-    if on_warning is not None:
-        for message in dict.fromkeys(m for cell in plans.values() for plan in cell.values()
-                                     for m in _rate_warnings(plan.config)):
-            on_warning(message)
     chunks = min(config.threads, config.trials)
     tasks = {}
     for d, n in sorted(plans, key=lambda cell: -cell[1]):

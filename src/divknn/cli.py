@@ -17,8 +17,8 @@ import numpy as np
 
 from .bench import (MC_TRUTH_N, ExperimentConfig, emit, fit_loglog_slope, oracle_truth,
                     run_experiment)
-from .ensemble import (ODIN1_L_RANGE, ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, default_l_grid,
-                       estimation_plan)
+from .ensemble import (ODIN1_L_RANGE, ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _rate_warnings,
+                       default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import BUILTIN_FUNCTIONALS, make_functional
 from .inference import confidence_interval
@@ -198,7 +198,11 @@ def _warn(message):
 
 def cmd_bench(args):
     config = ExperimentConfig(l_values_odin1=_l_values(args, None), **_config_fields(args))
-    rows = run_experiment(config, on_warning=_warn)
+    if "odin2" in config.estimators:  # the rate warning reads only mode, nu and delta
+        for message in _rate_warnings(config.ensemble_config("odin2", config.dims[0],
+                                                             config.n_grid[0])):
+            _warn(message)
+    rows = run_experiment(config)
     emit(rows, args.format, args.out, provenance=config.canonical())
     if args.slopes:
         for d in config.dims:
