@@ -33,12 +33,11 @@ from .functionals import (
 from .inference import (
     InferenceResult,
     bootstrap_replicates,
-    bootstrap_std,
     confidence_interval,
     normal_quantile,
     two_sample_test,
 )
-from .neighbors import NeighborIndex, PointSet, build_index, kth_nn_distance
+from .neighbors import NeighborIndex, PointSet
 from .synth import (
     TruncatedGaussianSpec,
     mc_truth,

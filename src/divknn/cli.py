@@ -11,7 +11,9 @@ embeds the canonical configuration as a header comment for provenance.
 
 import argparse
 import json
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -155,8 +157,14 @@ def _ensemble_config(args, d, n):
 
 
 def _read_sample(path, skip_header):
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0, ndmin=2)
-    return PointSet(data)
+    """The sample in a CSV file; contents that are not an (N, d) sample are a ParameterError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's warning on a file without rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0, ndmin=2)
+        return PointSet(data)
+    except ValueError as exc:
+        raise ParameterError("sample %s: %s" % (path, exc)) from exc
 
 
 def cmd_estimate(args):
@@ -198,6 +206,9 @@ def _warn(message):
 
 def cmd_bench(args):
     config = ExperimentConfig(l_values_odin1=_l_values(args, None), **_config_fields(args))
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # before the grid runs, not after
+        raise ParameterError("--out directory %s does not exist" % out_dir)
     if "odin2" in config.estimators:  # the rate warning reads only mode, nu and delta
         for message in _rate_warnings(config.ensemble_config("odin2", config.dims[0],
                                                              config.n_grid[0])):
@@ -241,7 +252,7 @@ def cmd_truth(args):
 
 
 def main(argv=None):
-    """Run one command; a library error is printed as one ``error:`` line and exits 1."""
+    """Run one command; a library or file error is printed as one ``error:`` line and exits 1."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -255,7 +266,7 @@ def main(argv=None):
         if getattr(args, "config", None):
             args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
         return handlers[args.command](args)
-    except (ParameterError, ConfigurationError, SolverError) as exc:
+    except (ParameterError, ConfigurationError, SolverError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

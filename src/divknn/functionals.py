@@ -12,8 +12,8 @@ Degenerate distances (at most ``DEGENERATE_RHO``: duplicate points) are
 clamped and counted, and densities are clipped into [``EVAL_FLOOR``,
 ``EVAL_CEIL``] before g.  The clamp and the power live in one place,
 :func:`_density_denominators` (m * c_d * rho^d); the density at k is k over
-it.  Only :func:`knn_density` and :func:`plugin_estimate`
-offer ``mode="strict"``, which raises ``DegeneracyError`` instead.
+it.  Only :func:`plugin_estimate` offers ``mode="strict"``, which raises
+``DegeneracyError`` instead and does not clip.
 """
 
 import math
@@ -110,25 +110,21 @@ def unit_ball_volume(d):
     return value
 
 
-def knn_density(rho, k, m, d, mode="robust"):
+def knn_density(rho, k, m, d):
     """k-NN density estimate k / (m * c_d * rho^d).
 
     ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
     integer or an integer array that broadcasts against it (for example one
-    k per row of a (ks, points) distance array).  Robust mode clamps
-    distances below ``DEGENERATE_RHO`` (the denominator is
-    :func:`_density_denominators`); strict mode raises instead.
+    k per row of a (ks, points) distance array).  Distances below
+    ``DEGENERATE_RHO`` are clamped (the denominator is
+    :func:`_density_denominators`).
     """
-    if mode not in ("strict", "robust"):
-        raise ParameterError("mode must be 'strict' or 'robust'")
     k = np.asarray(k, dtype=np.int64)
     m = int(m)
     if np.any(k < 1) or np.any(k > m):
         raise ParameterError("k=%s out of range for m=%d" % (k, m))
     rho_arr = np.asarray(rho, dtype=np.float64)
     _check_finite(rho_arr)
-    if mode == "strict" and np.any(rho_arr <= DEGENERATE_RHO):
-        raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
     value = k / _density_denominators(rho_arr, m, d)
     if np.ndim(value) == 0:
         return float(value)

@@ -287,12 +287,6 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
     return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
 
 
-def bootstrap_std(x, y, config, spec, reps=200, seed=0, weights=None):
-    """Bootstrap standard error of the ensemble estimate (see bootstrap_replicates)."""
-    values = bootstrap_replicates(x, y, config, spec, reps, seed, weights=weights)
-    return float(np.std(values, ddof=1))
-
-
 def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed, null_value,
                       weights):
     """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.

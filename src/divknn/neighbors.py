@@ -1,12 +1,12 @@
 """Point storage and exact k-nearest-neighbor distance tables.
 
-One engine answers every query: ``NeighborIndex.kth_distance_table``, and
-``kth_nn`` is a one-row table.  A query that is one of the reference points
-finds itself at distance exactly 0, ahead of every other entry, so its
-leave-one-out neighbors are its table one column deeper with column 0
-dropped; the engine has no leave-one-out mode.  It takes the queries in
-blocks sized so that a block's screen and candidates stay in a core's L2
-cache (``SCREEN_BLOCK_BYTES``), and works on each block in two steps:
+One engine answers every query: ``NeighborIndex.kth_distance_table``.  A
+query that is one of the reference points finds itself at distance exactly
+0, ahead of every other entry, so its leave-one-out neighbors are its table
+one column deeper with column 0 dropped; the engine has no leave-one-out
+mode.  It takes the queries in blocks sized so that a block's screen and
+candidates stay in a core's L2 cache (``SCREEN_BLOCK_BYTES``), and works on
+each block in two steps:
 
 * Screen: the coordinates are scaled by a power of two so that every one is
   below 1 in magnitude, centered on the reference mean, scaled again
@@ -129,32 +129,7 @@ class NeighborIndex:
     def size(self):
         return self.pointset.n
 
-    def kth_nn(self, query, k, exclude_self=False):
-        """Return (distance, row index) of the k-th nearest reference point.
-
-        ``exclude_self`` implements leave-one-out semantics for member
-        queries: when the query's nearest entry is at distance zero (the
-        one with the lowest row), it is skipped and the entry one further
-        is read.  Ties in distance are broken by ascending row index.
-        """
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if query.shape[0] != self.pointset.dim:
-            raise ParameterError(
-                "query has dim %d, index has dim %d" % (query.shape[0], self.pointset.dim)
-            )
-        k = int(k)
-        m = self.size - 1 if exclude_self else self.size
-        if k < 1 or k > m:
-            raise ParameterError("k=%d out of range for M=%d reference points" % (k, m))
-        depth = k + 1 if exclude_self else k
-        dist, rows = self.kth_distance_table(query[None], depth, return_indices=True)
-        j = k if exclude_self and dist[0, 0] == 0.0 else k - 1
-        return float(dist[0, j]), int(rows[0, j])
-
-    def kth_nn_distance(self, query, k, exclude_self=False):
-        return self.kth_nn(query, k, exclude_self)[0]
-
-    def kth_distance_table(self, queries, k_max, block=None, return_indices=False):
+    def kth_distance_table(self, queries, k_max, return_indices=False):
         """Sorted distances to the ``k_max`` nearest references for each query.
 
         Exact: screened by the expanded form, refined by the difference form
@@ -166,8 +141,8 @@ class NeighborIndex:
         With ``return_indices`` it returns ``(distances, rows)``, where
         ``rows`` holds the reference row of each entry, ordered by distance
         and then by ascending row index; the distances are the same array,
-        bit for bit, as without it.  ``block`` is the number of queries per
-        block; by default it is sized from ``SCREEN_BLOCK_BYTES``.
+        bit for bit, as without it.  Queries are taken in blocks sized from
+        ``SCREEN_BLOCK_BYTES``.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.pointset.dim:
@@ -178,8 +153,6 @@ class NeighborIndex:
         k_max = int(k_max)
         if k_max < 1 or k_max > self.size:
             raise ParameterError("k_max=%d out of range for M=%d" % (k_max, self.size))
-        if block is not None and int(block) < 1:
-            raise ParameterError("block must be >= 1, got %r" % (block,))
         pts = self._pts
         m, dim = pts.shape
         nq = queries.shape[0]
@@ -204,10 +177,7 @@ class NeighborIndex:
         q_aug = np.column_stack([-2 * q_cast, np.einsum("ij,ij->i", q_cast, q_cast),
                                  np.ones(nq, dtype=np.float32)])
         slack = _slack(dim, e_mag, e_spread, q_scaled, p_scaled)
-        if block is None:
-            row_bytes = 4 * m + 8 * k_max * dim
-            block = max(1, SCREEN_BLOCK_BYTES // row_bytes)
-        block = int(block)
+        block = max(1, SCREEN_BLOCK_BYTES // (4 * m + 8 * k_max * dim))
         chunk_rows = max(1, SCREEN_PRODUCT_SIZE // (m * (dim + 2)))
         chunk_cols = max(1, SCREEN_PRODUCT_SIZE // (chunk_rows * (dim + 2)))
         screen_buf = np.empty((min(block, nq), m), dtype=np.float32)
@@ -324,12 +294,3 @@ def _candidates(screen, k, slack):
     pad = cols >= counts[:, None]
     cand[pad] = 0
     return cand, pad
-
-
-def build_index(points):
-    """Build an exact neighbor index over a point set."""
-    return NeighborIndex(points)
-
-
-def kth_nn_distance(index, query, k, exclude_self=False):
-    return index.kth_nn_distance(query, k, exclude_self=exclude_self)

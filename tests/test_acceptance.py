@@ -12,8 +12,8 @@ from scipy.stats import kstest
 from divknn import (
     EnsembleConfig,
     ExperimentConfig,
+    NeighborIndex,
     TruncatedGaussianSpec,
-    build_index,
     ensemble_estimate,
     fit_loglog_slope,
     make_functional,
@@ -45,15 +45,15 @@ def test_criterion_1_index_exactness():
         d = int(rng.choice([1, 3, 7]))
         n = int(rng.integers(10, 2001))
         pts = rng.random((n, d))
-        idx = build_index(pts)
-        for _ in range(100):
-            q = rng.random(d)
-            k = int(rng.integers(1, min(n, 50) + 1))
-            got_d, got_i = idx.kth_nn(q, k)
+        draws = [(rng.random(d), int(rng.integers(1, min(n, 50) + 1))) for _ in range(100)]
+        queries = np.array([q for q, _ in draws])
+        table, rows = NeighborIndex(pts).kth_distance_table(
+            queries, max(k for _, k in draws), return_indices=True)
+        for i, (q, k) in enumerate(draws):
             dist = np.linalg.norm(pts - q, axis=1)
             order = np.lexsort((np.arange(n), dist))
-            assert abs(got_d - dist[order][k - 1]) <= 1e-12
-            assert got_i == order[k - 1]
+            assert abs(table[i, k - 1] - dist[order][k - 1]) <= 1e-12
+            assert rows[i, k - 1] == order[k - 1]
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

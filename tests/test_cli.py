@@ -1,11 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from divknn import (EnsembleConfig, ExperimentConfig, TruncatedGaussianSpec,
                     sample_truncated_gaussian, solve_weights, true_renyi_integral)
+from divknn import cli
 from divknn.bench import MC_TRUTH_N
 from divknn.cli import _l_values, build_parser, main
 from divknn.ensemble import default_l_grid
@@ -199,9 +201,7 @@ def test_bench_rejects_mode(tmp_path, capsys):
 def test_estimate_header_flag(tmp_path, capsys):
     y_path, x_path = write_samples(tmp_path, n=80)
     for p in (y_path, x_path):
-        raw = open(p).read()
-        with open(p, "w") as fh:
-            fh.write("x0\n" + raw)
+        Path(p).write_text("x0\n" + Path(p).read_text())
     assert main(["estimate", "--f1-sample", y_path, "--f2-sample", x_path, "--header",
                  "--l-list", "0.5,1.0,2.0", "--reps", "10", "--solver", "exact"]) == 0
     assert "estimate" in capsys.readouterr().out
@@ -327,6 +327,45 @@ def test_out_of_range_flags_are_one_error_line(tmp_path, capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not (tmp_path / "out.csv").exists()
+
+
+def _file_error_argv(tmp_path, case):
+    """A command whose input or output file is bad in the way ``case`` names."""
+    y_path, x_path = write_samples(tmp_path, n=60)
+    out, extra = tmp_path / "out.csv", []
+    if case == "malformed_sample":
+        Path(x_path).write_text("0.1\nabc\n")
+    elif case == "empty_sample":
+        Path(x_path).write_text("")
+    elif case == "missing_sample":
+        x_path = str(tmp_path / "missing.csv")
+    elif case == "missing_config":
+        extra = ["--config", str(tmp_path / "missing.cfg")]
+    elif case == "out_in_missing_directory":
+        out = tmp_path / "missing" / "out.csv"
+    elif case == "out_is_a_directory":
+        out.mkdir()
+    if case.endswith("_sample"):
+        return ["estimate", "--f1-sample", y_path, "--f2-sample", x_path, "--reps", "10"]
+    return ["bench", *BENCH_COMMON, "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("case", ["malformed_sample", "empty_sample", "missing_sample",
+                                  "missing_config", "out_in_missing_directory",
+                                  "out_is_a_directory"])
+def test_unreadable_and_unwritable_files_are_one_error_line(tmp_path, capsys, monkeypatch, case):
+    argv = _file_error_argv(tmp_path, case)
+    if case != "out_is_a_directory":  # the others fail before any grid runs
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the grid ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "out.csv").is_file()
 
 
 def test_odin2_takes_its_own_default_l_grid(capsys):

@@ -12,7 +12,6 @@ from divknn import (
     PointSet,
     TruncatedGaussianSpec,
     bootstrap_replicates,
-    bootstrap_std,
     confidence_interval,
     ensemble_estimate,
     knn_density,
@@ -79,7 +78,7 @@ def test_ci_derived_example():
 def test_bootstrap_reps_floor():
     x, y, config = small_setup()
     with pytest.raises(ParameterError):
-        bootstrap_std(x, y, config, RENYI, reps=5)
+        bootstrap_replicates(x, y, config, RENYI, reps=5, seed=0)
 
 
 def test_reps_floor_is_checked_before_any_table(monkeypatch):
@@ -197,8 +196,6 @@ def test_array_samples_equal_point_sets():
     assert plugin_estimate(xa, ya, 5, 7, RENYI) == plugin_estimate(x, y, 5, 7, RENYI)
     assert np.array_equal(bootstrap_replicates(xa, ya, config, RENYI, reps=10, seed=1),
                           bootstrap_replicates(x, y, config, RENYI, reps=10, seed=1))
-    assert (bootstrap_std(xa, ya, config, RENYI, reps=10, seed=1)
-            == bootstrap_std(x, y, config, RENYI, reps=10, seed=1))
     assert (confidence_interval(xa, ya, config, RENYI, reps=10, seed=1)
             == confidence_interval(x, y, config, RENYI, reps=10, seed=1))
     assert (two_sample_test(xa, ya, config, RENYI, null_value=1.0, reps=10, seed=1)

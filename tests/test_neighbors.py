@@ -5,15 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from divknn import (
-    DegeneracyError,
-    ParameterError,
-    PointSet,
-    build_index,
-    knn_density,
-    kth_nn_distance,
-    unit_ball_volume,
-)
+import divknn.neighbors as neighbors
+from divknn import NeighborIndex, ParameterError, PointSet, knn_density, unit_ball_volume
 from divknn.functionals import neighbor_tables
 
 
@@ -38,68 +31,65 @@ def test_pointset_validation():
 
 
 def test_singleton_index():
-    idx = build_index(np.array([[0.25]]))
+    idx = NeighborIndex(np.array([[0.25]]))
     assert idx.size == 1
-    assert idx.kth_nn_distance([0.25], 1) == 0.0
+    assert idx.kth_distance_table([[0.25]], 1)[0, 0] == 0.0
 
 
 def test_duplicate_rows_build():
-    idx = build_index(np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.2]]))
+    idx = NeighborIndex(np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.2]]))
     assert idx.size == 3
 
 
 def test_member_query_excludes_self():
-    idx = build_index(np.array([[0.0], [0.5], [0.9]]))
-    assert idx.kth_nn_distance([0.0], 1, exclude_self=True) == pytest.approx(0.5, abs=1e-15)
+    # Leave-one-out is the member query's table one column deeper.
+    idx = NeighborIndex(np.array([[0.0], [0.5], [0.9]]))
+    assert idx.kth_distance_table([[0.0]], 2)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_self_distance_zero_without_exclusion():
-    idx = build_index(np.array([[0.3, 0.7]]))
-    assert idx.kth_nn_distance([0.3, 0.7], 1, exclude_self=False) == 0.0
+    idx = NeighborIndex(np.array([[0.3, 0.7]]))
+    assert idx.kth_distance_table([[0.3, 0.7]], 1)[0, 0] == 0.0
 
 
 def test_nonmember_query():
-    idx = build_index(np.array([[0.2], [0.8]]))
-    assert idx.kth_nn_distance([0.4], 2) == pytest.approx(0.4, abs=1e-15)
+    idx = NeighborIndex(np.array([[0.2], [0.8]]))
+    assert idx.kth_distance_table([[0.4]], 2)[0, 1] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_k_out_of_range_message():
-    idx = build_index(np.array([[0.2], [0.8]]))
-    with pytest.raises(ParameterError, match="k=3.*M=2"):
-        kth_nn_distance(idx, [0.4], 3)
-    with pytest.raises(ParameterError, match="k=2.*M=1"):
-        kth_nn_distance(idx, [0.2], 2, exclude_self=True)
+    idx = NeighborIndex(np.array([[0.2], [0.8]]))
+    with pytest.raises(ParameterError, match="k_max=3.*M=2"):
+        idx.kth_distance_table([[0.4]], 3)
+    with pytest.raises(ParameterError, match="k_max=0.*M=2"):
+        idx.kth_distance_table([[0.4]], 0)
 
 
 @pytest.mark.parametrize("n,d,seed", [(50, 1, 0), (200, 2, 1), (500, 3, 2), (1000, 7, 3)])
 def test_matches_brute_force(n, d, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, d))
-    idx = build_index(pts)
-    for _ in range(25):
-        q = rng.random(d)
-        k = int(rng.integers(1, min(n, 40) + 1))
-        got_d, got_i = idx.kth_nn(q, k)
+    draws = [(rng.random(d), int(rng.integers(1, min(n, 40) + 1))) for _ in range(25)]
+    queries, ks = np.array([q for q, _ in draws]), [k for _, k in draws]
+    dist, rows = NeighborIndex(pts).kth_distance_table(queries, max(ks), return_indices=True)
+    for i, (q, k) in enumerate(draws):
         exp_d, exp_i = brute_kth(pts, q, k)
-        assert abs(got_d - exp_d) < 1e-12
-        assert got_i == exp_i
+        assert abs(dist[i, k - 1] - exp_d) < 1e-12
+        assert rows[i, k - 1] == exp_i
 
 
 def test_tie_break_ascending_row_index():
     # Three reference points at identical distance from the query.
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [5.0, 5.0]])
-    idx = build_index(pts)
-    assert idx.kth_nn([0.0, 0.0], 1)[1] == 0
-    assert idx.kth_nn([0.0, 0.0], 2)[1] == 1
-    assert idx.kth_nn([0.0, 0.0], 3)[1] == 2
+    _, rows = NeighborIndex(pts).kth_distance_table([[0.0, 0.0]], 3, return_indices=True)
+    assert rows[0].tolist() == [0, 1, 2]
 
 
 def test_monotone_in_k():
     rng = np.random.default_rng(7)
     pts = rng.random((120, 3))
-    idx = build_index(pts)
     q = rng.random(3)
-    dists = [idx.kth_nn_distance(q, k) for k in range(1, 121)]
+    dists = NeighborIndex(pts).kth_distance_table(q[None], 120)[0]
     assert all(a <= b + 1e-15 for a, b in zip(dists, dists[1:]))
 
 
@@ -107,24 +97,22 @@ def test_translation_invariance():
     rng = np.random.default_rng(11)
     pts = rng.random((90, 2))
     shift = np.array([13.5, -2.25])
-    idx1 = build_index(pts)
-    idx2 = build_index(pts + shift)
     q = rng.random(2)
+    a = NeighborIndex(pts).kth_distance_table(q[None], 30)[0]
+    b = NeighborIndex(pts + shift).kth_distance_table((q + shift)[None], 30)[0]
     for k in (1, 5, 30):
-        a = idx1.kth_nn_distance(q, k)
-        b = idx2.kth_nn_distance(q + shift, k)
-        assert abs(a - b) < 1e-12
+        assert abs(a[k - 1] - b[k - 1]) < 1e-12
 
 
 def test_kth_distance_table_matches_single_queries():
+    # A batch's rows are, bit for bit, the one-row tables of its queries.
     rng = np.random.default_rng(13)
     pts = rng.random((150, 2))
     queries = rng.random((20, 2))
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     table = idx.kth_distance_table(queries, 10)
     for i, q in enumerate(queries):
-        for k in (1, 4, 10):
-            assert table[i, k - 1] == pytest.approx(idx.kth_nn_distance(q, k), abs=1e-12)
+        assert np.array_equal(table[i], idx.kth_distance_table(q[None], 10)[0])
 
 
 def test_kth_distance_table_leave_one_out():
@@ -132,7 +120,7 @@ def test_kth_distance_table_leave_one_out():
     # leave-one-out table.
     rng = np.random.default_rng(17)
     pts = rng.random((80, 3))
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     full = idx.kth_distance_table(pts, 6)
     assert not full[:, 0].any()
     table = full[:, 1:]
@@ -183,10 +171,8 @@ def test_unit_ball_volume_underflow_raises(d):
 def test_knn_density_examples():
     assert knn_density(0.2, 1, 2, 1) == pytest.approx(1.25, abs=1e-14)
     assert knn_density(0.5, 1, 1, 1) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(DegeneracyError, match="degenerate"):
-        knn_density(0.0, 1, 2, 1, mode="strict")
-    # Robust mode clamps instead.
-    assert np.isfinite(knn_density(0.0, 1, 2, 1, mode="robust"))
+    # A degenerate distance is clamped.
+    assert np.isfinite(knn_density(0.0, 1, 2, 1))
     with pytest.raises(ParameterError):
         knn_density(0.1, 3, 2, 1)
 
@@ -201,6 +187,15 @@ def test_knn_density_monotonicity_and_scaling():
         assert ratio == pytest.approx(2.0**d, rel=1e-12)
 
 
+def block_table(idx, queries, k_max, block, return_indices=False):
+    """``idx.kth_distance_table`` taking ``block`` queries per block (None: the default size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            m, d = idx.pointset.points.shape
+            mp.setattr(neighbors, "SCREEN_BLOCK_BYTES", block * (4 * m + 8 * k_max * d))
+        return idx.kth_distance_table(queries, k_max, return_indices=return_indices)
+
+
 @pytest.mark.parametrize("leave_one_out", [False, True])
 @pytest.mark.parametrize("k_max", [1, 6, 13, 59])
 def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
@@ -209,11 +204,11 @@ def test_kth_distance_table_rows_break_ties_by_row(leave_one_out, k_max):
     # deeper; their rows are checked on that self-inclusive table.
     rng = np.random.default_rng(23)
     pts = rng.integers(0, 4, size=(60, 2)).astype(float)
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     queries = pts if leave_one_out else rng.integers(0, 4, size=(25, 2)).astype(float)
     depth = k_max + leave_one_out
-    dist, rows = idx.kth_distance_table(queries, depth, block=7, return_indices=True)
-    plain = idx.kth_distance_table(queries, depth, block=7)
+    dist, rows = block_table(idx, queries, depth, 7, return_indices=True)
+    plain = block_table(idx, queries, depth, 7)
     assert np.array_equal(dist, plain)
     for i, q in enumerate(queries):
         d2 = ((pts - q) ** 2).sum(axis=1)
@@ -234,7 +229,7 @@ def test_kth_distance_table_rows_break_ties_at_the_cut(return_indices):
         near = np.column_stack([0.1 * np.arange(1, k), np.zeros(k - 1)])
         ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         pts = np.vstack([near, ring[rng.integers(0, 4, size=60)]])[rng.permutation(k + 59)]
-        table = build_index(pts).kth_distance_table(np.zeros((3, 2)), k,
+        table = NeighborIndex(pts).kth_distance_table(np.zeros((3, 2)), k,
                                                     return_indices=return_indices)
         d2 = (pts**2).sum(axis=1)
         order = np.lexsort((np.arange(len(pts)), d2))[:k]
@@ -332,16 +327,15 @@ def _engine_mismatches(name):
     checked on the whole self-inclusive table.
     """
     pts, outside, k_values, block = ENGINE_CASES[name]
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     bad = []
     for leave_one_out, queries in ((False, outside), (True, pts)):
         for k_max in k_values:
             k_max = min(k_max, len(pts) - leave_one_out)
             depth = k_max + leave_one_out
             exp_d, exp_r = difference_form_table(pts, queries, depth)
-            plain = idx.kth_distance_table(queries, depth, block=block)
-            dist, rows = idx.kth_distance_table(queries, depth, block=block,
-                                                return_indices=True)
+            plain = block_table(idx, queries, depth, block)
+            dist, rows = block_table(idx, queries, depth, block, return_indices=True)
             ok = (np.array_equal(plain, exp_d) and np.array_equal(dist, exp_d)
                   and np.array_equal(rows, exp_r))
             if leave_one_out:
@@ -361,23 +355,17 @@ def test_table_bit_identical_to_difference_form(name):
 
 
 @pytest.mark.parametrize("name", ["uniform", "offset_1e6", "duplicates", "lattice", "d1"])
-def test_kth_nn_bit_identical_to_difference_form(name):
+def test_one_row_tables_bit_identical_to_difference_form(name):
+    # Each query alone, members and outside queries, at every depth up to M.
     pts, outside, _, _ = ENGINE_CASES[name]
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     m = len(pts)
-    exp_d, exp_r = difference_form_table(pts, outside[:5], m)
-    for i, q in enumerate(outside[:5]):
-        for k in (1, 2, 17, m):
-            assert idx.kth_nn(q, k) == (exp_d[i, k - 1], exp_r[i, k - 1])
-    # Queries with exclude_self drop the lowest-row zero-distance entry, if
-    # any: members always have one, outside queries only at a duplicate.
     queries = np.vstack([pts[:5], outside[:5]])
     exp_d, exp_r = difference_form_table(pts, queries, m)
     for i, q in enumerate(queries):
-        first_zero = np.flatnonzero(exp_d[i] == 0.0)[:1]
-        row_d, row_r = np.delete(exp_d[i], first_zero), np.delete(exp_r[i], first_zero)
-        for k in (1, 2, 17, m - 1):
-            assert idx.kth_nn(q, k, exclude_self=True) == (row_d[k - 1], row_r[k - 1])
+        for k in (1, 2, 17, m):
+            dist, rows = idx.kth_distance_table(q[None], k, return_indices=True)
+            assert np.array_equal(dist[0], exp_d[i, :k]) and np.array_equal(rows[0], exp_r[i, :k])
 
 
 def test_leave_one_out_keeps_own_duplicate_at_zero():
@@ -386,7 +374,7 @@ def test_leave_one_out_keeps_own_duplicate_at_zero():
     rng = np.random.default_rng(43)
     pts = rng.random((30, 3))
     pts[7] = pts[3]
-    dist, rows = build_index(pts).kth_distance_table(pts, 4, return_indices=True)
+    dist, rows = NeighborIndex(pts).kth_distance_table(pts, 4, return_indices=True)
     assert rows[3, :2].tolist() == [3, 7] and rows[7, :2].tolist() == [3, 7]
     assert not dist[:, 0].any()
     assert np.flatnonzero(dist[:, 1] == 0.0).tolist() == [3, 7]
@@ -395,8 +383,6 @@ def test_leave_one_out_keeps_own_duplicate_at_zero():
 def test_zero_slack_misses_lattice_ties(monkeypatch):
     # The screen's slack is what admits ties at the cut: without it the
     # rounding of the expanded form drops some tied rows on a lattice.
-    import divknn.neighbors as neighbors
-
     monkeypatch.setattr(neighbors, "SCREEN_SLACK", 0.0)
     assert _engine_mismatches("lattice") != []
 
@@ -404,8 +390,6 @@ def test_zero_slack_misses_lattice_ties(monkeypatch):
 def test_float64_sized_slack_misses_near_tie_shell(monkeypatch):
     # The float32 screen needs the float32 error bound: at a float64-sized
     # slack it cannot tell the shell's distances apart.
-    import divknn.neighbors as neighbors
-
     eps32, eps64 = np.finfo(np.float32).eps, np.finfo(np.float64).eps
     monkeypatch.setattr(neighbors, "SCREEN_SLACK", neighbors.SCREEN_SLACK * eps64 / eps32)
     assert _engine_mismatches("near_tie_shell") != []
@@ -461,16 +445,28 @@ def test_refine_with_rows_on_a_ragged_block():
 
 
 @pytest.mark.parametrize("name", ["uniform", "lattice", "near_tie_shell", "d400"])
-def test_table_independent_of_block_size(name):
+def test_table_independent_of_block_size(name, monkeypatch):
     pts, outside, k_values, _ = ENGINE_CASES[name]
-    idx = build_index(pts)
+    idx = NeighborIndex(pts)
     k_max = k_values[1]
+    blocks = []
+    candidates = neighbors._candidates
+
+    def spy(screen, k, slack):
+        blocks.append(len(screen))
+        return candidates(screen, k, slack)
+
+    monkeypatch.setattr(neighbors, "_candidates", spy)
     for leave_one_out, queries in ((False, outside), (True, pts)):
         depth = k_max + leave_one_out
         dist, rows = idx.kth_distance_table(queries, depth, return_indices=True)
         for block in (1, 7):
-            got = idx.kth_distance_table(queries, depth, block=block, return_indices=True)
+            blocks.clear()
+            got = block_table(idx, queries, depth, block, return_indices=True)
             assert np.array_equal(got[0], dist) and np.array_equal(got[1], rows)
+            # One screen per block of exactly ``block`` queries, bar the last.
+            n = len(queries)
+            assert blocks == [min(block, n - start) for start in range(0, n, block)]
 
 
 @pytest.mark.parametrize("name", ["overflow_1e160", "overflow_1e308"])
@@ -480,24 +476,19 @@ def test_overflowing_distances_order_by_row_without_warning(name):
     assert exp_r.tolist() == [[0, 1, 2]] and exp_d[0, 0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist, rows = build_index(pts).kth_distance_table(pts[:1], 3, return_indices=True)
+        dist, rows = NeighborIndex(pts).kth_distance_table(pts[:1], 3, return_indices=True)
     assert np.array_equal(dist, exp_d) and np.array_equal(rows, exp_r)
 
 
 def test_index_unaffected_by_writes_to_callers_array():
     a = np.array([[0.0], [0.9]])
-    idx = build_index(a)
-    assert idx.kth_nn([0.1], 1) == (0.1, 0)
+    idx = NeighborIndex(a)
+    dist, rows = idx.kth_distance_table([[0.1]], 1, return_indices=True)
+    assert (dist[0, 0], rows[0, 0]) == (0.1, 0)
     a[0, 0] = 5.0
-    assert idx.kth_nn([0.1], 1) == (0.1, 0)
+    dist, rows = idx.kth_distance_table([[0.1]], 1, return_indices=True)
+    assert (dist[0, 0], rows[0, 0]) == (0.1, 0)
     assert not idx.pointset.points.flags.writeable
-
-
-@pytest.mark.parametrize("block", [0, -3])
-def test_kth_distance_table_rejects_bad_block(block):
-    idx = build_index(np.random.default_rng(47).random((10, 3)))
-    with pytest.raises(ParameterError, match="block"):
-        idx.kth_distance_table(idx.pointset.points, 2, block=block)
 
 
 @pytest.mark.parametrize("queries", [
@@ -509,7 +500,7 @@ def test_kth_distance_table_rejects_bad_block(block):
     np.array([[0.1, np.inf, 0.2]]),
 ])
 def test_kth_distance_table_rejects_bad_queries(queries):
-    idx = build_index(np.random.default_rng(47).random((10, 3)))
+    idx = NeighborIndex(np.random.default_rng(47).random((10, 3)))
     with pytest.raises(ParameterError, match="queries|finite"):
         idx.kth_distance_table(queries, 2)
 
@@ -522,8 +513,6 @@ def test_kth_distance_table_rejects_bad_queries(queries):
 ])
 def test_screen_products_stay_within_the_single_thread_bound(monkeypatch, m, d, n_queries,
                                                              leave_one_out):
-    import divknn.neighbors as neighbors
-
     rng = np.random.default_rng(53)
     pts = rng.random((m, d))
     queries = pts if leave_one_out else rng.random((n_queries, d))
@@ -536,7 +525,7 @@ def test_screen_products_stay_within_the_single_thread_bound(monkeypatch, m, d, 
 
     monkeypatch.setattr(np, "matmul", spy)
     depth = 40 + leave_one_out
-    dist, rows = build_index(pts).kth_distance_table(queries, depth, return_indices=True)
+    dist, rows = NeighborIndex(pts).kth_distance_table(queries, depth, return_indices=True)
     monkeypatch.undo()
     assert sizes and max(sizes) <= neighbors.SCREEN_PRODUCT_SIZE
     # Every entry of every screen is computed once.
