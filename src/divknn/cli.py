@@ -209,6 +209,8 @@ def cmd_bench(args):
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):  # before the grid runs, not after
         raise ParameterError("--out directory %s does not exist" % out_dir)
+    if os.path.isdir(args.out):
+        raise ParameterError("--out %s is a directory" % args.out)
     if "odin2" in config.estimators:  # the rate warning reads only mode, nu and delta
         for message in _rate_warnings(config.ensemble_config("odin2", config.dims[0],
                                                              config.n_grid[0])):

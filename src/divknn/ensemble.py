@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, SolverError
-from .functionals import plugin_profile
+from .functionals import check_profile_args, plugin_profile
 from .neighbors import as_pointset
 
 DEFAULT_DELTA = 0.5
@@ -66,6 +66,8 @@ class EnsembleConfig:
         object.__setattr__(self, "l_values", lv)
         if self.d < 1 or self.n < 2:
             raise ConfigurationError("need d >= 1 and n >= 2")
+        if self.k_min < 1:
+            raise ConfigurationError("k_min must be >= 1, got %d" % self.k_min)
         if self.solver not in ("exact", "relaxed"):
             raise ConfigurationError("solver must be 'exact' or 'relaxed'")
         if mode == "odin2":
@@ -202,7 +204,7 @@ def k_schedule(config):
     Collisions (two l rounding to the same k) are retained but reported.
     """
     n = config.n
-    lo = max(config.k_min, 1)
+    lo = config.k_min
     hi = n - 1
     if lo > hi:
         raise ConfigurationError("k_min=%d exceeds M2=%d" % (config.k_min, hi))
@@ -581,8 +583,22 @@ def ensemble_estimate(x, y, config, spec, weights=None):
     return _estimate(as_pointset(x), as_pointset(y), estimation_plan(config, weights), spec, None)
 
 
+def _check_samples(x, y, plan):
+    """The plan's ks checked against samples x and y, as by ``check_profile_args``.
+
+    The weights cancel the bias terms of the config's dimension d, so samples
+    of another dimension are a ParameterError.
+    """
+    ks = check_profile_args(x, y, plan.ks)
+    if x.dim != plan.config.d:
+        raise ParameterError("config has d=%d but the samples have d=%d"
+                             % (plan.config.d, x.dim))
+    return ks
+
+
 def _estimate(x, y, plan, spec, tables):
     """ensemble_estimate with its plan given; ``tables`` as in ``plugin_profile``."""
+    _check_samples(x, y, plan)
     warn = plan.warnings
     if plan.config.n != x.n:
         warn = ("config.n=%d but f2 sample has N=%d; schedule uses config.n"

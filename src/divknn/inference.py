@@ -20,12 +20,12 @@ k-th neighbor is the (k + 1)-th entry.  The lookup never writes the
 resampled lists out: it bins each row's cumulative counts, and the running
 sum of the bins names the entry that holds each k; it reads only the plan's
 ks, straight from the whole table by flat index, into the ``(ks, rows)``
-layout the plug-in values take (:func:`_resampled_table`).  It first counts
-only a row's leading k_max + 3 sqrt(k_max) entries, which nearly always hold
-k_max copies, and counts the rows they leave short again over the whole
-table.  Rows whose whole table runs out are answered by a direct query over
-all points, through the same lookup.  Replicates are exact: they equal ``ensemble_estimate`` on
-the resampled points to rounding.
+layout the plug-in values take (:func:`_resampled_table`).  The tables are
+k_max + 4 sqrt(k_max) entries deep (:func:`_table_depth`), which nearly
+always hold k_max copies, and each row is counted once.  Rows whose table
+runs out are answered by a direct query over all points, through the same
+lookup.  Replicates are exact: they equal ``ensemble_estimate`` on the
+resampled points to rounding.
 
 The point estimate of :func:`confidence_interval` and :func:`two_sample_test`
 reads the distances of the same tables, the x->x one without its column 0.
@@ -50,21 +50,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .ensemble import _estimate, estimation_plan
+from .ensemble import _check_samples, _estimate, estimation_plan
 from .errors import ParameterError
-from .functionals import _denominator_profile, _density_denominators, check_profile_args
+from .functionals import _denominator_profile, _density_denominators
 from .neighbors import NeighborIndex, as_pointset
 from .synth import rng_stream
 
 # Stream-id offsets separating the x and y bootstrap resampling streams.
 _BOOT_STREAM_X = 0x626F6F74_0000
 _BOOT_STREAM_Y = 0x626F6F74_8000
-
-# Depth of the indexed tables behind bootstrap replicates, as a multiple of
-# the largest k.  At least 1: the point estimate reads the same tables.  A
-# replicate row whose table runs out before the largest k falls back to a
-# direct query, so the depth changes speed, never the answer.
-RESAMPLE_DEPTH = 2
 
 
 def normal_quantile(p):
@@ -155,45 +149,40 @@ def _resampled_table(table, which, counts, ks):
     return np.take(table, flat, mode="clip"), short
 
 
+def _table_depth(k):
+    """Depth of an indexed table whose resampled rows are read up to their k-th entry.
+
+    A resample holds one copy of each reference on average, so a row's
+    leading k + 4 sqrt(k) entries nearly always hold k copies: at d=3 and
+    N=1000 with the ODin1 defaults, 0.14 rows per replicate ran short and
+    took the direct query.  At k + 3 sqrt(k) 3.7 rows did, and the
+    replicates took about 1.4 times as long.  The depth changes speed,
+    never the answer.
+    """
+    return k + 4 * math.isqrt(k)
+
+
 def _replicate_tables(x, y, tables, m_x, m_y, ks):
     """The resample's x->y and leave-one-out x->x denominators at ``ks`` on the rows with m_x > 0.
 
     ``tables`` are the indexed tables turned into denominators; the x->x one
     holds each point's own entry, so it is read at ``ks + 1``.  Each result
-    is a ``(len(ks), rows)`` array.  Rows whose indexed table is too shallow
-    for the largest k are answered by a direct query over all references
-    (``_direct_rows``).
+    is a ``(len(ks), rows)`` array.  Rows whose indexed table holds too few
+    copies for the largest k are answered by a direct query over all
+    references (``_direct_rows``).
     """
     support = np.flatnonzero(m_x)
     m_x = m_x.astype(np.int32)
     m_y = m_y.astype(np.int32)
-    ks_xx = np.asarray(ks) + 1
-    t1, short1 = _indexed_rows(tables[0], m_y, support, ks)
-    t2, short2 = _indexed_rows(tables[1], m_x, support, ks_xx)
-    if short1.any():
-        t1[:, short1] = _direct_rows(y, x.points[support[short1]], m_y, ks, y.n)
-    if short2.any():
-        t2[:, short2] = _direct_rows(x, x.points[support[short2]], m_x, ks_xx, x.n - 1)
-    return (t1, t2), np.take(m_x, support)
-
-
-def _indexed_rows(table, mult, support, ks):
-    """:func:`_resampled_table` of the ``support`` rows of an indexed table.
-
-    ``mult`` gives each reference's multiplicity.  A resample holds one copy
-    per reference on average, so a row's leading k_max + 3 sqrt(k_max)
-    entries nearly always hold k_max copies: the lookup counts only those,
-    then counts the rows they leave short again over the whole table.
-    """
-    values, rows = table
-    k_max = int(ks[-1])
-    lead = min(values.shape[1], k_max + 3 * math.isqrt(k_max))
-    out, short = _resampled_table(values, support, np.take(mult, rows[support, :lead]), ks)
-    if lead < values.shape[1] and short.any():
-        again = np.flatnonzero(short)
-        out[:, again], short[again] = _resampled_table(
-            values, support[again], np.take(mult, rows[support[again]]), ks)
-    return out, short
+    ks = np.asarray(ks)
+    out = []
+    for (values, rows), ref, mult, at, m in ((tables[0], y, m_y, ks, y.n),
+                                             (tables[1], x, m_x, ks + 1, x.n - 1)):
+        table, short = _resampled_table(values, support, np.take(mult, rows[support]), at)
+        if short.any():
+            table[:, short] = _direct_rows(ref, x.points[support[short]], mult, at, m)
+        out.append(table)
+    return tuple(out), np.take(m_x, support)
 
 
 def _direct_rows(ref, queries, mult, ks, m):
@@ -236,24 +225,23 @@ def _bootstrap(x, y, config, spec, reps, seed, weights, point):
 
     ``reps`` is checked before any work.  One pool of min(usable CPUs,
     ``reps``) workers builds the x->y and the x->x indexed tables,
-    ``RESAMPLE_DEPTH`` times the largest k deep (capped at the reference
-    count; x->x one column deeper for each point's own entry), as two tasks
-    side by side, and then runs the replicates.  The point estimate reads
-    the tables' distances, the x->x one without its column 0; the replicates
-    read their density denominators (see :func:`_replicates`).
+    :func:`_table_depth` of the largest k deep (capped at the reference
+    count; x->x of the largest k + 1, for each point's own entry), as two
+    tasks side by side, and then runs the replicates.  The point estimate
+    reads the tables' distances, the x->x one without its column 0; the
+    replicates read their density denominators (see :func:`_replicates`).
     """
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
     x, y = as_pointset(x), as_pointset(y)
     plan = estimation_plan(config, weights)
-    ks = check_profile_args(x, y, plan.ks)
-    depth = RESAMPLE_DEPTH * ks[-1]
+    ks = _check_samples(x, y, plan)
     pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
     try:
-        xy = pool.submit(NeighborIndex(y).kth_distance_table, x.points, min(depth, y.n),
-                         return_indices=True)
-        xx = pool.submit(NeighborIndex(x).kth_distance_table, x.points, min(depth + 1, x.n),
-                         return_indices=True)
+        xy = pool.submit(NeighborIndex(y).kth_distance_table, x.points,
+                         min(_table_depth(ks[-1]), y.n), return_indices=True)
+        xx = pool.submit(NeighborIndex(x).kth_distance_table, x.points,
+                         min(_table_depth(ks[-1] + 1), x.n), return_indices=True)
         (xy_dist, _), (xx_dist, _) = tables = (xy.result(), xx.result())
         report = _estimate(x, y, plan, spec, (xy_dist, xx_dist[:, 1:])) if point else None
         return report, _replicates(x, y, plan, spec, reps, seed, tables, pool)

@@ -316,6 +316,8 @@ def test_non_finite_flags_are_one_error_line(tmp_path, capsys, argv):
     ["bench", "--eta", "-1"],
     ["bench", "--nu", "0"],
     ["bench", "--solver", "exact", "--estimators", "plugin", "--eta", "0"],
+    ["weights", "-d", "3", "-n", "100", "--k-min", "0"],
+    ["bench", "--k-min", "-5"],
 ])
 def test_out_of_range_flags_are_one_error_line(tmp_path, capsys, argv):
     if argv[0] == "bench":
@@ -355,8 +357,7 @@ def _file_error_argv(tmp_path, case):
                                   "out_is_a_directory"])
 def test_unreadable_and_unwritable_files_are_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv = _file_error_argv(tmp_path, case)
-    if case != "out_is_a_directory":  # the others fail before any grid runs
-        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the grid ran"))
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the grid ran"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1

@@ -202,6 +202,31 @@ def test_array_samples_equal_point_sets():
             == two_sample_test(x, y, config, RENYI, null_value=1.0, reps=10, seed=1))
 
 
+@pytest.mark.parametrize("run", [
+    lambda x, y, config: ensemble_estimate(x, y, config, RENYI),
+    lambda x, y, config: bootstrap_replicates(x, y, config, RENYI, reps=10, seed=0),
+    lambda x, y, config: confidence_interval(x, y, config, RENYI, reps=10),
+    lambda x, y, config: two_sample_test(x, y, config, RENYI, null_value=1.0, reps=10),
+], ids=["ensemble_estimate", "bootstrap_replicates", "confidence_interval", "two_sample_test"])
+def test_a_config_for_another_dimension_is_rejected_before_any_table(monkeypatch, run):
+    # The weights cancel the bias terms of the config's d, not of the samples'.
+    calls = []
+    table = NeighborIndex.kth_distance_table
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return table(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborIndex, "kth_distance_table", counting)
+    grid = ensemble.default_l_grid("odin1", None, None)
+    x, y, config = resample_setup("odin1", 7, 200, seed=1, l_values=grid)
+    wrong = EnsembleConfig("odin1", grid, 3, x.n)
+    with pytest.raises(ParameterError, match=r"config has d=3 but the samples have d=7"):
+        run(x, y, wrong)
+    assert calls == []
+    run(x, y, config)
+
+
 # --- bootstrap replicates through resample multiplicities ---------------------
 
 
@@ -258,7 +283,7 @@ def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
         calls.append(len(args[1]))
         return direct(*args)
 
-    monkeypatch.setattr(inference, "RESAMPLE_DEPTH", 1)
+    monkeypatch.setattr(inference, "_table_depth", lambda k: k)
     monkeypatch.setattr(inference, "_direct_rows", counting)
     for mode, d in (("odin1", 1), ("odin2", 3)):
         x, y, config = resample_setup(mode, d, 200, seed=4)
@@ -266,6 +291,29 @@ def test_replicates_match_explicit_on_forced_fallback(monkeypatch):
         slow = explicit_replicates(x, y, config, RENYI, reps=10, seed=8)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
     assert len(calls) >= 20 and sum(calls) > 100
+
+
+@pytest.mark.parametrize("n_x, n_y, k_max, xy_depth, xx_depth", [
+    (200, 200, 28, 48, 49),  # k + 4 isqrt(k), and k + 1 + 4 isqrt(k + 1) for x->x
+    (40, 20, 13, 20, 26),  # x->y capped at y's 20 points
+    (12, 12, 7, 12, 12),  # both capped
+])
+def test_tables_are_built_as_deep_as_a_resample_reads(monkeypatch, n_x, n_y, k_max, xy_depth,
+                                                      xx_depth):
+    x, y, config = resample_setup("odin1", 1, n_x, seed=6)
+    y = PointSet(y.points[:n_y])
+    assert ensemble.estimation_plan(config).ks[-1] == k_max
+    built = {}
+
+    class Spy(inference.NeighborIndex):
+        def kth_distance_table(self, queries, depth, return_indices=False):
+            if queries is x.points:  # a table build, not a direct query
+                built["xx" if self.pointset is x else "xy"] = depth
+            return super().kth_distance_table(queries, depth, return_indices)
+
+    monkeypatch.setattr(inference, "NeighborIndex", Spy)
+    confidence_interval(x, y, config, RENYI, reps=10, seed=1)
+    assert built == {"xy": xy_depth, "xx": xx_depth}
 
 
 def distance_replicates(x, y, config, spec, reps, seed):
@@ -321,7 +369,7 @@ def test_denominator_replicates_equal_distance_replicates_to_the_bit(monkeypatch
     want = distance_replicates(x, y, config, RENYI, reps=12, seed=4)
     assert np.array_equal(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=4), want)
     assert ensemble.estimation_plan(config).ks[0] == 1
-    monkeypatch.setattr(inference, "RESAMPLE_DEPTH", 1)
+    monkeypatch.setattr(inference, "_table_depth", lambda k: k)
     assert np.array_equal(bootstrap_replicates(x, y, config, RENYI, reps=12, seed=4), want)
     assert sum(calls) > 50
 
@@ -405,37 +453,6 @@ def test_resampled_table_equals_the_written_out_lists():
     assert cases == 14
 
 
-def test_indexed_rows_equal_the_lookup_on_whole_rows(monkeypatch):
-    # Sparse multiplicities leave many rows short within the leading columns
-    # (read again from the whole row) and some short on the whole row.
-    lookup = inference._resampled_table
-    calls = []
-
-    def counting(dist, which, counts, ks):
-        calls.append(len(counts))
-        return lookup(dist, which, counts, ks)
-
-    monkeypatch.setattr(inference, "_resampled_table", counting)
-    rng = np.random.default_rng(5)
-    n, k_max = 300, 40
-    dist = np.sort(rng.random((n, 2 * k_max)), axis=1)
-    rows = rng.integers(0, n, size=(n, 2 * k_max)).astype(np.int32)
-    short_rows = rereads = 0
-    for rate, ks in ((0.45, [1, 2, 5, 13, 27, 39, 40]), (0.7, range(1, k_max + 1)),
-                     (1.0, [3, 40])):
-        mult = rng.poisson(rate, size=n).astype(np.int32)
-        support = np.flatnonzero(mult)
-        calls.clear()
-        ks = np.asarray(ks)
-        fast, fast_short = inference._indexed_rows((dist, rows), mult, support, ks)
-        rereads += len(calls) == 2 and calls[1] < calls[0]  # some rows, not all, read again
-        slow, slow_short = lookup(dist, support, mult[rows[support]], ks)
-        np.testing.assert_array_equal(fast_short, slow_short)
-        np.testing.assert_array_equal(fast[:, ~fast_short], slow[:, ~slow_short])
-        short_rows += slow_short.sum()
-    assert short_rows > 0 and rereads > 0
-
-
 def test_resampled_table_with_offsets_beyond_int32():
     # A head entry with more copies than int32 holds: the index arithmetic
     # switches to int64 and that row reads its head, none of it short.
@@ -465,15 +482,15 @@ def test_replicates_do_not_depend_on_the_worker_count(monkeypatch, workers):
     # the replicates and for an interval, whose tables the pool builds.  A
     # short switch interval makes the workers interleave often.
     sizes = record_pool_sizes(monkeypatch)
-    setups = [resample_setup(mode, d, 200, seed=d) + (inference.RESAMPLE_DEPTH,)
+    setups = [resample_setup(mode, d, 200, seed=d) + (inference._table_depth,)
               for mode in ("odin1", "odin2") for d in (1, 3)]
-    setups += [resample_setup(mode, d, 200, seed=4) + (1,)
+    setups += [resample_setup(mode, d, 200, seed=4) + (lambda k: k,)
                for mode, d in (("odin1", 1), ("odin2", 3))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for x, y, config, depth in setups:
-            monkeypatch.setattr(inference, "RESAMPLE_DEPTH", depth)
+            monkeypatch.setattr(inference, "_table_depth", depth)
             values, intervals = [], []
             for count in (1, workers):
                 monkeypatch.setattr(inference, "_usable_cpus", lambda count=count: count)
