@@ -64,6 +64,11 @@ class EnsembleConfig:
         if len(set(lv)) != len(lv):
             raise ConfigurationError("l values must be distinct")
         object.__setattr__(self, "l_values", lv)
+        for name in ("d", "n", "nu", "k_min"):
+            # Python and NumPy ints have the __index__ that operator.index calls; floats have not.
+            if not hasattr(getattr(self, name), "__index__"):
+                raise ConfigurationError("%s must be an integer, got %r"
+                                         % (name, getattr(self, name)))
         if self.d < 1 or self.n < 2:
             raise ConfigurationError("need d >= 1 and n >= 2")
         if self.k_min < 1:
@@ -528,13 +533,12 @@ def _check_relaxed(a, eta, w, u, level, system):
     return max(float(np.max(np.abs(a @ w))), float(w @ w) / eta)
 
 
-def solve_weights(config, basis=None):
-    """Solve the weight program selected by the config."""
+def solve_weights(config):
+    """Solve the weight program selected by the config, on its own bias basis."""
     if config.L == 1:
         # A single member: the sum constraint pins w = [1] in either program.
         return WeightSolution(np.array([1.0]), np.zeros(0), 1.0, 0, config.l_values)
-    if basis is None:
-        basis = build_basis(config)
+    basis = build_basis(config)
     if config.solver == "exact":
         return solve_weights_exact(basis, config.l_values)
     return solve_weights_relaxed(basis, config.l_values, config.n, config.eta)
@@ -563,24 +567,21 @@ class EstimationPlan:
         return float(np.dot(self.weights.weights, self.members(ks, values)))
 
 
-def estimation_plan(config, weights=None):
-    """The config's EstimationPlan; ``weights`` may carry its solved WeightSolution."""
+def estimation_plan(config):
+    """The config's EstimationPlan: its k schedule and the weights solved for it."""
     sched, warn = k_schedule(config)
-    if weights is None:
-        weights = solve_weights(config)
     return EstimationPlan(config, tuple(sched), tuple(_rate_warnings(config) + warn),
-                          tuple(sorted({k for _, k in sched})), weights)
+                          tuple(sorted({k for _, k in sched})), solve_weights(config))
 
 
-def ensemble_estimate(x, y, config, spec, weights=None):
+def ensemble_estimate(x, y, config, spec):
     """Weighted ensemble estimate sum_l w(l) * Ghat_{k(l)} with diagnostics.
 
     Uses k1 = k2 = k(l) with N taken as the f2 sample size, combined by the
     config's EstimationPlan.  Degenerate distances are clamped and reported
-    in ``degeneracy_count``.  ``weights`` may carry its precomputed WeightSolution
-    (weights depend only on the config, so loops over samples solve once and reuse).
+    in ``degeneracy_count``.
     """
-    return _estimate(as_pointset(x), as_pointset(y), estimation_plan(config, weights), spec, None)
+    return _estimate(as_pointset(x), as_pointset(y), estimation_plan(config), spec, None)
 
 
 def _check_samples(x, y, plan):

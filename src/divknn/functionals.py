@@ -44,9 +44,6 @@ class FunctionalSpec:
     params: dict = field(default_factory=dict)
     eval: callable = None
 
-    def __call__(self, t1, t2):
-        return self.eval(t1, t2)
-
 
 def make_functional(name, **params):
     """Build one of the built-in functionals, or wrap a custom g.

@@ -92,15 +92,13 @@ def _to_denominators(dist, m, d):
     Each entry becomes ``_density_denominators`` of its distance, so a
     replicate's density at k is k over the entry it reads.  A distance that is
     not finite becomes NaN, which a replicate that reads it raises on, as
-    ``knn_density`` raises on the distance.  Returns whether every distance
-    was finite.
+    ``knn_density`` raises on the distance (see :func:`_check_read`).  When
+    every distance is finite no mask of the table is made.
     """
     bad = None if math.isfinite(dist.max()) else ~np.isfinite(dist)
     _density_denominators(dist, m, d, out=dist)
-    if bad is None:
-        return True
-    dist[bad] = np.nan
-    return False
+    if bad is not None:
+        dist[bad] = np.nan
 
 
 def _check_read(values):
@@ -169,7 +167,9 @@ def _replicate_tables(x, y, tables, m_x, m_y, ks):
     holds each point's own entry, so it is read at ``ks + 1``.  Each result
     is a ``(len(ks), rows)`` array.  Rows whose indexed table holds too few
     copies for the largest k are answered by a direct query over all
-    references (``_direct_rows``).
+    references (``_direct_rows``).  Each result, direct-query rows included,
+    is checked for entries made of distances that were not finite
+    (:func:`_check_read`).
     """
     support = np.flatnonzero(m_x)
     m_x = m_x.astype(np.int32)
@@ -181,6 +181,7 @@ def _replicate_tables(x, y, tables, m_x, m_y, ks):
         table, short = _resampled_table(values, support, np.take(mult, rows[support]), at)
         if short.any():
             table[:, short] = _direct_rows(ref, x.points[support[short]], mult, at, m)
+        _check_read(table)
         out.append(table)
     return tuple(out), np.take(m_x, support)
 
@@ -192,11 +193,8 @@ def _direct_rows(ref, queries, mult, ks, m):
     runs short; the denominators are those of M = ``m``.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
-    finite = _to_denominators(dist, m, ref.dim)
-    out = _resampled_table(dist, np.arange(len(queries)), np.take(mult, rows), ks)[0]
-    if not finite:
-        _check_read(out)
-    return out
+    _to_denominators(dist, m, ref.dim)
+    return _resampled_table(dist, np.arange(len(queries)), np.take(mult, rows), ks)[0]
 
 
 def _usable_cpus():
@@ -207,7 +205,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def bootstrap_replicates(x, y, config, spec, reps, seed, weights=None):
+def bootstrap_replicates(x, y, config, spec, reps, seed):
     """Ensemble estimates on ``reps`` with-replacement resamples of x and y.
 
     Replicate r resamples both samples from the streams keyed by r, and all
@@ -217,10 +215,10 @@ def bootstrap_replicates(x, y, config, spec, reps, seed, weights=None):
     ``ensemble_estimate`` on the resampled points to rounding.  Degenerate
     distances in a resample are clamped, never raised on.
     """
-    return _bootstrap(x, y, config, spec, reps, seed, weights, False)[1]
+    return _bootstrap(x, y, config, spec, reps, seed, False)[1]
 
 
-def _bootstrap(x, y, config, spec, reps, seed, weights, point):
+def _bootstrap(x, y, config, spec, reps, seed, point):
     """The point estimate's report (when ``point``, else None) and ``reps`` replicate values.
 
     ``reps`` is checked before any work.  One pool of min(usable CPUs,
@@ -234,7 +232,7 @@ def _bootstrap(x, y, config, spec, reps, seed, weights, point):
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
     x, y = as_pointset(x), as_pointset(y)
-    plan = estimation_plan(config, weights)
+    plan = estimation_plan(config)
     ks = _check_samples(x, y, plan)
     pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), reps))
     try:
@@ -254,12 +252,12 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
 
     ``tables`` are the indexed ``(distances, rows)`` tables of x and y.  Their
     distances are turned into density denominators in place, once, so that a
-    replicate divides k by the entries it reads and does no power, no
-    finiteness scan and no clamp.
+    replicate divides k by the entries it reads and does no power and no
+    clamp.
     """
     ks = plan.ks
-    finite = all([_to_denominators(dist, m, x.dim)
-                  for (dist, _), m in zip(tables, (y.n, x.n - 1))])
+    for (dist, _), m in zip(tables, (y.n, x.n - 1)):
+        _to_denominators(dist, m, x.dim)
 
     def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
@@ -267,22 +265,18 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
         m_x = np.bincount(ix, minlength=x.n)
         m_y = np.bincount(iy, minlength=y.n)
         (den1, den2), outer = _replicate_tables(x, y, tables, m_x, m_y, ks)
-        if not finite:
-            _check_read(den1)
-            _check_read(den2)
         return plan.combine(ks, _denominator_profile(den1, den2, ks, spec, outer))
 
     return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
 
 
-def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed, null_value,
-                      weights):
+def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed, null_value):
     """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.
 
     The point estimate and the replicates share one plan, one pool and one pair of
     indexed neighbor tables (see :func:`_bootstrap`).
     """
-    report, values = _bootstrap(x, y, config, spec, reps, seed, weights, True)
+    report, values = _bootstrap(x, y, config, spec, reps, seed, True)
     estimate = report.value
     std = float(np.std(values, ddof=1))
     z_crit = normal_quantile(quantile)
@@ -298,8 +292,7 @@ def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed,
                            degeneracy_count=report.degeneracy_count, warnings=report.warnings)
 
 
-def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_value=0.0,
-                        weights=None):
+def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_value=0.0):
     """Normal-theory interval: estimate +/- z_{(1+level)/2} * bootstrap std.
 
     Degenerate distances are clamped; the result's ``degeneracy_count`` reports them.
@@ -307,27 +300,26 @@ def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_v
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
     return _bootstrap_normal(x, y, config, spec, 0.5 * (1.0 + level), 1.0 - level, level, reps,
-                             seed, null_value, weights)
+                             seed, null_value)
 
 
-def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0, weights=None):
+def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0):
     """Two-sided test of H0: G(f1, f2) = null_value via the bootstrap CLT.
 
-    Requires a functional with constant g(t, t) so the no-difference null
-    has a known value (renyi_integral: 1, kl and l2: 0).  Degenerate
+    Requires a functional with finite, constant g(t, t) so the no-difference
+    null has a known value (renyi_integral: 1, kl and l2: 0).  Degenerate
     distances are clamped, as in confidence_interval.
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
     probe = np.array([0.5, 1.0, 2.0, 7.0])
     diag = np.asarray(spec.eval(probe, probe), dtype=np.float64)
-    if np.ptp(diag) > 1e-9:
-        raise ParameterError(
-            "two_sample_test requires g(t, t) constant; functional %r varies on the diagonal"
-            % spec.name
-        )
+    # A NaN or inf spread is not > 1e-9, so finiteness is checked first.
+    if not np.all(np.isfinite(diag)) or np.ptp(diag) > 1e-9:
+        raise ParameterError("two_sample_test requires g(t, t) finite and constant; "
+                             "functional %r is not on the diagonal" % spec.name)
     result = _bootstrap_normal(x, y, config, spec, 1.0 - level / 2.0, level, 1.0 - level, reps,
-                               seed, null_value, weights)
+                               seed, null_value)
     if result.std_error == 0.0 and result.estimate != null_value:
         raise ParameterError("degenerate variance: std_error=0 with estimate != null")
     return result

@@ -77,9 +77,11 @@ SCREEN_BLOCK_BYTES = 1024 * 1024
 # Largest rows x columns x (d + 2) of one chunk of the screen product.
 # OpenBLAS runs a GEMM of m x n x k <= 65536 x GEMM_MULTITHREAD_THRESHOLD
 # (4 by default) = 2^18 on the calling thread.  A whole block's product is
-# larger; run from the trial pool's threads at once, it starts BLAS
-# threads from each of them, and a pass of the Figure-1 benchmark grid on 2
-# cores took 1.79-1.84 s instead of 1.11 s in chunks.
+# larger, so OpenBLAS starts its own threads in each of the Figure-1 grid's
+# forked worker processes at once and oversubscribes the cores.  On a 2-vCPU
+# Xeon a pass of perfbench's fig1_grid (8 s runs, seeds 1-4) took
+# 0.69-0.75 s in chunks and 1.93-6.85 s unchunked; bootstrap_ci's took
+# 0.12-0.13 s either way.
 SCREEN_PRODUCT_SIZE = 2**18
 
 

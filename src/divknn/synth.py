@@ -171,7 +171,10 @@ def mc_truth(spec1, spec2, functional, n_mc, seed, stream=0):
     """Monte Carlo oracle: mean of g(f1, f2) over draws from f2.
 
     Densities are evaluated in closed form, so this is an independent check
-    on both the quadrature oracle and the k-NN estimators.
+    on both the quadrature oracle and the k-NN estimators.  The draws come in
+    chunks of 10^6; chunk c is drawn from stream ``stream + (c << 32)``, so
+    callers that key ``stream`` by a small index (a dimension) never share a
+    chunk.
     """
     n_mc = int(n_mc)
     if n_mc < 10**4:
@@ -185,7 +188,7 @@ def mc_truth(spec1, spec2, functional, n_mc, seed, stream=0):
     offset = 0
     while done < n_mc:
         m = min(chunk, n_mc - done)
-        pts = sample_truncated_gaussian(spec2, m, seed, stream=stream + offset)
+        pts = sample_truncated_gaussian(spec2, m, seed, stream=stream + (offset << 32))
         f1 = truncated_gaussian_pdf(spec1, pts.points)
         f2 = truncated_gaussian_pdf(spec2, pts.points)
         vals = np.asarray(functional.eval(f1, f2), dtype=np.float64)

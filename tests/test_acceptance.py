@@ -20,7 +20,6 @@ from divknn import (
     mc_truth,
     run_experiment,
     sample_truncated_gaussian,
-    solve_weights,
     solve_weights_exact,
     solve_weights_relaxed,
     true_renyi_integral,
@@ -128,12 +127,11 @@ def test_criterion_4_consistency():
     # residual bias for variance by design.
     config = EnsembleConfig("odin1", tuple(np.linspace(0.3, 3.0, 50)), d, n,
                             solver="exact")
-    weights = solve_weights(config)
     values = np.empty(trials)
     for trial in range(trials):
         y = sample_truncated_gaussian(spec1, n, seed=4004, stream=2 * trial + 1)
         x = sample_truncated_gaussian(spec2, n, seed=4004, stream=2 * trial + 2)
-        values[trial] = ensemble_estimate(x, y, config, renyi, weights=weights).value
+        values[trial] = ensemble_estimate(x, y, config, renyi).value
     gap = abs(values.mean() - truth)
     bound = 3.0 * values.std(ddof=1) / np.sqrt(trials)
     elapsed = time.perf_counter() - t0
@@ -169,12 +167,11 @@ def test_criterion_6_clt_desk_scale():
     spec1, spec2 = densities(d)
     renyi = make_functional("renyi_integral", alpha=ALPHA)
     config = EnsembleConfig("odin1", tuple(np.linspace(0.3, 3.0, 50)), d, n)
-    weights = solve_weights(config)
     values = np.empty(trials)
     for trial in range(trials):
         y = sample_truncated_gaussian(spec1, n, seed=6006, stream=2 * trial + 1)
         x = sample_truncated_gaussian(spec2, n, seed=6006, stream=2 * trial + 2)
-        values[trial] = ensemble_estimate(x, y, config, renyi, weights=weights).value
+        values[trial] = ensemble_estimate(x, y, config, renyi).value
     standardized = (values - values.mean()) / values.std(ddof=1)
     p = kstest(standardized, "norm").pvalue
     elapsed = time.perf_counter() - t0
@@ -199,13 +196,12 @@ def test_criterion_7_test_calibration():
     d, n, trials, reps = 2, 800, 200, 15
     null_spec = TruncatedGaussianSpec(d, (F2_MEAN,), VARIANCE)
     config = _calibration_config(d, n)
-    weights = solve_weights(config)
     rejections = 0
     for trial in range(trials):
         y = sample_truncated_gaussian(null_spec, n, seed=7007, stream=2 * trial + 1)
         x = sample_truncated_gaussian(null_spec, n, seed=7007, stream=2 * trial + 2)
         r = two_sample_test(x, y, config, kl, null_value=0.0, level=0.05,
-                            reps=reps, seed=trial, weights=weights)
+                            reps=reps, seed=trial)
         rejections += r.reject
     null_rate = rejections / trials
     assert 0.01 <= null_rate <= 0.15
@@ -213,13 +209,12 @@ def test_criterion_7_test_calibration():
     n_alt, alt_trials = 2000, 100
     spec1, spec2 = densities(d)
     config_alt = _calibration_config(d, n_alt)
-    weights_alt = solve_weights(config_alt)
     alt_rejections = 0
     for trial in range(alt_trials):
         y = sample_truncated_gaussian(spec1, n_alt, seed=7008, stream=2 * trial + 1)
         x = sample_truncated_gaussian(spec2, n_alt, seed=7008, stream=2 * trial + 2)
         r = two_sample_test(x, y, config_alt, kl, null_value=0.0, level=0.05,
-                            reps=reps, seed=trial, weights=weights_alt)
+                            reps=reps, seed=trial)
         alt_rejections += r.reject
     power = alt_rejections / alt_trials
     elapsed = time.perf_counter() - t0

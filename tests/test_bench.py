@@ -11,6 +11,7 @@ from divknn import (
     ConfigurationError,
     ExperimentConfig,
     ParameterError,
+    PointSet,
     ResultRow,
     SolverError,
     emit,
@@ -20,7 +21,7 @@ from divknn import (
     run_experiment,
     sample_truncated_gaussian,
 )
-from divknn import bench
+from divknn import bench, synth
 from divknn.bench import CSV_HEADER, _trial_stream, rows_to_csv, rows_to_json
 from divknn.ensemble import k_schedule
 
@@ -335,3 +336,22 @@ def test_canonical_is_deterministic():
     a = ExperimentConfig(**TINY).canonical()
     b = ExperimentConfig(**TINY).canonical()
     assert a == b and "seed=9" in a
+
+
+def test_monte_carlo_truths_share_no_draws_across_chunks_or_dimensions(monkeypatch):
+    # oracle_truth keys its stream by d.  Chunk 0 keeps that stream, so a
+    # one-chunk truth keeps its bits; every later chunk has a stream of its own.
+    streams = {}
+
+    def stub(spec, n, seed, stream=0):
+        streams.setdefault(spec.dim, []).append(stream)
+        return PointSet(np.full((1, spec.dim), 0.5))
+
+    monkeypatch.setattr(synth, "sample_truncated_gaussian", stub)
+    monkeypatch.setattr(synth, "truncated_gaussian_pdf", lambda spec, points: np.ones(len(points)))
+    config = ExperimentConfig(dims=(2, 3, 4), n_grid=(100,), functional="kl")
+    for d in config.dims:
+        bench.oracle_truth(config, d, n_mc=3 * 10**6)
+    assert [streams[d][0] for d in config.dims] == [bench._TRUTH_STREAM + d for d in config.dims]
+    drawn = [s for d in config.dims for s in streams[d]]
+    assert len(drawn) == 9 and len(set(drawn)) == 9

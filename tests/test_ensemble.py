@@ -272,7 +272,7 @@ def test_exact_ill_conditioned_draws_meet_bound_or_raise():
 def test_exact_paper_odin2_d5_constraints(n):
     config = ExperimentConfig(solver="exact").ensemble_config("odin2", 5, n)
     basis = build_basis(config)
-    sol = solve_weights(config, basis)
+    sol = solve_weights(config)
     assert abs(sol.weights.sum() - 1.0) <= 1e-9
     assert np.max(np.abs(basis.psi_matrix(config.l_values) @ sol.weights)) <= 1e-8
     assert np.array_equal(sol.residuals, basis.psi_matrix(config.l_values) @ sol.weights)
@@ -344,7 +344,7 @@ def test_relaxed_paper_default_odin1_d7_n100_solves():
     # solve ran into its iteration cap.
     config = ExperimentConfig().ensemble_config("odin1", 7, 100)
     basis = build_basis(config)
-    sol = solve_weights(config, basis)
+    sol = solve_weights(config)
     a = basis.scaled_rows(np.asarray(config.l_values), config.n)
     assert abs(sol.weights.sum() - 1.0) <= 1e-12
     assert sol.objective == pytest.approx(_relaxed_f(a, sol.weights, config.eta), rel=1e-15)
@@ -380,7 +380,7 @@ def test_relaxed_objective_matches_slsqp_reference(mode, d, n):
     config = ExperimentConfig().ensemble_config(mode, d, n)
     basis = build_basis(config)
     a = basis.scaled_rows(np.asarray(config.l_values), n)
-    sol = solve_weights(config, basis)
+    sol = solve_weights(config)
     assert sol.objective == pytest.approx(_slsqp_relaxed_objective(a, config.eta), rel=1e-9)
 
 
@@ -388,7 +388,7 @@ def test_relaxed_check_rejects_corrupted_answers():
     config = ExperimentConfig().ensemble_config("odin1", 3, 800)
     basis = build_basis(config)
     a = basis.scaled_rows(np.asarray(config.l_values), config.n)
-    level = solve_weights(config, basis).objective
+    level = solve_weights(config).objective
     w, u = _level_qp(*_level_constraints(a, level))
     system = _LevelSystem(a)  # checked at level, not at the level it was built at
     assert _check_relaxed(a, config.eta, w, u, level, system) == pytest.approx(level, rel=1e-12)
@@ -528,7 +528,7 @@ def _cold_start_relaxed(a, eta):
 def test_relaxed_matches_cold_start_oracle(mode, d, n):
     config, basis, a = _sweep_program(mode, d, n)
     w_ref, f_ref = _cold_start_relaxed(a, config.eta)
-    sol = solve_weights(config, basis)
+    sol = solve_weights(config)
     assert sol.objective == pytest.approx(f_ref, rel=2 * LEVEL_RTOL)
     assert np.max(np.abs(sol.weights - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
 
@@ -589,7 +589,7 @@ def test_relaxed_level_schedule(monkeypatch, mode, d, n):
 def test_relaxed_path_ends_at_the_norm_crossing(mode, d, n):
     # The returned level is the root of ||w||^2 = eta * epsilon.
     config, basis, _ = _sweep_program(mode, d, n)
-    sol = solve_weights(config, basis)
+    sol = solve_weights(config)
     assert sol.weights @ sol.weights / config.eta == pytest.approx(sol.objective, rel=1e-12)
     assert sol.solver_iterations > 0
 
@@ -607,7 +607,7 @@ def test_level_system_rhs_is_the_fresh_rhs(monkeypatch, mode, d, n):
         return real_at(self, level)
 
     monkeypatch.setattr(ensemble._LevelSystem, "at", at)
-    solve_weights(config, basis)
+    solve_weights(config)
     monkeypatch.undo()
     L = a.shape[1]
     system = _LevelSystem(a)
@@ -797,6 +797,17 @@ def test_config_validation():
 def test_config_rejects_non_finite_parameters(mode, lv, kw):
     with pytest.raises(ConfigurationError, match="must be finite"):
         EnsembleConfig(mode, lv, 1, 100, **kw)
+
+
+@pytest.mark.parametrize("field, value", [("d", 3.0), ("n", 400.7), ("nu", 1.5), ("k_min", 2.5)])
+def test_config_rejects_non_integer_counts(field, value):
+    # Unchecked, d=3.0 and nu=1.5 fail inside range(), k_min=2.5 passes, and
+    # n=400.7 schedules k from 400.7 while its warning reads N=400.
+    fields = dict(mode="odin2", l_values=tuple(np.linspace(0.3, 3.0, 50)), d=3, n=400)
+    with pytest.raises(ConfigurationError, match="^%s must be an integer" % field):
+        EnsembleConfig(**{**fields, field: value})
+    config = EnsembleConfig(**{**fields, field: np.int64(value)})  # a NumPy int is an integer
+    assert getattr(config, field) == int(value)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf")])

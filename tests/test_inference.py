@@ -21,7 +21,6 @@ from divknn import (
     plugin_estimate,
     plugin_profile,
     sample_truncated_gaussian,
-    solve_weights,
     two_sample_test,
 )
 from divknn import ensemble, inference
@@ -81,7 +80,9 @@ def test_bootstrap_reps_floor():
         bootstrap_replicates(x, y, config, RENYI, reps=5, seed=0)
 
 
-def test_reps_floor_is_checked_before_any_table(monkeypatch):
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The query count of each neighbor table built while the test runs."""
     calls = []
     table = NeighborIndex.kth_distance_table
 
@@ -90,15 +91,19 @@ def test_reps_floor_is_checked_before_any_table(monkeypatch):
         return table(self, *args, **kwargs)
 
     monkeypatch.setattr(NeighborIndex, "kth_distance_table", counting)
+    return calls
+
+
+def test_reps_floor_is_checked_before_any_table(table_calls):
     x, y, config = small_setup()
     for run in (lambda: confidence_interval(x, y, config, RENYI, reps=9),
                 lambda: two_sample_test(x, y, config, RENYI, null_value=1.0, reps=9),
                 lambda: bootstrap_replicates(x, y, config, RENYI, reps=9, seed=0)):
         with pytest.raises(ParameterError, match="reps must be >= 10"):
             run()
-    assert calls == []
+    assert table_calls == []
     confidence_interval(x, y, config, RENYI, reps=10)
-    assert calls == [x.n, x.n]
+    assert table_calls == [x.n, x.n]
 
 
 def test_bootstrap_deterministic():
@@ -160,6 +165,16 @@ def test_two_sample_test_requires_constant_diagonal():
         two_sample_test(x, y, config, entropy, null_value=0.0)
 
 
+@pytest.mark.parametrize("diagonal", [math.nan, math.inf], ids=["nan", "inf"])
+def test_two_sample_test_requires_a_finite_diagonal(table_calls, diagonal):
+    # A NaN or inf spread of g(t, t) is not > 1e-9, yet it gives no null value.
+    x, y, config = small_setup()
+    g = make_functional("custom", g=lambda t1, t2: np.where(t1 == t2, diagonal, t1 / t2))
+    with pytest.raises(ParameterError, match="finite and constant"):
+        two_sample_test(x, y, config, g, null_value=1.0, reps=10)
+    assert table_calls == []
+
+
 def test_p_value_decreases_in_abs_z():
     x, y, config = small_setup()
     base = confidence_interval(x, y, config, RENYI, reps=20, seed=2)
@@ -208,22 +223,14 @@ def test_array_samples_equal_point_sets():
     lambda x, y, config: confidence_interval(x, y, config, RENYI, reps=10),
     lambda x, y, config: two_sample_test(x, y, config, RENYI, null_value=1.0, reps=10),
 ], ids=["ensemble_estimate", "bootstrap_replicates", "confidence_interval", "two_sample_test"])
-def test_a_config_for_another_dimension_is_rejected_before_any_table(monkeypatch, run):
+def test_a_config_for_another_dimension_is_rejected_before_any_table(table_calls, run):
     # The weights cancel the bias terms of the config's d, not of the samples'.
-    calls = []
-    table = NeighborIndex.kth_distance_table
-
-    def counting(self, *args, **kwargs):
-        calls.append(len(args[0]))
-        return table(self, *args, **kwargs)
-
-    monkeypatch.setattr(NeighborIndex, "kth_distance_table", counting)
     grid = ensemble.default_l_grid("odin1", None, None)
     x, y, config = resample_setup("odin1", 7, 200, seed=1, l_values=grid)
     wrong = EnsembleConfig("odin1", grid, 3, x.n)
     with pytest.raises(ParameterError, match=r"config has d=3 but the samples have d=7"):
         run(x, y, wrong)
-    assert calls == []
+    assert table_calls == []
     run(x, y, config)
 
 
@@ -232,13 +239,12 @@ def test_a_config_for_another_dimension_is_rejected_before_any_table(monkeypatch
 
 def explicit_replicates(x, y, config, spec, reps, seed):
     """The definition of a replicate: ensemble_estimate on the resampled points."""
-    weights = solve_weights(config)
     values = np.empty(reps)
     for r in range(reps):
         ix = rng_stream(seed, inference._BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
         iy = rng_stream(seed, inference._BOOT_STREAM_Y + r).integers(0, y.n, size=y.n)
         values[r] = ensemble_estimate(PointSet(x.points[ix]), PointSet(y.points[iy]), config,
-                                      spec, weights=weights).value
+                                      spec).value
     return values
 
 
@@ -374,18 +380,34 @@ def test_denominator_replicates_equal_distance_replicates_to_the_bit(monkeypatch
     assert sum(calls) > 50
 
 
-def test_unreadable_distances_raise_only_where_a_replicate_reads_them():
-    # Two clusters 1e160 apart: distances across them overflow to inf.  The
-    # point estimate reads only within-cluster distances; a replicate raises
-    # when it reads across, as knn_density raises on the distance.
+def two_clusters():
+    """Two clusters 1e160 apart, each of 40 points: distances across them overflow to inf."""
     rng = np.random.default_rng(3)
     near, far = rng.random((40, 1)), 1e160 * (1.0 + 1e-10 * rng.random((40, 1)))
     x, y = PointSet(np.vstack([near, far])), PointSet(np.vstack([far, near]))
-    config = EnsembleConfig("odin1", (1.0, 2.5, 4.0), 1, x.n, solver="exact")
+    return x, y, EnsembleConfig("odin1", (1.0, 2.5, 4.0), 1, x.n, solver="exact")
+
+
+def test_unreadable_distances_raise_only_where_a_replicate_reads_them():
+    # The point estimate reads only within-cluster distances; a replicate
+    # raises when it reads across, as knn_density raises on the distance.
+    x, y, config = two_clusters()
     report = ensemble_estimate(x, y, config, RENYI)
     assert np.isfinite(report.value) and ensemble.estimation_plan(config).ks[-1] > 20
     with pytest.raises(ParameterError, match="rho must be finite"):
         explicit_replicates(x, y, config, RENYI, reps=10, seed=1)
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        confidence_interval(x, y, config, RENYI, reps=10, seed=1)
+
+
+def test_unreadable_distances_in_direct_query_rows_raise(monkeypatch):
+    # Tables only k_max deep stay within the clusters, so every distance
+    # across them that a replicate reads comes from its direct-query rows.
+    monkeypatch.setattr(inference, "_table_depth", lambda k: k)
+    x, y, config = two_clusters()
+    k_max = ensemble.estimation_plan(config).ks[-1]
+    assert np.isfinite(NeighborIndex(y).kth_distance_table(x.points, k_max)).all()
+    assert np.isfinite(NeighborIndex(x).kth_distance_table(x.points, k_max + 1)).all()
     with pytest.raises(ParameterError, match="rho must be finite"):
         confidence_interval(x, y, config, RENYI, reps=10, seed=1)
 
