@@ -20,7 +20,7 @@ from .ensemble import (
     solve_weights_exact,
     solve_weights_relaxed,
 )
-from .errors import ConfigurationError, DegeneracyError, ParameterError, SolverError
+from .errors import ConfigurationError, ParameterError, SolverError
 from .functionals import (
     FunctionalSpec,
     PluginEstimate,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, EnsembleConfig,
                        _raw_k, default_l_grid, estimation_plan)
-from .errors import ConfigurationError, ParameterError, SolverError
+from .errors import ConfigurationError, ParameterError, SolverError, as_index
 from .functionals import make_functional, plugin_profile
 from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
 
@@ -62,8 +62,12 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "dims", tuple(as_index("d", d, ConfigurationError)
+                                               for d in self.dims))
+        object.__setattr__(self, "n_grid", tuple(as_index("N", n, ConfigurationError)
+                                                 for n in self.n_grid))
+        for name in ("trials", "threads", "plugin_k", "seed"):
+            as_index(name, getattr(self, name), ConfigurationError)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "l_values_odin1", tuple(float(l) for l in self.l_values_odin1))
         object.__setattr__(self, "l_values_odin2", tuple(float(l) for l in self.l_values_odin2))

@@ -211,6 +211,8 @@ def cmd_bench(args):
         raise ParameterError("--out directory %s does not exist" % out_dir)
     if os.path.isdir(args.out):
         raise ParameterError("--out %s is a directory" % args.out)
+    if not os.access(args.out if os.path.exists(args.out) else out_dir, os.W_OK):
+        raise ParameterError("--out %s is not writable" % args.out)
     if "odin2" in config.estimators:  # the rate warning reads only mode, nu and delta
         for message in _rate_warnings(config.ensemble_config("odin2", config.dims[0],
                                                              config.n_grid[0])):

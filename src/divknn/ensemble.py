@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, SolverError
+from .errors import ConfigurationError, ParameterError, SolverError, as_index
 from .functionals import check_profile_args, plugin_profile
 from .neighbors import as_pointset
 
@@ -65,10 +65,7 @@ class EnsembleConfig:
             raise ConfigurationError("l values must be distinct")
         object.__setattr__(self, "l_values", lv)
         for name in ("d", "n", "nu", "k_min"):
-            # Python and NumPy ints have the __index__ that operator.index calls; floats have not.
-            if not hasattr(getattr(self, name), "__index__"):
-                raise ConfigurationError("%s must be an integer, got %r"
-                                         % (name, getattr(self, name)))
+            as_index(name, getattr(self, name), ConfigurationError)
         if self.d < 1 or self.n < 2:
             raise ConfigurationError("need d >= 1 and n >= 2")
         if self.k_min < 1:
@@ -161,8 +158,9 @@ class EstimateReport:
     per_k: tuple  # sequence of (l, k, plug-in estimate at k)
     weights: WeightSolution
     warnings: tuple = ()
-    # Clamped neighbor distances over the scheduled ks; positive exactly when
-    # plugin_estimate(..., mode="strict") raises at one of them.
+    # Clamped neighbor distances (at most DEGENERATE_RHO), x->y and x->x,
+    # summed over the scheduled ks: the sum of plugin_estimate's
+    # degeneracy_count at each of them.
     degeneracy_count: int = 0
 
 

@@ -1,12 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for integer arguments."""
+
+import operator
 
 
 class ParameterError(ValueError):
     """A caller-supplied argument is out of its documented range."""
-
-
-class DegeneracyError(ValueError):
-    """A neighbor distance collapsed below the resolvable floor in strict mode."""
 
 
 class ConfigurationError(ValueError):
@@ -24,3 +22,11 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.best_weights = best_weights
         self.residuals = residuals
+
+
+def as_index(name, value, error=ParameterError):
+    """``operator.index(value)``: Python and NumPy ints pass, and a float raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error("%s must be an integer, got %r" % (name, value)) from None

@@ -8,12 +8,14 @@ averaging sample of size N2); the *y* argument is the sample drawn from
 into y (M1 = N1, no self-exclusion) and the k2-th neighbor distance within
 x excluding the point itself (M2 = N2 - 1).
 
-Degenerate distances (at most ``DEGENERATE_RHO``: duplicate points) are
-clamped and counted, and densities are clipped into [``EVAL_FLOOR``,
-``EVAL_CEIL``] before g.  The clamp and the power live in one place,
-:func:`_density_denominators` (m * c_d * rho^d); the density at k is k over
-it.  Only :func:`plugin_estimate` offers ``mode="strict"``, which raises
-``DegeneracyError`` instead and does not clip.
+One path leads from a neighbor distance to g, for the plug-in, the
+ensembles and the bootstrap replicates alike.  :func:`_density_denominators`
+turns distances into m * c_d * max(rho, ``DEGENERATE_RHO``)^d, so that the
+density at k is k over it: distances at most ``DEGENERATE_RHO`` (duplicate
+points) are clamped, and counted as ``degeneracy_count``, and a distance
+that is not finite becomes NaN, which :func:`_check_read` raises on wherever
+it is read.  :func:`_denominator_profile` clips the densities into
+[``EVAL_FLOOR``, ``EVAL_CEIL``] and evaluates g.
 """
 
 import math
@@ -22,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
+from .errors import ParameterError, as_index
 from .neighbors import NeighborIndex, as_pointset
 
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
 
-# Density estimates are clamped into this box before evaluating g in robust
-# mode; the true positivity bounds of the densities are unknown at runtime.
+# Density estimates are clipped into this box before evaluating g; the true
+# positivity bounds of the densities are unknown at runtime.
 EVAL_FLOOR = 1e-12
 EVAL_CEIL = 1e12
 
@@ -90,7 +92,7 @@ def unit_ball_volume(d):
     d < 344); above that exp((d/2) log(pi) - lgamma(d/2 + 1)).  Raises
     ParameterError where the volume underflows float64's normal range.
     """
-    d = int(d)
+    d = as_index("d", d)
     if d < 1:
         raise ParameterError("d must be >= 1, got %d" % d)
     try:
@@ -113,41 +115,51 @@ def knn_density(rho, k, m, d):
     ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
     integer or an integer array that broadcasts against it (for example one
     k per row of a (ks, points) distance array).  Distances below
-    ``DEGENERATE_RHO`` are clamped (the denominator is
-    :func:`_density_denominators`).
+    ``DEGENERATE_RHO`` are clamped, and one that is not finite raises (the
+    denominator is :func:`_density_denominators`).
     """
-    k = np.asarray(k, dtype=np.int64)
-    m = int(m)
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu":  # as_index's rule, for an array
+        raise ParameterError("k must be an integer or an integer array, got %r" % (k,))
+    m = as_index("m", m)
     if np.any(k < 1) or np.any(k > m):
         raise ParameterError("k=%s out of range for m=%d" % (k, m))
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    _check_finite(rho_arr)
-    value = k / _density_denominators(rho_arr, m, d)
+    den = _density_denominators(np.asarray(rho, dtype=np.float64), m, d)
+    _check_read(den)
+    value = k / den
     if np.ndim(value) == 0:
         return float(value)
     return value
 
 
-def _check_finite(rho):
-    """Raise ParameterError unless every distance is finite."""
-    if not np.all(np.isfinite(rho)):
-        raise ParameterError("rho must be finite")
-
-
 def _density_denominators(rho, m, d, out=None):
-    """m * c_d * max(rho, DEGENERATE_RHO)^d, so that the robust density at k is k over it.
+    """m * c_d * max(rho, DEGENERATE_RHO)^d, so that the density at k is k over it.
 
-    Always an array, also for a scalar ``rho``: numpy's scalar power can
-    differ from its array power in the last bit, and every denominator must
-    equal the one an array of distances would give.  ``out`` may be ``rho``
-    itself (float64) to convert a distance table in place.
+    A distance that is not finite gives NaN, which :func:`_check_read` raises
+    on where it is read; when every distance is finite no mask of ``rho`` is
+    made.  Always an array, also for a scalar ``rho``: numpy's scalar power
+    can differ from its array power in the last bit, and every denominator
+    must equal the one an array of distances would give.  ``out`` may be
+    ``rho`` itself (float64) to convert a distance table in place.
     """
+    # min + max is not finite if a distance is not (or if the sum overflows, and the mask is
+    # empty); as Python floats, the sum issues no overflow warning.
+    finite = math.isfinite(float(np.min(rho, initial=0.0)) + float(np.max(rho, initial=0.0)))
+    bad = None if finite else ~np.isfinite(rho)
     if out is None:
         out = np.empty(np.shape(rho))
     np.maximum(rho, DEGENERATE_RHO, out=out)
     out **= d
     out *= m * unit_ball_volume(d)
+    if bad is not None:
+        out[bad] = np.nan
     return out
+
+
+def _check_read(den):
+    """Raise where a density denominator read was made of a distance that was not finite."""
+    if np.isnan(den).any():
+        raise ParameterError("rho must be finite")
 
 
 def _clamp_count(rho):
@@ -155,11 +167,11 @@ def _clamp_count(rho):
     return np.count_nonzero(rho <= DEGENERATE_RHO, axis=-1)
 
 
-def _denominator_profile(den1, den2, ks, spec, weights=None, clip=True):
+def _denominator_profile(den1, den2, ks, spec, weights=None):
     """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` density denominators.
 
     The density at k is k over the denominator, clipped into [``EVAL_FLOOR``,
-    ``EVAL_CEIL``] before g unless ``clip`` is false (the strict plug-in).
+    ``EVAL_CEIL``] before g.
     ``ks`` may also be a pair: the ks of den1's rows, then those of den2's.
     Each array is contiguous along the rows, so each k's mean is the same
     pairwise sum as a mean over that k's column alone.  ``weights`` gives each row an integer multiplicity in the outer
@@ -170,9 +182,8 @@ def _denominator_profile(den1, den2, ks, spec, weights=None, clip=True):
     k1, k2 = np.broadcast_to(ks, (2, len(den1)))[:, :, None]
     f1 = k1 / den1
     f2 = k2 / den2
-    if clip:
-        np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
-        np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
+    np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
+    np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
     g = spec.eval(f1, f2)
     if weights is None:
         return np.mean(g, axis=1)
@@ -185,7 +196,7 @@ def check_profile_args(x, y, ks):
         raise ParameterError("dimension mismatch: x has d=%d, y has d=%d" % (x.dim, y.dim))
     if x.n < 2:
         raise ParameterError("need N2 >= 2 for leave-one-out estimation")
-    ks = [int(k) for k in ks]
+    ks = [as_index("k", k) for k in ks]
     m1, m2 = y.n, x.n - 1
     for k in ks:
         if k < 1 or k > min(m1, m2):
@@ -215,18 +226,18 @@ def _column_denominators(x, y, tables, k1s, k2s):
     """The density denominators of the x->y table at ``k1s`` and the x->x one at ``k2s``.
 
     Gathers each table's columns as a ``(len(ks), N2)`` array, contiguous
-    along the rows; raises ParameterError unless every distance is finite;
-    counts the clamped distances of each column pair; and turns the
-    distances into ``_density_denominators``.  Returns (den1, den2, counts).
+    along the rows; counts the clamped distances of each column pair; turns
+    the distances into ``_density_denominators``; and raises ParameterError
+    where one was not finite (:func:`_check_read`).  Returns (den1, den2,
+    counts).
     """
     rho1, rho2 = (np.ascontiguousarray(table[:, np.asarray(ks) - 1].T)
                   for table, ks in zip(tables, (k1s, k2s)))
-    _check_finite(rho1)
-    _check_finite(rho2)
     degs = _clamp_count(rho1) + _clamp_count(rho2)
     # The gathered distances are this call's own copies: turn them into denominators in place.
-    _density_denominators(rho1, y.n, x.dim, out=rho1)
-    _density_denominators(rho2, x.n - 1, x.dim, out=rho2)
+    for den, m in ((rho1, y.n), (rho2, x.n - 1)):
+        _density_denominators(den, m, x.dim, out=den)
+        _check_read(den)
     return rho1, rho2, degs
 
 
@@ -242,20 +253,16 @@ def neighbor_tables(x, y, k_max):
     return rho1, rho2[:, 1:]
 
 
-def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
+def plugin_estimate(x, y, k1, k2, spec):
     """Leave-one-out k-NN plug-in estimate of the divergence functional.
 
     x: PointSet sampled from f2 (outer sample).  y: PointSet sampled from f1.
-    Robust mode clamps and counts degenerate distances, and clips the
-    densities; strict mode raises ``DegeneracyError`` on a degenerate
-    distance and does not clip.  Both read k1 and k2 through the path of
-    :func:`plugin_profile`.
+    Degenerate distances are clamped and counted in ``degeneracy_count``,
+    and the densities clipped, through the path of :func:`plugin_profile`.
     """
-    if mode not in ("strict", "robust"):
-        raise ParameterError("mode must be 'strict' or 'robust'")
     x, y = as_pointset(x), as_pointset(y)
     check_profile_args(x, y, ())
-    k1, k2 = int(k1), int(k2)
+    k1, k2 = as_index("k1", k1), as_index("k2", k2)
     m1, m2 = y.n, x.n - 1
     if k1 < 1 or k1 > m1:
         raise ParameterError("k1=%d out of range for M1=%d" % (k1, m1))
@@ -264,7 +271,5 @@ def plugin_estimate(x, y, k1, k2, spec, mode="robust"):
     # The tables are exact, so column k of a deeper table is the k-th distance.
     tables = neighbor_tables(x, y, max(k1, k2))
     den1, den2, degs = _column_denominators(x, y, tables, [k1], [k2])
-    if mode == "strict" and degs[0]:
-        raise DegeneracyError("degenerate neighbor distance (rho <= %g)" % DEGENERATE_RHO)
-    (value,) = _denominator_profile(den1, den2, [[k1], [k2]], spec, clip=mode == "robust")
+    (value,) = _denominator_profile(den1, den2, [[k1], [k2]], spec)
     return PluginEstimate(float(value), k1, k2, y.n, x.n, int(degs[0]))

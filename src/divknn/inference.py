@@ -33,7 +33,10 @@ Then each table's distances are turned, in place, into density denominators
 m * c_d * max(rho, DEGENERATE_RHO)^d (``functionals._density_denominators``).
 A replicate divides each k by the denominators it reads, so the power and
 the clamp are paid once per table entry instead of once per replicate, and
-the values are the same bits as densities from the distances.
+the values are the same bits as densities from the distances.  A distance
+that is not finite becomes NaN there, and a replicate raises
+``ParameterError`` only if it reads one (``functionals._check_read``), as
+the point estimate and ``knn_density`` raise on the distances they read.
 
 One thread pool serves a whole call, with one worker per CPU the process may
 use (at most one per replicate).  It builds the two tables as two tasks side
@@ -51,8 +54,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .ensemble import _check_samples, _estimate, estimation_plan
-from .errors import ParameterError
-from .functionals import _denominator_profile, _density_denominators
+from .errors import ParameterError, as_index
+from .functionals import _check_read, _denominator_profile, _density_denominators
 from .neighbors import NeighborIndex, as_pointset
 from .synth import rng_stream
 
@@ -80,31 +83,10 @@ class InferenceResult:
     level: float = 0.95
     null_value: float = 0.0
     reject: bool = False
-    # The point estimate's clamp total: positive exactly when the point
-    # estimate's plugin_estimate(..., mode="strict") raises at a scheduled k.
+    # The point estimate's clamped distances, summed over its scheduled ks
+    # (EstimateReport.degeneracy_count).
     degeneracy_count: int = 0
     warnings: tuple = ()  # the point estimate's warnings (rate, k collisions)
-
-
-def _to_denominators(dist, m, d):
-    """Turn a distance table, in place, into its density denominators.
-
-    Each entry becomes ``_density_denominators`` of its distance, so a
-    replicate's density at k is k over the entry it reads.  A distance that is
-    not finite becomes NaN, which a replicate that reads it raises on, as
-    ``knn_density`` raises on the distance (see :func:`_check_read`).  When
-    every distance is finite no mask of the table is made.
-    """
-    bad = None if math.isfinite(dist.max()) else ~np.isfinite(dist)
-    _density_denominators(dist, m, d, out=dist)
-    if bad is not None:
-        dist[bad] = np.nan
-
-
-def _check_read(values):
-    """Raise where a replicate read a denominator whose distance was not finite."""
-    if np.isnan(values).any():
-        raise ParameterError("rho must be finite")
 
 
 def _resampled_table(table, which, counts, ks):
@@ -193,7 +175,7 @@ def _direct_rows(ref, queries, mult, ks, m):
     runs short; the denominators are those of M = ``m``.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
-    _to_denominators(dist, m, ref.dim)
+    _density_denominators(dist, m, ref.dim, out=dist)
     return _resampled_table(dist, np.arange(len(queries)), np.take(mult, rows), ks)[0]
 
 
@@ -229,6 +211,7 @@ def _bootstrap(x, y, config, spec, reps, seed, point):
     reads the tables' distances, the x->x one without its column 0; the
     replicates read their density denominators (see :func:`_replicates`).
     """
+    reps, seed = as_index("reps", reps), as_index("seed", seed)
     if reps < 10:
         raise ParameterError("reps must be >= 10, got %d" % reps)
     x, y = as_pointset(x), as_pointset(y)
@@ -257,7 +240,7 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
     """
     ks = plan.ks
     for (dist, _), m in zip(tables, (y.n, x.n - 1)):
-        _to_denominators(dist, m, x.dim)
+        _density_denominators(dist, m, x.dim, out=dist)
 
     def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)

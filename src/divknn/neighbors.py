@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_index
 
 # Safety factor on the screen's error bound.  Let u_s = 2^-24 and u = 2^-53 be
 # the unit roundoffs of float32 and float64.  In scaled units, with a the
@@ -152,7 +152,7 @@ class NeighborIndex:
                                  % (self.pointset.dim, queries.shape))
         if not np.all(np.isfinite(queries)):
             raise ParameterError("query coordinates must be finite")
-        k_max = int(k_max)
+        k_max = as_index("k_max", k_max)
         if k_max < 1 or k_max > self.size:
             raise ParameterError("k_max=%d out of range for M=%d" % (k_max, self.size))
         pts = self._pts

@@ -369,6 +369,30 @@ def test_unreadable_and_unwritable_files_are_one_error_line(tmp_path, capsys, mo
     assert not (tmp_path / "out.csv").is_file()
 
 
+@pytest.mark.parametrize("exists", [False, True])
+def test_an_unwritable_out_is_one_error_line_before_the_grid(tmp_path, capsys, monkeypatch,
+                                                             exists):
+    # Under root every path is writable, so os.access stands in for an --out
+    # the process may not write: the file if it exists, else its directory.
+    out = tmp_path / "out.csv"
+    if exists:
+        out.write_text("old\n")
+    asked = []
+
+    def access(path, mode):
+        asked.append((str(path), mode))
+        return False
+
+    monkeypatch.setattr(cli.os, "access", access)
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the grid ran"))
+    assert main(["bench", *BENCH_COMMON, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out %s is not writable\n" % out
+    assert asked == [(str(out) if exists else str(tmp_path), cli.os.W_OK)]
+    assert (out.read_text() == "old\n") if exists else not out.exists()
+
+
 def test_odin2_takes_its_own_default_l_grid(capsys):
     # 25 consecutive ks from round(1.4 * sqrt(100)) = 14, as ExperimentConfig schedules them.
     assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100"]) == 0

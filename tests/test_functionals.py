@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from divknn import (
+    ConfigurationError,
+    EnsembleConfig,
+    ExperimentConfig,
+    NeighborIndex,
     ParameterError,
     PointSet,
     TruncatedGaussianSpec,
+    confidence_interval,
     knn_density,
     make_functional,
     plugin_estimate,
     plugin_profile,
     sample_truncated_gaussian,
     true_renyi_integral,
+    unit_ball_volume,
 )
 from divknn.functionals import _denominator_profile, _density_denominators, neighbor_tables
 
@@ -120,16 +126,16 @@ def test_dimension_and_range_errors():
 def test_degeneracy_counted_for_duplicates():
     x = PointSet(np.array([[0.5], [0.5], [0.2], [0.9]]))
     y = PointSet(np.array([[0.1], [0.3]]))
-    r = plugin_estimate(x, y, 1, 1, make_functional("kl"), mode="robust")
+    r = plugin_estimate(x, y, 1, 1, make_functional("kl"))
     assert r.degeneracy_count >= 2  # the duplicated pair collapses both ways
-    with pytest.raises(Exception, match="degenerate"):
-        plugin_estimate(x, y, 1, 1, make_functional("kl"), mode="strict")
 
 
-def test_strict_plugin_does_not_clip_densities():
+def test_plugin_clips_densities_and_a_power_of_two_rescale_unclips_them():
     # Points 1e-6 apart in d=3 have densities near 1e18, above EVAL_CEIL, and
-    # no distance near DEGENERATE_RHO: strict mode evaluates g on the densities
-    # themselves, robust mode on the clipped ones.
+    # no distance near DEGENERATE_RHO: both densities clip to EVAL_CEIL, so KL
+    # reads 0.  Scaling every coordinate by 2^20 is exact, and scales every
+    # density by 2^-60, into the box: KL, a function of the density ratio,
+    # then reads g's mean on the unclipped densities.
     rng = np.random.default_rng(41)
     x = PointSet(1e-6 * rng.random((50, 3)))
     y = PointSet(1e-6 * rng.random((40, 3)))
@@ -137,10 +143,79 @@ def test_strict_plugin_does_not_clip_densities():
     t1, t2 = neighbor_tables(x, y, 5)
     f1, f2 = knn_density(t1[:, 2], 3, y.n, 3), knn_density(t2[:, 4], 5, x.n - 1, 3)
     assert min(f1.min(), f2.min()) > 1e12
-    strict = plugin_estimate(x, y, 3, 5, kl, mode="strict")
-    assert strict.value == float(np.mean(kl.eval(f1, f2))) != 0.0
-    assert strict.degeneracy_count == 0
-    assert plugin_estimate(x, y, 3, 5, kl).value == 0.0  # both densities clip to EVAL_CEIL
+    assert plugin_estimate(x, y, 3, 5, kl).value == 0.0
+    unclipped = float(np.mean(kl.eval(f1, f2)))
+    scaled = plugin_estimate(PointSet(2.0**20 * x.points), PointSet(2.0**20 * y.points), 3, 5, kl)
+    assert unclipped != 0.0 and scaled.value == pytest.approx(unclipped, rel=1e-12)
+    assert scaled.degeneracy_count == 0
+
+
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_knn_density_raises_on_a_distance_that_is_not_finite(rho):
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        knn_density(rho, 1, 2, 1)
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        knn_density(np.array([0.2, rho]), 1, 2, 1)
+
+
+@pytest.mark.parametrize("rho", [
+    [0.3, np.inf, 0.0, np.nan, 1e-13, -np.inf, 2.5],
+    [1e200, np.inf, 1e-300],  # 1e200 is finite, and its power overflows to inf, not NaN
+    [1.7e308, 1e308],  # every distance finite, and their sum overflows
+    [[0.5, np.nan], [np.inf, 0.25]],
+])
+def test_density_denominators_are_nan_exactly_at_distances_that_are_not_finite(rho):
+    rho = np.array(rho)
+    finite = np.isfinite(rho)
+    table = rho.copy()
+    with np.errstate(over="ignore"):  # the square of 1e200 overflows
+        want = _density_denominators(rho[finite], 7, 2)
+        # A new array, and a table converted in place.
+        dens = [_density_denominators(rho, 7, 2), _density_denominators(table, 7, 2, out=table)]
+    for den in dens:
+        assert np.array_equal(np.isnan(den), ~finite)
+        assert den[finite].tobytes() == want.tobytes()
+
+
+def integer_count_calls():
+    """Calls that take a count, by name: (call of the count, a good count, its error type)."""
+    rng = np.random.default_rng(5)
+    x, y = PointSet(rng.random((30, 1))), PointSet(rng.random((30, 1)))
+    renyi = make_functional("renyi_integral", alpha=0.5)
+    config = EnsembleConfig("odin1", (0.5, 1.0, 2.0), 1, x.n, solver="exact")
+    return {
+        "experiment_dims": (lambda v: ExperimentConfig(dims=(v,), n_grid=(100, 200)), 3,
+                            ConfigurationError),
+        "experiment_n_grid": (lambda v: ExperimentConfig(dims=(3,), n_grid=(v, 200)), 100,
+                              ConfigurationError),
+        "experiment_trials": (lambda v: ExperimentConfig(trials=v), 2, ConfigurationError),
+        "experiment_threads": (lambda v: ExperimentConfig(threads=v), 1, ConfigurationError),
+        "experiment_plugin_k": (lambda v: ExperimentConfig(plugin_k=v), 5, ConfigurationError),
+        "experiment_seed": (lambda v: ExperimentConfig(seed=v), 1, ConfigurationError),
+        "unit_ball_volume": (unit_ball_volume, 3, ParameterError),
+        "knn_density_m": (lambda v: knn_density(0.2, 1, v, 1), 2, ParameterError),
+        "knn_density_k": (lambda v: knn_density(0.2, v, 2, 1), 1, ParameterError),
+        "knn_density_k_array": (lambda v: knn_density([0.2, 0.3], np.array([v, 1]), 2, 1), 1,
+                                ParameterError),
+        "plugin_estimate_k1": (lambda v: plugin_estimate(x, y, v, 2, renyi), 2, ParameterError),
+        "plugin_estimate_k2": (lambda v: plugin_estimate(x, y, 2, v, renyi), 2, ParameterError),
+        "plugin_profile": (lambda v: plugin_profile(x, y, [v], renyi), 2, ParameterError),
+        "kth_distance_table": (lambda v: NeighborIndex(y).kth_distance_table(x.points, v), 2,
+                               ParameterError),
+        "interval_reps": (lambda v: confidence_interval(x, y, config, renyi, reps=v, seed=1), 10,
+                          ParameterError),
+        "interval_seed": (lambda v: confidence_interval(x, y, config, renyi, reps=10, seed=v), 1,
+                          ParameterError),
+    }
+
+
+@pytest.mark.parametrize("name", list(integer_count_calls()))
+def test_counts_must_be_integers(name):
+    # A NumPy int passes; the same count plus one half raises, not truncated.
+    call, good, error = integer_count_calls()[name]
+    call(np.int64(good))
+    with pytest.raises(error, match="must be an integer"):
+        call(good + 0.5)
 
 
 def test_profile_matches_individual_estimates():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from divknn import (
-    DegeneracyError,
     EnsembleConfig,
     NeighborIndex,
     ParameterError,
@@ -269,7 +268,7 @@ def test_replicates_match_explicit_resamples(mode, d, n):
 @pytest.mark.parametrize("d", [1, 3])
 def test_replicates_match_explicit_with_duplicate_points(d):
     # Exact duplicates within x, within y and across the two samples give
-    # zero distances before any resampling; robust mode clamps them.
+    # zero distances before any resampling; the clamp takes them.
     x, y, _ = resample_setup("odin1", d, 120, seed=9)
     x = PointSet(np.vstack([x.points, x.points[:40], x.points[:10]]))
     y = PointSet(np.vstack([y.points, x.points[100:170:7], y.points[:20]]))
@@ -398,6 +397,19 @@ def test_unreadable_distances_raise_only_where_a_replicate_reads_them():
         explicit_replicates(x, y, config, RENYI, reps=10, seed=1)
     with pytest.raises(ParameterError, match="rho must be finite"):
         confidence_interval(x, y, config, RENYI, reps=10, seed=1)
+
+
+def test_plugin_and_ensemble_raise_where_they_read_across_the_clusters():
+    # A cluster holds 40 points: the x->x k-th distance crosses to the other
+    # cluster, at inf, from k = 40 on, and the x->y one from k = 41 on.
+    x, y, _ = two_clusters()
+    assert np.isfinite(plugin_estimate(x, y, 39, 39, RENYI).value)
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        plugin_estimate(x, y, 45, 45, RENYI)
+    config = EnsembleConfig("odin1", (1.0, 2.5, 5.1), 1, x.n, solver="exact")
+    assert ensemble.estimation_plan(config).ks[-1] == 46
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        ensemble_estimate(x, y, config, RENYI)
 
 
 def test_unreadable_distances_in_direct_query_rows_raise(monkeypatch):
@@ -539,20 +551,10 @@ def test_replicate_pool_is_sized_to_the_usable_cpus(monkeypatch):
     assert sizes == [3, 10, 2]
 
 
-def strict_plugin_raises(x, y, ks):
-    """Whether the strict plug-in raises at some k in ``ks``."""
-    for k in ks:
-        try:
-            plugin_estimate(x, y, k, k, RENYI, mode="strict")
-        except DegeneracyError:
-            return True
-    return False
-
-
 @pytest.mark.parametrize("mode, d", [("odin1", 1), ("odin2", 3)])
-def test_degeneracy_count_is_positive_exactly_when_strict_raises(mode, d):
-    # Ensembles and intervals always clamp; their degeneracy_count stands in
-    # for the strict plug-in's raise at one of the plan's ks.
+def test_degeneracy_count_sums_the_plugin_clamp_counts(mode, d):
+    # An ensemble's and an interval's degeneracy_count is the plug-in's clamp
+    # count summed over the plan's ks.
     x0, y0, _ = resample_setup(mode, d, 150, seed=5)
     samples = [
         (x0, y0),  # no duplicates
@@ -566,12 +568,13 @@ def test_degeneracy_count_is_positive_exactly_when_strict_raises(mode, d):
                             (tuple(np.linspace(1.5, 3.0, 6)), 3)):
         for x, y in samples:
             config = EnsembleConfig(mode, l_values, d, x.n, k_min=k_min)
-            raises = strict_plugin_raises(x, y, ensemble.estimation_plan(config).ks)
+            total = sum(plugin_estimate(x, y, k, k, RENYI).degeneracy_count
+                        for k in ensemble.estimation_plan(config).ks)
             report = ensemble_estimate(x, y, config, RENYI)
             interval = confidence_interval(x, y, config, RENYI, reps=10, seed=6)
-            assert (report.degeneracy_count > 0) == raises
-            assert (interval.degeneracy_count > 0) == raises
-            outcomes.append(raises)
+            assert report.degeneracy_count == total
+            assert interval.degeneracy_count == total
+            outcomes.append(total > 0)
     assert any(outcomes) and not all(outcomes)
 
 
