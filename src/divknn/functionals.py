@@ -9,13 +9,16 @@ into y (M1 = N1, no self-exclusion) and the k2-th neighbor distance within
 x excluding the point itself (M2 = N2 - 1).
 
 One path leads from a neighbor distance to g, for the plug-in, the
-ensembles and the bootstrap replicates alike.  :func:`_density_denominators`
-turns distances into m * c_d * max(rho, ``DEGENERATE_RHO``)^d, so that the
-density at k is k over it: distances at most ``DEGENERATE_RHO`` (duplicate
+ensembles and the bootstrap replicates alike, and densities travel on it as
+logs.  :func:`_log_denominators` turns distances into
+log(m * c_d) + d * log max(rho, ``DEGENERATE_RHO``), so that the log density
+at k is log k minus it: distances at most ``DEGENERATE_RHO`` (duplicate
 points) are clamped, and counted as ``degeneracy_count``, and a distance
-that is not finite becomes NaN, which :func:`_check_read` raises on wherever
-it is read.  :func:`_denominator_profile` clips the densities into
-[``EVAL_FLOOR``, ``EVAL_CEIL``] and evaluates g.
+that is not finite gives a value that is not finite, which
+:func:`_check_read` raises on wherever it is read.
+:func:`_denominator_profile` evaluates g on the log densities.  A g of the
+density ratio (Renyi, KL, reverse KL) therefore gives the same estimate
+when every coordinate is rescaled, as long as no distance is clamped.
 """
 
 import math
@@ -30,48 +33,51 @@ from .neighbors import NeighborIndex, as_pointset
 # Distances below this floor count as degenerate (duplicate points).
 DEGENERATE_RHO = 1e-12
 
-# Density estimates are clipped into this box before evaluating g; the true
-# positivity bounds of the densities are unknown at runtime.
-EVAL_FLOOR = 1e-12
-EVAL_CEIL = 1e12
-
 BUILTIN_FUNCTIONALS = ("renyi_integral", "kl", "reverse_kl", "l2", "shannon_entropy", "custom")
 
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """A named functional g(t1, t2) evaluated on positive density values."""
+    """A named functional g(t1, t2) of two densities, evaluated on their logs.
+
+    ``g_log(l1, l2)`` is g(exp(l1), exp(l2)), vectorized over numpy arrays.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
-    eval: callable = None
+    g_log: callable = None
 
 
 def make_functional(name, **params):
     """Build one of the built-in functionals, or wrap a custom g.
 
-    renyi_integral(alpha): g(t1,t2) = (t1/t2)^alpha, so the f2-weighted
-    integral is the Renyi-alpha integral of f1 against f2.
-    custom: pass g=callable(t1, t2) vectorized over numpy arrays.
+    Each built-in g is written on the log densities (l1, l2), with
+    delta = l1 - l2.  renyi_integral(alpha): g(t1,t2) = (t1/t2)^alpha =
+    exp(alpha * delta), so the f2-weighted integral is the Renyi-alpha
+    integral of f1 against f2.  kl: (t1/t2) log(t1/t2) = e^delta * delta.
+    reverse_kl: log(t2/t1) = l2 - l1.  l2: (t1 - t2)^2 / t2 =
+    e^l2 * expm1(delta)^2.  shannon_entropy: -log t2 = -l2.
+    custom: pass g=callable(t1, t2) on densities, vectorized over numpy
+    arrays; it is called on exp of the log densities.
     """
     if name == "renyi_integral":
         alpha = float(params.get("alpha", 0.5))
         if alpha in (0.0, 1.0) or not math.isfinite(alpha):
             raise ParameterError("renyi_integral requires a finite alpha not in {0, 1}")
-        return FunctionalSpec(name, {"alpha": alpha}, lambda t1, t2: (t1 / t2) ** alpha)
+        return FunctionalSpec(name, {"alpha": alpha}, lambda l1, l2: np.exp(alpha * (l1 - l2)))
     if name == "kl":
-        return FunctionalSpec(name, {}, lambda t1, t2: (t1 / t2) * np.log(t1 / t2))
+        return FunctionalSpec(name, {}, lambda l1, l2: np.exp(l1 - l2) * (l1 - l2))
     if name == "reverse_kl":
-        return FunctionalSpec(name, {}, lambda t1, t2: np.log(t2 / t1))
+        return FunctionalSpec(name, {}, lambda l1, l2: l2 - l1)
     if name == "l2":
-        return FunctionalSpec(name, {}, lambda t1, t2: (t1 - t2) ** 2 / t2)
+        return FunctionalSpec(name, {}, lambda l1, l2: np.exp(l2) * np.expm1(l1 - l2) ** 2)
     if name == "shannon_entropy":
-        return FunctionalSpec(name, {}, lambda t1, t2: -np.log(t2))
+        return FunctionalSpec(name, {}, lambda l1, l2: -l2)
     if name == "custom":
         g = params.get("g")
         if g is None or not callable(g):
             raise ParameterError("custom functional requires a callable g=...")
-        return FunctionalSpec("custom", {}, g)
+        return FunctionalSpec("custom", {}, lambda l1, l2: g(np.exp(l1), np.exp(l2)))
     raise ParameterError("unknown functional %r (known: %s)" % (name, ", ".join(BUILTIN_FUNCTIONALS)))
 
 
@@ -115,8 +121,8 @@ def knn_density(rho, k, m, d):
     ``rho`` may be a scalar or an array of neighbor distances, and ``k`` an
     integer or an integer array that broadcasts against it (for example one
     k per row of a (ks, points) distance array).  Distances below
-    ``DEGENERATE_RHO`` are clamped, and one that is not finite raises (the
-    denominator is :func:`_density_denominators`).
+    ``DEGENERATE_RHO`` are clamped, and one that is negative or not finite
+    raises.  The density is exp(log k - :func:`_log_denominators`).
     """
     k = np.asarray(k)
     if k.dtype.kind not in "iu":  # as_index's rule, for an array
@@ -124,41 +130,40 @@ def knn_density(rho, k, m, d):
     m = as_index("m", m)
     if np.any(k < 1) or np.any(k > m):
         raise ParameterError("k=%s out of range for m=%d" % (k, m))
-    den = _density_denominators(np.asarray(rho, dtype=np.float64), m, d)
+    rho = np.asarray(rho, dtype=np.float64)
+    if np.any(rho < 0):
+        raise ParameterError("rho must be >= 0")
+    den = _log_denominators(rho, m, d)
     _check_read(den)
-    value = k / den
+    value = np.exp(np.log(k) - den)
     if np.ndim(value) == 0:
         return float(value)
     return value
 
 
-def _density_denominators(rho, m, d, out=None):
-    """m * c_d * max(rho, DEGENERATE_RHO)^d, so that the density at k is k over it.
+def _log_denominators(rho, m, d, out=None):
+    """log(m * c_d) + d * log max(rho, DEGENERATE_RHO): the log density at k is log k minus it.
 
-    A distance that is not finite gives NaN, which :func:`_check_read` raises
-    on where it is read; when every distance is finite no mask of ``rho`` is
-    made.  Always an array, also for a scalar ``rho``: numpy's scalar power
-    can differ from its array power in the last bit, and every denominator
-    must equal the one an array of distances would give.  ``out`` may be
-    ``rho`` itself (float64) to convert a distance table in place.
+    Finite for every finite distance, however large or small; a distance
+    that is not finite gives a value that is not finite, which
+    :func:`_check_read` raises on where it is read.  Always an array, also
+    for a scalar ``rho``: numpy's scalar log can differ from its array log
+    in the last bit, and every value must equal the one an array of
+    distances would give.  ``out`` may be ``rho`` itself (float64) to
+    convert a distance table in place.
     """
-    # min + max is not finite if a distance is not (or if the sum overflows, and the mask is
-    # empty); as Python floats, the sum issues no overflow warning.
-    finite = math.isfinite(float(np.min(rho, initial=0.0)) + float(np.max(rho, initial=0.0)))
-    bad = None if finite else ~np.isfinite(rho)
     if out is None:
         out = np.empty(np.shape(rho))
     np.maximum(rho, DEGENERATE_RHO, out=out)
-    out **= d
-    out *= m * unit_ball_volume(d)
-    if bad is not None:
-        out[bad] = np.nan
+    np.log(out, out=out)
+    out *= d
+    out += math.log(m * unit_ball_volume(d))
     return out
 
 
 def _check_read(den):
-    """Raise where a density denominator read was made of a distance that was not finite."""
-    if np.isnan(den).any():
+    """Raise where a log denominator read was made of a distance that was not finite."""
+    if not np.isfinite(den).all():
         raise ParameterError("rho must be finite")
 
 
@@ -168,23 +173,19 @@ def _clamp_count(rho):
 
 
 def _denominator_profile(den1, den2, ks, spec, weights=None):
-    """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` density denominators.
+    """Plug-in estimates at ``ks`` from ``(len(ks), rows)`` log density denominators.
 
-    The density at k is k over the denominator, clipped into [``EVAL_FLOOR``,
-    ``EVAL_CEIL``] before g.
+    The log density at k is log k minus the log denominator, and g reads it
+    (``spec.g_log``).
     ``ks`` may also be a pair: the ks of den1's rows, then those of den2's.
     Each array is contiguous along the rows, so each k's mean is the same
     pairwise sum as a mean over that k's column alone.  ``weights`` gives each row an integer multiplicity in the outer
     sample (a bootstrap resample of x): the outer mean then counts row i
-    ``weights[i]`` times.  Bootstrap replicates read their denominators from
-    tables converted once, so they do no power and no clamp here.
+    ``weights[i]`` times.  Bootstrap replicates read their log denominators
+    from tables converted once, so they do no log and no clamp here.
     """
-    k1, k2 = np.broadcast_to(ks, (2, len(den1)))[:, :, None]
-    f1 = k1 / den1
-    f2 = k2 / den2
-    np.clip(f1, EVAL_FLOOR, EVAL_CEIL, out=f1)
-    np.clip(f2, EVAL_FLOOR, EVAL_CEIL, out=f2)
-    g = spec.eval(f1, f2)
+    log_k1, log_k2 = np.log(np.broadcast_to(ks, (2, len(den1))))[:, :, None]
+    g = spec.g_log(log_k1 - den1, log_k2 - den2)
     if weights is None:
         return np.mean(g, axis=1)
     return g @ weights / np.sum(weights)
@@ -209,7 +210,7 @@ def plugin_profile(x, y, ks, spec, tables=None):
 
     Returns (values, degeneracy_counts) aligned with ``ks``: degenerate
     distances are clamped and counted, never raised on; the values are
-    :func:`_denominator_profile` of the distances' denominators.  ``tables``
+    :func:`_denominator_profile` of the distances' log denominators.  ``tables``
     may carry precomputed ``(rho1_table, rho2_table)`` sorted-distance
     arrays, at least max(ks) deep (a bootstrap's point estimate reads its
     replicates').
@@ -223,20 +224,20 @@ def plugin_profile(x, y, ks, spec, tables=None):
 
 
 def _column_denominators(x, y, tables, k1s, k2s):
-    """The density denominators of the x->y table at ``k1s`` and the x->x one at ``k2s``.
+    """The log density denominators of the x->y table at ``k1s`` and the x->x one at ``k2s``.
 
     Gathers each table's columns as a ``(len(ks), N2)`` array, contiguous
     along the rows; counts the clamped distances of each column pair; turns
-    the distances into ``_density_denominators``; and raises ParameterError
+    the distances into ``_log_denominators``; and raises ParameterError
     where one was not finite (:func:`_check_read`).  Returns (den1, den2,
     counts).
     """
     rho1, rho2 = (np.ascontiguousarray(table[:, np.asarray(ks) - 1].T)
                   for table, ks in zip(tables, (k1s, k2s)))
     degs = _clamp_count(rho1) + _clamp_count(rho2)
-    # The gathered distances are this call's own copies: turn them into denominators in place.
+    # The gathered distances are this call's own copies: turn them into log denominators in place.
     for den, m in ((rho1, y.n), (rho2, x.n - 1)):
-        _density_denominators(den, m, x.dim, out=den)
+        _log_denominators(den, m, x.dim, out=den)
         _check_read(den)
     return rho1, rho2, degs
 
@@ -258,7 +259,7 @@ def plugin_estimate(x, y, k1, k2, spec):
 
     x: PointSet sampled from f2 (outer sample).  y: PointSet sampled from f1.
     Degenerate distances are clamped and counted in ``degeneracy_count``,
-    and the densities clipped, through the path of :func:`plugin_profile`.
+    through the path of :func:`plugin_profile`.
     """
     x, y = as_pointset(x), as_pointset(y)
     check_profile_args(x, y, ())

@@ -29,12 +29,13 @@ resampled points to rounding.
 
 The point estimate of :func:`confidence_interval` and :func:`two_sample_test`
 reads the distances of the same tables, the x->x one without its column 0.
-Then each table's distances are turned, in place, into density denominators
-m * c_d * max(rho, DEGENERATE_RHO)^d (``functionals._density_denominators``).
-A replicate divides each k by the denominators it reads, so the power and
-the clamp are paid once per table entry instead of once per replicate, and
-the values are the same bits as densities from the distances.  A distance
-that is not finite becomes NaN there, and a replicate raises
+Then each table's distances are turned, in place, into log density
+denominators log(m * c_d) + d * log max(rho, DEGENERATE_RHO)
+(``functionals._log_denominators``).  A replicate subtracts the log
+denominators it reads from log k, so the log and the clamp are paid once
+per table entry instead of once per replicate, and the values are the same
+bits as log densities from the distances.  A distance that is not finite
+gives a value that is not finite there, and a replicate raises
 ``ParameterError`` only if it reads one (``functionals._check_read``), as
 the point estimate and ``knn_density`` raise on the distances they read.
 
@@ -55,7 +56,7 @@ import numpy as np
 
 from .ensemble import _check_samples, _estimate, estimation_plan
 from .errors import ParameterError, as_index
-from .functionals import _check_read, _denominator_profile, _density_denominators
+from .functionals import _check_read, _denominator_profile, _log_denominators
 from .neighbors import NeighborIndex, as_pointset
 from .synth import rng_stream
 
@@ -93,7 +94,7 @@ def _resampled_table(table, which, counts, ks):
     """Entries at ``ks`` of the sorted lists of query copies in a resample, read from an indexed table.
 
     Row ``which[i]`` of ``table`` holds a query's values (distances, or the
-    density denominators made of them) at its sorted neighbors among the
+    log density denominators made of them) at its sorted neighbors among the
     original references, and ``counts[i]`` the multiplicities in the
     resample of its leading entries (as many as ``counts`` has columns).
     With c[i, e] the cumulative multiplicity of entries 0..e, position
@@ -143,9 +144,9 @@ def _table_depth(k):
 
 
 def _replicate_tables(x, y, tables, m_x, m_y, ks):
-    """The resample's x->y and leave-one-out x->x denominators at ``ks`` on the rows with m_x > 0.
+    """The resample's x->y and leave-one-out x->x log denominators at ``ks``, rows with m_x > 0.
 
-    ``tables`` are the indexed tables turned into denominators; the x->x one
+    ``tables`` are the indexed tables turned into log denominators; the x->x one
     holds each point's own entry, so it is read at ``ks + 1``.  Each result
     is a ``(len(ks), rows)`` array.  Rows whose indexed table holds too few
     copies for the largest k are answered by a direct query over all
@@ -169,13 +170,13 @@ def _replicate_tables(x, y, tables, m_x, m_y, ks):
 
 
 def _direct_rows(ref, queries, mult, ks, m):
-    """Resampled denominators at ``ks`` for ``queries`` from their full distance rows.
+    """Resampled log denominators at ``ks`` for ``queries`` from their full distance rows.
 
     :func:`_resampled_table` on a table over every reference, so no row
-    runs short; the denominators are those of M = ``m``.
+    runs short; the log denominators are those of M = ``m``.
     """
     dist, rows = NeighborIndex(ref).kth_distance_table(queries, ref.n, return_indices=True)
-    _density_denominators(dist, m, ref.dim, out=dist)
+    _log_denominators(dist, m, ref.dim, out=dist)
     return _resampled_table(dist, np.arange(len(queries)), np.take(mult, rows), ks)[0]
 
 
@@ -209,7 +210,7 @@ def _bootstrap(x, y, config, spec, reps, seed, point):
     count; x->x of the largest k + 1, for each point's own entry), as two
     tasks side by side, and then runs the replicates.  The point estimate
     reads the tables' distances, the x->x one without its column 0; the
-    replicates read their density denominators (see :func:`_replicates`).
+    replicates read their log density denominators (see :func:`_replicates`).
     """
     reps, seed = as_index("reps", reps), as_index("seed", seed)
     if reps < 10:
@@ -234,13 +235,13 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
     """The plan's estimates on ``reps`` resamples, run on ``pool``; see :func:`bootstrap_replicates`.
 
     ``tables`` are the indexed ``(distances, rows)`` tables of x and y.  Their
-    distances are turned into density denominators in place, once, so that a
-    replicate divides k by the entries it reads and does no power and no
-    clamp.
+    distances are turned into log density denominators in place, once, so
+    that a replicate subtracts the entries it reads from log k and does no
+    log and no clamp.
     """
     ks = plan.ks
     for (dist, _), m in zip(tables, (y.n, x.n - 1)):
-        _density_denominators(dist, m, x.dim, out=dist)
+        _log_denominators(dist, m, x.dim, out=dist)
 
     def replicate(r):
         ix = rng_stream(seed, _BOOT_STREAM_X + r).integers(0, x.n, size=x.n)
@@ -295,8 +296,8 @@ def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
-    probe = np.array([0.5, 1.0, 2.0, 7.0])
-    diag = np.asarray(spec.eval(probe, probe), dtype=np.float64)
+    probe = np.log([0.5, 1.0, 2.0, 7.0])
+    diag = np.asarray(spec.g_log(probe, probe), dtype=np.float64)
     # A NaN or inf spread is not > 1e-9, so finiteness is checked first.
     if not np.all(np.isfinite(diag)) or np.ptp(diag) > 1e-9:
         raise ParameterError("two_sample_test requires g(t, t) finite and constant; "

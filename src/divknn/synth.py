@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, as_index
 from .neighbors import PointSet
 
 _MIN_ACCEPT = 1e-6
@@ -35,6 +35,7 @@ class TruncatedGaussianSpec:
     variance: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_index("dim", self.dim))
         if self.dim < 1:
             raise ParameterError("dim must be >= 1")
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
@@ -65,6 +66,7 @@ def _truncation_mass(mu, sigma):
 
 def sample_truncated_gaussian(spec, n, seed, stream=0):
     """n i.i.d. draws via per-coordinate rejection against [0, 1]."""
+    n = as_index("n", n)
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma = spec.sigma
@@ -176,7 +178,7 @@ def mc_truth(spec1, spec2, functional, n_mc, seed, stream=0):
     callers that key ``stream`` by a small index (a dimension) never share a
     chunk.
     """
-    n_mc = int(n_mc)
+    n_mc = as_index("n_mc", n_mc)
     if n_mc < 10**4:
         raise ParameterError("n_mc must be >= 1e4")
     if spec1.dim != spec2.dim:
@@ -191,7 +193,7 @@ def mc_truth(spec1, spec2, functional, n_mc, seed, stream=0):
         pts = sample_truncated_gaussian(spec2, m, seed, stream=stream + (offset << 32))
         f1 = truncated_gaussian_pdf(spec1, pts.points)
         f2 = truncated_gaussian_pdf(spec2, pts.points)
-        vals = np.asarray(functional.eval(f1, f2), dtype=np.float64)
+        vals = np.asarray(functional.g_log(np.log(f1), np.log(f2)), dtype=np.float64)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m

@@ -746,7 +746,8 @@ def test_linearity_in_functional():
     g1 = make_functional("kl")
     g2 = make_functional("l2")
     a, b = 2.5, -0.75
-    combo = make_functional("custom", g=lambda t1, t2: a * g1.eval(t1, t2) + b * g2.eval(t1, t2))
+    combo = make_functional("custom", g=lambda t1, t2: (a * g1.g_log(np.log(t1), np.log(t2))
+                                                        + b * g2.g_log(np.log(t1), np.log(t2))))
     v1 = ensemble_estimate(x, y, cfg, g1).value
     v2 = ensemble_estimate(x, y, cfg, g2).value
     vc = ensemble_estimate(x, y, cfg, combo).value

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,35 +11,40 @@ from divknn import (
     ParameterError,
     PointSet,
     TruncatedGaussianSpec,
+    bootstrap_replicates,
     confidence_interval,
+    ensemble_estimate,
     knn_density,
     make_functional,
+    mc_truth,
     plugin_estimate,
     plugin_profile,
     sample_truncated_gaussian,
     true_renyi_integral,
     unit_ball_volume,
 )
-from divknn.functionals import _denominator_profile, _density_denominators, neighbor_tables
+from divknn.functionals import _denominator_profile, _log_denominators, neighbor_tables
 
 
 def test_builtin_forms():
+    # g reads log densities: g_log(log t1, log t2) = g(t1, t2).
     renyi = make_functional("renyi_integral", alpha=0.5)
-    assert renyi.eval(1.0, 4.0) == pytest.approx(0.5, abs=1e-15)
+    assert renyi.g_log(np.log(1.0), np.log(4.0)) == pytest.approx(0.5, abs=1e-15)
     kl = make_functional("kl")
     for t in (0.1, 1.0, 7.5):
-        assert kl.eval(t, t) == pytest.approx(0.0, abs=1e-15)
+        assert kl.g_log(np.log(t), np.log(t)) == pytest.approx(0.0, abs=1e-15)
     l2 = make_functional("l2")
-    assert l2.eval(3.0, 1.0) == pytest.approx(4.0, abs=1e-15)
-    assert make_functional("reverse_kl").eval(2.0, 4.0) == pytest.approx(np.log(2.0))
-    assert make_functional("shannon_entropy").eval(99.0, np.e) == pytest.approx(-1.0)
+    assert l2.g_log(np.log(4.0), np.log(2.0)) == pytest.approx(2.0, abs=1e-15)
+    reverse_kl = make_functional("reverse_kl")
+    assert reverse_kl.g_log(np.log(2.0), np.log(4.0)) == pytest.approx(np.log(2.0))
+    assert make_functional("shannon_entropy").g_log(np.log(99.0), 1.0) == pytest.approx(-1.0)
 
 
 def test_diagonal_identities():
-    t = np.array([1e-6, 0.5, 1.0, 100.0])
-    assert np.allclose(make_functional("renyi_integral", alpha=0.3).eval(t, t), 1.0)
-    assert np.allclose(make_functional("kl").eval(t, t), 0.0)
-    assert np.allclose(make_functional("l2").eval(t, t), 0.0)
+    t = np.log([1e-6, 0.5, 1.0, 100.0])
+    assert np.allclose(make_functional("renyi_integral", alpha=0.3).g_log(t, t), 1.0)
+    assert np.allclose(make_functional("kl").g_log(t, t), 0.0)
+    assert np.allclose(make_functional("l2").g_log(t, t), 0.0)
 
 
 def test_bad_functional_parameters():
@@ -130,50 +137,79 @@ def test_degeneracy_counted_for_duplicates():
     assert r.degeneracy_count >= 2  # the duplicated pair collapses both ways
 
 
-def test_plugin_clips_densities_and_a_power_of_two_rescale_unclips_them():
-    # Points 1e-6 apart in d=3 have densities near 1e18, above EVAL_CEIL, and
-    # no distance near DEGENERATE_RHO: both densities clip to EVAL_CEIL, so KL
-    # reads 0.  Scaling every coordinate by 2^20 is exact, and scales every
-    # density by 2^-60, into the box: KL, a function of the density ratio,
-    # then reads g's mean on the unclipped densities.
-    rng = np.random.default_rng(41)
-    x = PointSet(1e-6 * rng.random((50, 3)))
-    y = PointSet(1e-6 * rng.random((40, 3)))
-    kl = make_functional("kl")
-    t1, t2 = neighbor_tables(x, y, 5)
-    f1, f2 = knn_density(t1[:, 2], 3, y.n, 3), knn_density(t2[:, 4], 5, x.n - 1, 3)
-    assert min(f1.min(), f2.min()) > 1e12
-    assert plugin_estimate(x, y, 3, 5, kl).value == 0.0
-    unclipped = float(np.mean(kl.eval(f1, f2)))
-    scaled = plugin_estimate(PointSet(2.0**20 * x.points), PointSet(2.0**20 * y.points), 3, 5, kl)
-    assert unclipped != 0.0 and scaled.value == pytest.approx(unclipped, rel=1e-12)
-    assert scaled.degeneracy_count == 0
+@pytest.mark.parametrize("d", [7, 20])
+def test_density_ratio_estimates_do_not_depend_on_the_units(d):
+    # Rescaling every coordinate by s multiplies every density by s^-d, so a
+    # g of the density ratio gives the same estimate at every scale while no
+    # distance is clamped; l2 and the entropy read the densities themselves.
+    y = sample_truncated_gaussian(TruncatedGaussianSpec(d, (0.7,), 0.09), 1000, 1, stream=1)
+    x = sample_truncated_gaussian(TruncatedGaussianSpec(d, (0.3,), 0.09), 1000, 1, stream=0)
+    config = ExperimentConfig().ensemble_config("odin1", d, 1000)
+    scales = (2.0**-10, 2.0**10, 1e-3, 1e3)
+    for name in ("renyi_integral", "kl", "reverse_kl"):
+        spec = make_functional(name)
+        base = ensemble_estimate(x, y, config, spec)
+        assert base.degeneracy_count == 0
+        for s in scales:
+            scaled = ensemble_estimate(PointSet(s * x.points), PointSet(s * y.points), config,
+                                       spec)
+            assert scaled.value == pytest.approx(base.value, rel=1e-12, abs=0)
+    renyi = make_functional("renyi_integral")
+    base = bootstrap_replicates(x, y, config, renyi, reps=20, seed=3)
+    for s in scales:
+        scaled = bootstrap_replicates(PointSet(s * x.points), PointSet(s * y.points), config,
+                                      renyi, reps=20, seed=3)
+        np.testing.assert_allclose(scaled, base, rtol=1e-11, atol=0)
+    for name in ("l2", "shannon_entropy"):
+        spec = make_functional(name)
+        base = ensemble_estimate(x, y, config, spec).value
+        scaled = ensemble_estimate(PointSet(2.0 * x.points), PointSet(2.0 * y.points), config,
+                                   spec).value
+        assert abs(scaled - base) > 1e-3 * abs(base)
 
 
-@pytest.mark.parametrize("rho", [np.inf, np.nan])
-def test_knn_density_raises_on_a_distance_that_is_not_finite(rho):
-    with pytest.raises(ParameterError, match="rho must be finite"):
+def test_plugin_is_finite_in_high_dimension():
+    # At d=400, rho^d overflows or underflows float64 for most distances; the
+    # log densities do not.
+    rng = np.random.default_rng(3)
+    x = PointSet(rng.normal(0.0, 1.0, (200, 400)))
+    y = PointSet(rng.normal(0.1, 1.0, (200, 400)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = plugin_estimate(x, y, 5, 5, make_functional("renyi_integral", alpha=0.5))
+    assert np.isfinite(r.value) and r.value != 1.0
+    assert r.degeneracy_count == 0
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.inf, "rho must be finite"),
+    (np.nan, "rho must be finite"),
+    (-5.0, "rho must be >= 0"),
+    (-np.inf, "rho must be >= 0"),
+], ids=["inf", "nan", "negative", "-inf"])
+def test_knn_density_raises_on_a_distance_that_is_not_finite(rho, match):
+    # A negative value is no distance, so it raises rather than being clamped like a duplicate.
+    with pytest.raises(ParameterError, match=match):
         knn_density(rho, 1, 2, 1)
-    with pytest.raises(ParameterError, match="rho must be finite"):
+    with pytest.raises(ParameterError, match=match):
         knn_density(np.array([0.2, rho]), 1, 2, 1)
 
 
 @pytest.mark.parametrize("rho", [
-    [0.3, np.inf, 0.0, np.nan, 1e-13, -np.inf, 2.5],
-    [1e200, np.inf, 1e-300],  # 1e200 is finite, and its power overflows to inf, not NaN
+    [0.3, np.inf, 0.0, np.nan, 1e-13, 2.5],
+    [1e200, np.inf, 1e-300],  # 1e200 is finite, and its power d would overflow
     [1.7e308, 1e308],  # every distance finite, and their sum overflows
     [[0.5, np.nan], [np.inf, 0.25]],
 ])
-def test_density_denominators_are_nan_exactly_at_distances_that_are_not_finite(rho):
+def test_log_denominators_are_finite_exactly_at_finite_distances(rho):
     rho = np.array(rho)
     finite = np.isfinite(rho)
     table = rho.copy()
-    with np.errstate(over="ignore"):  # the square of 1e200 overflows
-        want = _density_denominators(rho[finite], 7, 2)
-        # A new array, and a table converted in place.
-        dens = [_density_denominators(rho, 7, 2), _density_denominators(table, 7, 2, out=table)]
+    want = _log_denominators(rho[finite], 7, 2)
+    # A new array, and a table converted in place.
+    dens = [_log_denominators(rho, 7, 2), _log_denominators(table, 7, 2, out=table)]
     for den in dens:
-        assert np.array_equal(np.isnan(den), ~finite)
+        assert np.array_equal(np.isfinite(den), finite)
         assert den[finite].tobytes() == want.tobytes()
 
 
@@ -183,6 +219,7 @@ def integer_count_calls():
     x, y = PointSet(rng.random((30, 1))), PointSet(rng.random((30, 1)))
     renyi = make_functional("renyi_integral", alpha=0.5)
     config = EnsembleConfig("odin1", (0.5, 1.0, 2.0), 1, x.n, solver="exact")
+    spec = TruncatedGaussianSpec(1, (0.5,), 0.1)
     return {
         "experiment_dims": (lambda v: ExperimentConfig(dims=(v,), n_grid=(100, 200)), 3,
                             ConfigurationError),
@@ -206,6 +243,10 @@ def integer_count_calls():
                           ParameterError),
         "interval_seed": (lambda v: confidence_interval(x, y, config, renyi, reps=10, seed=v), 1,
                           ParameterError),
+        "gaussian_dim": (lambda v: TruncatedGaussianSpec(v, (0.5,), 0.1), 2, ParameterError),
+        "gaussian_sample_n": (lambda v: sample_truncated_gaussian(spec, v, 0), 10,
+                              ParameterError),
+        "mc_truth_n_mc": (lambda v: mc_truth(spec, spec, renyi, v, 0), 10**4, ParameterError),
     }
 
 
@@ -243,8 +284,8 @@ def profile_columns(x, y, ks, spec, tables, weights):
     """``_denominator_profile`` (the bootstrap replicates' outer mean) on table columns ``ks``."""
     cols = np.asarray(ks) - 1
     rho1, rho2 = (np.ascontiguousarray(t[:, cols].T) for t in tables)
-    return _denominator_profile(_density_denominators(rho1, y.n, x.dim),
-                                _density_denominators(rho2, x.n - 1, x.dim), ks, spec, weights)
+    return _denominator_profile(_log_denominators(rho1, y.n, x.dim),
+                                _log_denominators(rho2, x.n - 1, x.dim), ks, spec, weights)
 
 
 def test_profile_outer_weights_match_repeated_rows():
@@ -267,14 +308,14 @@ def test_profile_outer_weights_match_repeated_rows():
 
 
 def per_k_profile(x, y, ks, spec, outer_weights=None):
-    """Reference: one density evaluation, clip and mean per k."""
+    """Reference: one log density evaluation and mean per k."""
     t1, t2 = neighbor_tables(x, y, max(ks))
     w = np.ones(x.n, dtype=int) if outer_weights is None else outer_weights
     values, degs = [], []
     for k in ks:
-        f1 = np.clip(knn_density(t1[:, k - 1], k, y.n, x.dim), 1e-12, 1e12)
-        f2 = np.clip(knn_density(t2[:, k - 1], k, x.n - 1, x.dim), 1e-12, 1e12)
-        values.append(np.dot(w, spec.eval(f1, f2)) / np.sum(w))
+        l1 = np.log(knn_density(t1[:, k - 1], k, y.n, x.dim))
+        l2 = np.log(knn_density(t2[:, k - 1], k, x.n - 1, x.dim))
+        values.append(np.dot(w, spec.g_log(l1, l2)) / np.sum(w))
         degs.append(int(w[t1[:, k - 1] <= 1e-12].sum() + w[t2[:, k - 1] <= 1e-12].sum()))
     return np.array(values), np.array(degs)
 

@@ -22,7 +22,7 @@ from divknn import (
     sample_truncated_gaussian,
     two_sample_test,
 )
-from divknn import ensemble, inference
+from divknn import ensemble, functionals, inference
 from divknn.synth import rng_stream
 
 RENYI = make_functional("renyi_integral", alpha=0.5)
@@ -322,12 +322,12 @@ def test_tables_are_built_as_deep_as_a_resample_reads(monkeypatch, n_x, n_y, k_m
 
 
 def distance_replicates(x, y, config, spec, reps, seed):
-    """Replicates as distances read from full tables, each density by knn_density.
+    """Replicates as distances read from full tables, each turned into a log density.
 
     Every row of a full table holds all of a resample's copies, so no row
     falls back to a direct query, and the lookup reads distances (each
     point's own entry is 0, and x->x is read one entry further for
-    leave-one-out) which knn_density clamps and raises to the power d after
+    leave-one-out) which are clamped and turned into log denominators after
     the gather.
     """
     plan = ensemble.estimation_plan(config)
@@ -347,9 +347,9 @@ def distance_replicates(x, y, config, spec, reps, seed):
         rho2, short2 = inference._resampled_table(full_x[0], support, m_x[full_x[1][support]],
                                                   ks + 1)
         assert not short1.any() and not short2.any()
-        f1 = np.clip(knn_density(rho1, ks[:, None], y.n, x.dim), 1e-12, 1e12)
-        f2 = np.clip(knn_density(rho2, ks[:, None], x.n - 1, x.dim), 1e-12, 1e12)
-        values[r] = plan.combine(plan.ks, spec.eval(f1, f2) @ outer / np.sum(outer))
+        l1 = np.log(ks[:, None]) - functionals._log_denominators(rho1, y.n, x.dim)
+        l2 = np.log(ks[:, None]) - functionals._log_denominators(rho2, x.n - 1, x.dim)
+        values[r] = plan.combine(plan.ks, spec.g_log(l1, l2) @ outer / np.sum(outer))
     return values
 
 
@@ -609,15 +609,21 @@ def test_interval_builds_schedule_and_weights_once(monkeypatch):
 
 
 def test_zero_variance_branches():
-    # Forty copies of one point as both samples: every resample is the same
-    # sample, so every replicate equals the estimate 1.0 and std_error is 0.
+    # Copies of one point as both samples: every resample is the same sample,
+    # and every distance is clamped.  With 39 copies in y against 40 in x,
+    # M1 = M2 = 39, so both densities are equal: every replicate equals the
+    # estimate 1.0 and std_error is 0.  Forty against forty give the ratio of
+    # the Ms, (39/40)^alpha.
     pts = np.tile([0.3, 0.6], (40, 1))
     config = EnsembleConfig("odin1", (1.0,), 2, 40, k_min=1)
-    at_null = confidence_interval(pts, pts, config, RENYI, reps=20, null_value=1.0)
+    assert ensemble_estimate(pts, pts, config, RENYI).value == pytest.approx((39 / 40) ** 0.5,
+                                                                             rel=1e-14)
+    y = pts[:39]
+    at_null = confidence_interval(pts, y, config, RENYI, reps=20, null_value=1.0)
     assert (at_null.estimate, at_null.std_error) == (1.0, 0.0)
     assert (at_null.z_score, at_null.p_value, at_null.reject) == (0.0, 1.0, False)
-    off_null = confidence_interval(pts, pts, config, RENYI, reps=20, null_value=0.9)
+    off_null = confidence_interval(pts, y, config, RENYI, reps=20, null_value=0.9)
     assert (off_null.z_score, off_null.p_value, off_null.reject) == (math.inf, 0.0, True)
-    assert two_sample_test(pts, pts, config, RENYI, 1.0, reps=20).p_value == 1.0
+    assert two_sample_test(pts, y, config, RENYI, 1.0, reps=20).p_value == 1.0
     with pytest.raises(ParameterError, match="degenerate variance"):
-        two_sample_test(pts, pts, config, RENYI, 0.9, reps=20)
+        two_sample_test(pts, y, config, RENYI, 0.9, reps=20)
