@@ -44,6 +44,7 @@ from .synth import (
     normal_cdf,
     sample_truncated_gaussian,
     true_renyi_integral,
+    true_value,
     truncated_gaussian_pdf,
 )
 

@@ -20,7 +20,7 @@ from .ensemble import (DEFAULT_DELTA, DEFAULT_ETA, DEFAULT_K_MIN, DEFAULT_NU, En
                        _raw_k, default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError, as_index
 from .functionals import make_functional, plugin_profile
-from .synth import TruncatedGaussianSpec, mc_truth, sample_truncated_gaussian, true_renyi_integral
+from .synth import TruncatedGaussianSpec, sample_truncated_gaussian, true_value
 
 _ESTIMATORS = ("plugin", "odin1", "odin2")
 
@@ -28,12 +28,6 @@ _ESTIMATORS = ("plugin", "odin1", "odin2")
 # Philox stream word.  role 0 = f2 sample (x), role 1 = f1 sample (y).
 def _trial_stream(d, n, trial, role):
     return (((d << 50) | (n << 26) | trial) << 1) | role
-
-
-_TRUTH_STREAM = 1 << 62
-
-# Monte Carlo draws behind the truth of a functional with no closed form.
-MC_TRUTH_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -154,20 +148,13 @@ _COLUMNS = tuple(f.name for f in fields(ResultRow))
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-def oracle_truth(config, d, n_mc=MC_TRUTH_N):
-    """The value the benchmark scores its dimension-d rows against, and its MC standard error.
+def oracle_truth(config, d):
+    """The exact value the benchmark scores its dimension-d rows against.
 
-    The Renyi integral comes from quadrature (standard error None); any other
-    functional is the mean of ``n_mc`` Monte Carlo draws from f2 at the
-    config's seed, on stream ``_TRUTH_STREAM + d``.  ``divknn truth`` prints
-    this value.
+    ``synth.true_value`` of the config's functional and densities; it reads
+    no seed.  ``divknn truth`` prints it.
     """
-    spec1, spec2 = config.density_specs(d)
-    if config.functional == "renyi_integral":
-        return true_renyi_integral(spec1, spec2, config.alpha), None
-    result = mc_truth(spec1, spec2, config.functional_spec(), n_mc, config.seed,
-                      stream=_TRUTH_STREAM + d)
-    return result.value, result.std_error
+    return true_value(*config.density_specs(d), config.functional_spec())
 
 
 def run_experiment(config):
@@ -195,7 +182,7 @@ def run_experiment(config):
     outcomes = _run_tasks(config.threads, tasks)
     rows = []
     for d in config.dims:
-        truth, _ = oracle_truth(config, d)
+        truth = oracle_truth(config, d)
         for n in config.n_grid:
             results = [outcomes[d, n, c] for c in range(chunks) if (d, n, c) in outcomes]
             errors = [str(r) for r in results if isinstance(r, Exception)]

@@ -14,15 +14,15 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from .bench import (MC_TRUTH_N, ExperimentConfig, emit, fit_loglog_slope, oracle_truth,
-                    run_experiment)
+from .bench import ExperimentConfig, emit, fit_loglog_slope, oracle_truth, run_experiment
 from .ensemble import (ODIN1_L_RANGE, ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _rate_warnings,
                        default_l_grid, estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
-from .functionals import BUILTIN_FUNCTIONALS, make_functional
+from .functionals import BUILTIN_FUNCTIONALS, diagonal_value, make_functional
 from .inference import confidence_interval
 from .neighbors import PointSet
 
@@ -146,8 +146,6 @@ def build_parser():
     _add_functional_flags(p)
     p.add_argument("-d", "--dim", type=int, required=True)
     _add_density_flags(p)
-    p.add_argument("--mc-n", type=int, default=MC_TRUTH_N)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     return parser
 
 
@@ -172,9 +170,11 @@ def cmd_estimate(args):
     x = _read_sample(args.f2_sample, args.header)
     spec = make_functional(args.functional, alpha=args.alpha)
     config = _ensemble_config(args, x.dim, x.n)
-    null = 1.0 if args.functional == "renyi_integral" else 0.0
+    null = diagonal_value(spec)
     result = confidence_interval(x, y, config, spec, level=args.level, reps=args.reps,
-                                 seed=args.seed, null_value=null)
+                                 seed=args.seed, null_value=0.0 if null is None else null)
+    if null is None:  # no value at f1 = f2, so no test to report
+        result = replace(result, z_score=None, p_value=None, null_value=None)
     if args.format == "json":
         print(json.dumps({
             "estimate": result.estimate, "std_error": result.std_error,
@@ -188,7 +188,8 @@ def cmd_estimate(args):
         print("estimate   %.10g" % result.estimate)
         print("std_error  %.10g" % result.std_error)
         print("ci%g%%     [%.10g, %.10g]" % (100 * args.level, result.ci_low, result.ci_high))
-        print("z vs %g    %.6g  (p=%.6g)" % (result.null_value, result.z_score, result.p_value))
+        if null is not None:
+            print("z vs %g    %.6g  (p=%.6g)" % (null, result.z_score, result.p_value))
         if result.warnings:
             print("warnings   %s" % "; ".join(result.warnings))
     return 0
@@ -247,11 +248,7 @@ def cmd_weights(args):
 def cmd_truth(args):
     """Print the truth ``bench`` scores its dimension-d rows against, for the same flags."""
     config = ExperimentConfig(dims=(args.dim,), **_config_fields(args))
-    value, std_error = oracle_truth(config, args.dim, args.mc_n)
-    if std_error is None:
-        print("%.17g" % value)
-    else:
-        print("%.17g  (mc std error %.3g)" % (value, std_error))
+    print("%.17g" % oracle_truth(config, args.dim))
     return 0
 
 

@@ -81,6 +81,21 @@ def make_functional(name, **params):
     raise ParameterError("unknown functional %r (known: %s)" % (name, ", ".join(BUILTIN_FUNCTIONALS)))
 
 
+def diagonal_value(spec):
+    """g(t, t) when it is finite and the same at every t, else None.
+
+    It is the functional's value at f1 = f2, the null of a no-difference
+    test: 1 for renyi_integral, 0 for kl, reverse_kl and l2, and None for
+    shannon_entropy, whose g(t, t) = -log t.  g is probed at a few t.
+    """
+    probe = np.log([0.5, 1.0, 2.0, 7.0])
+    diag = np.asarray(spec.g_log(probe, probe), dtype=np.float64)
+    # A NaN or inf spread is not > 1e-9, so finiteness is checked first.
+    if not np.all(np.isfinite(diag)) or np.ptp(diag) > 1e-9:
+        return None
+    return float(diag[0])
+
+
 @dataclass(frozen=True)
 class PluginEstimate:
     value: float
@@ -122,7 +137,9 @@ def knn_density(rho, k, m, d):
     integer or an integer array that broadcasts against it (for example one
     k per row of a (ks, points) distance array).  Distances below
     ``DEGENERATE_RHO`` are clamped, and one that is negative or not finite
-    raises.  The density is exp(log k - :func:`_log_denominators`).
+    raises.  The density is exp(log k - :func:`_log_denominators`); one past
+    float64's range is inf, without a warning (a clamped distance from
+    d = 26 on).  The estimators never read it: they stay in log space.
     """
     k = np.asarray(k)
     if k.dtype.kind not in "iu":  # as_index's rule, for an array
@@ -135,7 +152,8 @@ def knn_density(rho, k, m, d):
         raise ParameterError("rho must be >= 0")
     den = _log_denominators(rho, m, d)
     _check_read(den)
-    value = np.exp(np.log(k) - den)
+    with np.errstate(over="ignore"):
+        value = np.exp(np.log(k) - den)
     if np.ndim(value) == 0:
         return float(value)
     return value

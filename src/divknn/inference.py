@@ -56,7 +56,7 @@ import numpy as np
 
 from .ensemble import _check_samples, _estimate, estimation_plan
 from .errors import ParameterError, as_index
-from .functionals import _check_read, _denominator_profile, _log_denominators
+from .functionals import _check_read, _denominator_profile, _log_denominators, diagonal_value
 from .neighbors import NeighborIndex, as_pointset
 from .synth import rng_stream
 
@@ -161,7 +161,8 @@ def _replicate_tables(x, y, tables, m_x, m_y, ks):
     out = []
     for (values, rows), ref, mult, at, m in ((tables[0], y, m_y, ks, y.n),
                                              (tables[1], x, m_x, ks + 1, x.n - 1)):
-        table, short = _resampled_table(values, support, np.take(mult, rows[support]), at)
+        table, short = _resampled_table(values, support,
+                                       np.take(mult, np.take(rows, support, axis=0)), at)
         if short.any():
             table[:, short] = _direct_rows(ref, x.points[support[short]], mult, at, m)
         _check_read(table)
@@ -291,15 +292,13 @@ def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0
     """Two-sided test of H0: G(f1, f2) = null_value via the bootstrap CLT.
 
     Requires a functional with finite, constant g(t, t) so the no-difference
-    null has a known value (renyi_integral: 1, kl and l2: 0).  Degenerate
-    distances are clamped, as in confidence_interval.
+    null has a known value (``functionals.diagonal_value``: renyi_integral 1;
+    kl, reverse_kl and l2 0).  Degenerate distances are clamped, as in
+    confidence_interval.
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
-    probe = np.log([0.5, 1.0, 2.0, 7.0])
-    diag = np.asarray(spec.g_log(probe, probe), dtype=np.float64)
-    # A NaN or inf spread is not > 1e-9, so finiteness is checked first.
-    if not np.all(np.isfinite(diag)) or np.ptp(diag) > 1e-9:
+    if diagonal_value(spec) is None:
         raise ParameterError("two_sample_test requires g(t, t) finite and constant; "
                              "functional %r is not on the diagonal" % spec.name)
     result = _bootstrap_normal(x, y, config, spec, 1.0 - level / 2.0, level, 1.0 - level, reps,

@@ -3,8 +3,10 @@
 Densities are isotropic Gaussians restricted to the unit cube [0,1]^d.
 Because the covariance is sigma^2 * I and the support is axis-aligned, the
 coordinates are independent 1-d truncated normals, which makes both the
-sampler (per-coordinate rejection) and the Renyi-integral oracle
-(per-coordinate quadrature, multiplied across coordinates) exact.
+sampler (per-coordinate rejection) and the truth oracle exact:
+:func:`true_value` gives every built-in functional as a product or a sum of
+1-d quadratures (:func:`true_renyi_integral` is its Renyi case).
+:func:`mc_truth` is the independent Monte Carlo check the tests hold it to.
 
 All randomness flows through numpy's Philox counter-based generator; a
 (seed, stream) pair fully determines every draw, independent of execution
@@ -127,15 +129,29 @@ def _adaptive_gauss_legendre(f, tol=1e-10, max_panels=2**20, order=16):
     raise ConfigurationError("quadrature failed to reach tol=%g within %d panels" % (tol, max_panels))
 
 
-def _coordinate_pdf(mu, sigma):
-    mass = _truncation_mass(mu, sigma)
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * mass)
+def _coordinate_pdf(mu, sigma, x):
+    """The pdf and the log pdf at ``x`` of one coordinate's truncated normal on [0, 1]."""
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * _truncation_mass(mu, sigma))
+    z = (x - mu) / sigma
+    q = -0.5 * z * z
+    return norm * np.exp(q), math.log(norm) + q
 
-    def pdf(x):
-        z = (x - mu) / sigma
-        return norm * np.exp(-0.5 * z * z)
 
-    return pdf
+def _coordinate_integrals(spec1, spec2, integrand):
+    """Per coordinate, the quadrature over [0, 1] of integrand(p1, l1, p2, l2).
+
+    p and l are the pdf and the log pdf of the coordinate's 1-d truncated
+    normals under f1 and f2 (:func:`_coordinate_pdf`); coordinates with the
+    same pair of means share one quadrature.
+    """
+    if spec1.dim != spec2.dim:
+        raise ParameterError("specs must share the dimension")
+    cache = {}
+    for mu1, mu2 in zip(spec1.mean, spec2.mean):
+        if (mu1, mu2) not in cache:
+            cache[mu1, mu2] = _adaptive_gauss_legendre(lambda x: integrand(
+                *_coordinate_pdf(mu1, spec1.sigma, x), *_coordinate_pdf(mu2, spec2.sigma, x)))
+    return [cache[key] for key in zip(spec1.mean, spec2.mean)]
 
 
 def true_renyi_integral(spec1, spec2, alpha):
@@ -144,22 +160,42 @@ def true_renyi_integral(spec1, spec2, alpha):
     Exploits the per-coordinate product structure: the d-dimensional
     integral of f1^alpha * f2^(1-alpha) is the product of 1-d factors.
     """
-    if spec1.dim != spec2.dim:
-        raise ParameterError("specs must share the dimension")
     if alpha in (0.0, 1.0) or not math.isfinite(alpha):
         raise ParameterError("alpha must be finite and not 0 or 1")
-    total = 1.0
-    cache = {}
-    for mu1, mu2 in zip(spec1.mean, spec2.mean):
-        key = (mu1, mu2)
-        if key not in cache:
-            p1 = _coordinate_pdf(mu1, spec1.sigma)
-            p2 = _coordinate_pdf(mu2, spec2.sigma)
-            cache[key] = _adaptive_gauss_legendre(
-                lambda x: p1(x) ** alpha * p2(x) ** (1.0 - alpha)
-            )
-        total *= cache[key]
-    return total
+    return math.prod(_coordinate_integrals(
+        spec1, spec2, lambda p1, l1, p2, l2: p1 ** alpha * p2 ** (1.0 - alpha)))
+
+
+# Per-coordinate integrands of the functionals whose value is a sum over coordinates.
+_ADDITIVE_INTEGRANDS = {
+    "kl": lambda p1, l1, p2, l2: p1 * (l1 - l2),
+    "reverse_kl": lambda p1, l1, p2, l2: p2 * (l2 - l1),
+    "shannon_entropy": lambda p1, l1, p2, l2: -p2 * l2,
+}
+
+
+def true_value(spec1, spec2, functional):
+    """Exact integral of g(f1, f2) * f2 over [0, 1]^d for a built-in functional.
+
+    The coordinates are independent, so each value combines 1-d quadratures
+    (:func:`_coordinate_integrals`): the Renyi-alpha integral is the product
+    of the coordinates' integrals of p1^alpha p2^(1-alpha)
+    (:func:`true_renyi_integral`); l2, the integral of (f1 - f2)^2, is
+    prod I(p1^2) - 2 prod I(p1 p2) + prod I(p2^2); kl, reverse_kl and
+    shannon_entropy are sums of the coordinates' 1-d values.  ``functional``
+    is a ``FunctionalSpec``; custom, or any other name, raises
+    ParameterError.
+    """
+    name = functional.name
+    if name == "renyi_integral":
+        return true_renyi_integral(spec1, spec2, functional.params["alpha"])
+    if name == "l2":  # prod I(p1^2) - 2 prod I(p1 p2) + prod I(p2^2)
+        a, b, c = (math.prod(_coordinate_integrals(spec1, spec2, lambda p1, l1, p2, l2, e=e:
+                                                   p1 ** (2 - e) * p2 ** e)) for e in (0, 1, 2))
+        return a - 2.0 * b + c
+    if name not in _ADDITIVE_INTEGRANDS:
+        raise ParameterError("no exact value for functional %r" % name)
+    return sum(_coordinate_integrals(spec1, spec2, _ADDITIVE_INTEGRANDS[name]))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from divknn import (
     emit,
     ensemble_estimate,
     fit_loglog_slope,
+    make_functional,
     plugin_estimate,
     run_experiment,
     sample_truncated_gaussian,
@@ -339,8 +340,8 @@ def test_canonical_is_deterministic():
 
 
 def test_monte_carlo_truths_share_no_draws_across_chunks_or_dimensions(monkeypatch):
-    # oracle_truth keys its stream by d.  Chunk 0 keeps that stream, so a
-    # one-chunk truth keeps its bits; every later chunk has a stream of its own.
+    # Truths keyed by stream=d.  Chunk 0 keeps that stream, so a one-chunk
+    # truth keeps its bits; every later chunk has a stream of its own.
     streams = {}
 
     def stub(spec, n, seed, stream=0):
@@ -349,9 +350,20 @@ def test_monte_carlo_truths_share_no_draws_across_chunks_or_dimensions(monkeypat
 
     monkeypatch.setattr(synth, "sample_truncated_gaussian", stub)
     monkeypatch.setattr(synth, "truncated_gaussian_pdf", lambda spec, points: np.ones(len(points)))
-    config = ExperimentConfig(dims=(2, 3, 4), n_grid=(100,), functional="kl")
-    for d in config.dims:
-        bench.oracle_truth(config, d, n_mc=3 * 10**6)
-    assert [streams[d][0] for d in config.dims] == [bench._TRUTH_STREAM + d for d in config.dims]
-    drawn = [s for d in config.dims for s in streams[d]]
+    dims = (2, 3, 4)
+    for d in dims:
+        spec1, spec2 = ExperimentConfig(dims=(d,), n_grid=(100,)).density_specs(d)
+        synth.mc_truth(spec1, spec2, make_functional("kl"), 3 * 10**6, 0, stream=d)
+    assert [streams[d][0] for d in dims] == list(dims)
+    drawn = [s for d in dims for s in streams[d]]
     assert len(drawn) == 9 and len(set(drawn)) == 9
+
+
+@pytest.mark.parametrize("functional", ["renyi_integral", "kl", "reverse_kl", "l2",
+                                        "shannon_entropy"])
+def test_oracle_truth_is_the_exact_value_and_reads_no_seed(functional):
+    truths = [bench.oracle_truth(ExperimentConfig(functional=functional, seed=seed), 7)
+              for seed in (0, 1, 2)]
+    config = ExperimentConfig(functional=functional)
+    exact = synth.true_value(*config.density_specs(7), config.functional_spec())
+    assert [t.hex() for t in truths] == [exact.hex()] * 3

@@ -1,14 +1,14 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divknn import (EnsembleConfig, ExperimentConfig, TruncatedGaussianSpec,
-                    sample_truncated_gaussian, solve_weights, true_renyi_integral)
+from divknn import (EnsembleConfig, ExperimentConfig, TruncatedGaussianSpec, make_functional,
+                    sample_truncated_gaussian, solve_weights, true_renyi_integral, true_value)
 from divknn import cli
-from divknn.bench import MC_TRUTH_N
 from divknn.cli import _l_values, build_parser, main
 from divknn.ensemble import default_l_grid
 
@@ -34,15 +34,25 @@ def test_truth_renyi(capsys):
                             TruncatedGaussianSpec(1, (0.3,), 0.1), 0.5), abs=1e-15)
 
 
-def test_truth_mc_kl(capsys):
-    assert main(["truth", "-d", "1", "--functional", "kl", "--mc-n", "10000"]) == 0
+@pytest.mark.parametrize("functional", ["kl", "reverse_kl", "l2", "shannon_entropy"])
+def test_truth_prints_the_exact_value(capsys, functional):
+    assert main(["truth", "-d", "3", "--functional", functional]) == 0
     out = capsys.readouterr().out
-    assert "mc std error" in out
+    f1, f2 = TruncatedGaussianSpec(3, (0.7,), 0.1), TruncatedGaussianSpec(3, (0.3,), 0.1)
+    assert out == "%.17g\n" % true_value(f1, f2, make_functional(functional))
+
+
+@pytest.mark.parametrize("flag", ["--mc-n=10000", "--seed=3"])
+def test_truth_takes_no_monte_carlo_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["truth", "-d", "1", "--functional", "kl", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_truth_prints_the_value_bench_scores_against(tmp_path, capsys):
-    assert main(["truth", "-d", "1", "--functional", "kl", "--seed", "3"]) == 0
-    printed = float(capsys.readouterr().out.split()[0])
+    assert main(["truth", "-d", "1", "--functional", "kl"]) == 0
+    printed = float(capsys.readouterr().out)
     out = tmp_path / "kl.csv"
     assert main(["bench", "--out", str(out), "--functional", "kl", *BENCH_COMMON]) == 0
     rows = out.read_text().splitlines()
@@ -60,7 +70,7 @@ BENCH_FIELDS = tuple(name for name in ExperimentConfig.__dataclass_fields__
      ("functional", "alpha") + ENSEMBLE_FIELDS),
     (["weights", "-d", "3", "-n", "400"], ENSEMBLE_FIELDS),
     (["bench", "--out", "out.csv"], BENCH_FIELDS),
-    (["truth", "-d", "3"], ("functional", "alpha", "mean1", "mean2", "variance", "seed")),
+    (["truth", "-d", "3"], ("functional", "alpha", "mean1", "mean2", "variance")),
 ])
 def test_flag_defaults_are_the_config_defaults(argv, fields):
     args = build_parser().parse_args(argv)
@@ -69,7 +79,6 @@ def test_flag_defaults_are_the_config_defaults(argv, fields):
         if name in ENSEMBLE_FIELDS:
             assert getattr(args, name) == getattr(EnsembleConfig, name), name
     if argv[0] == "truth":
-        assert args.mc_n == MC_TRUTH_N
         return
     assert _l_values(args, 400) == default_l_grid(getattr(args, "mode", "odin1"), 400, 0.5)
     if argv[0] == "bench":
@@ -108,6 +117,23 @@ def test_estimate_text_and_json(capsys, tmp_path):
     assert payload["ci_low"] < payload["estimate"] < payload["ci_high"]
     assert payload["null_value"] == 1.0  # renyi null
     assert payload["bootstrap_reps"] == 15
+
+
+@pytest.mark.parametrize("functional, null", [("kl", 0.0), ("reverse_kl", 0.0), ("l2", 0.0),
+                                              ("shannon_entropy", None)])
+def test_estimate_tests_only_a_functional_with_a_no_difference_value(capsys, tmp_path,
+                                                                      functional, null):
+    y_path, x_path = write_samples(tmp_path)
+    common = ["estimate", "--f1-sample", y_path, "--f2-sample", x_path, "--functional",
+              functional, "--l-list", "0.5,1.0,2.0", "--reps", "15", "--solver", "exact"]
+    assert main(common) == 0
+    text = capsys.readouterr().out
+    assert ("z vs " in text) == (null is not None)
+    assert main(common + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["null_value"] == null
+    assert (payload["z_score"] is None, payload["p_value"] is None) == (null is None,) * 2
+    assert math.isfinite(payload["estimate"]) and payload["std_error"] > 0
 
 
 def test_bench_csv_deterministic(tmp_path, capsys):

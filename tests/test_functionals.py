@@ -23,7 +23,8 @@ from divknn import (
     true_renyi_integral,
     unit_ball_volume,
 )
-from divknn.functionals import _denominator_profile, _log_denominators, neighbor_tables
+from divknn.functionals import (_denominator_profile, _log_denominators, diagonal_value,
+                                neighbor_tables)
 
 
 def test_builtin_forms():
@@ -45,6 +46,13 @@ def test_diagonal_identities():
     assert np.allclose(make_functional("renyi_integral", alpha=0.3).g_log(t, t), 1.0)
     assert np.allclose(make_functional("kl").g_log(t, t), 0.0)
     assert np.allclose(make_functional("l2").g_log(t, t), 0.0)
+    # The no-difference value: exact where g(t, t) is constant, None where it varies.
+    nulls = {name: diagonal_value(make_functional(name, alpha=0.3))
+             for name in ("renyi_integral", "kl", "reverse_kl", "l2", "shannon_entropy")}
+    assert nulls == {"renyi_integral": 1.0, "kl": 0.0, "reverse_kl": 0.0, "l2": 0.0,
+                     "shannon_entropy": None}
+    assert diagonal_value(make_functional("custom", g=lambda t1, t2: t1 / t1)) == 1.0
+    assert diagonal_value(make_functional("custom", g=lambda t1, t2: t1 * np.inf)) is None
 
 
 def test_bad_functional_parameters():

@@ -173,6 +173,12 @@ def test_knn_density_examples():
     assert knn_density(0.5, 1, 1, 1) == pytest.approx(1.0, abs=1e-14)
     # A degenerate distance is clamped.
     assert np.isfinite(knn_density(0.0, 1, 2, 1))
+    # A density past float64's range is inf, silently: a clamped distance at d = 30.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert knn_density(0.0, 1, 2, 30) == math.inf
+        assert np.array_equal(knn_density(np.array([0.0, 0.5]), 1, 2, 30),
+                              [math.inf, knn_density(0.5, 1, 2, 30)])
     with pytest.raises(ParameterError):
         knn_density(0.1, 3, 2, 1)
 

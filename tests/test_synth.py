@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from divknn import (
     ConfigurationError,
+    FunctionalSpec,
     ParameterError,
     TruncatedGaussianSpec,
     make_functional,
     mc_truth,
     sample_truncated_gaussian,
     true_renyi_integral,
+    true_value,
     truncated_gaussian_pdf,
 )
 from divknn.synth import _adaptive_gauss_legendre, _truncation_mass
@@ -134,6 +137,56 @@ def test_mc_truth_agrees_with_quadrature():
 def test_mc_truth_requires_enough_samples():
     with pytest.raises(ParameterError):
         mc_truth(PAPER_F1, PAPER_F2, make_functional("kl"), 100, seed=0)
+
+
+BUILTINS = ("renyi_integral", "kl", "reverse_kl", "l2", "shannon_entropy")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_true_value_agrees_with_monte_carlo(name, d):
+    # The bench's densities: means 0.7 and 0.3, variance 0.1.
+    f1, f2 = TruncatedGaussianSpec(d, (0.7,), 0.1), TruncatedGaussianSpec(d, (0.3,), 0.1)
+    functional = make_functional(name)
+    mc = mc_truth(f1, f2, functional, 2 * 10**5, seed=17)
+    assert abs(true_value(f1, f2, functional) - mc.value) <= 4 * mc.std_error
+
+
+@pytest.mark.parametrize("spec", [PAPER_F1, TruncatedGaussianSpec(3, (0.2, 0.5, 0.9), 0.05)])
+def test_true_value_of_identical_densities(spec):
+    assert true_value(spec, spec, make_functional("renyi_integral", alpha=0.37)) == pytest.approx(
+        1.0, abs=1e-10)
+    for name in ("kl", "reverse_kl", "l2"):
+        assert true_value(spec, spec, make_functional(name)) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["kl", "reverse_kl", "shannon_entropy"])
+def test_additive_truths_are_sums_over_coordinates(name):
+    f1_7 = TruncatedGaussianSpec(7, (0.7,), 0.1)
+    f2_7 = TruncatedGaussianSpec(7, (0.3,), 0.1)
+    functional = make_functional(name)
+    one = true_value(PAPER_F1, PAPER_F2, functional)
+    assert true_value(f1_7, f2_7, functional) == pytest.approx(7 * one, rel=1e-12, abs=0)
+
+
+def test_true_value_with_underflowing_densities():
+    # Variance 1e-4: both 1-d pdfs underflow to 0 over most of [0, 1], yet their
+    # logs stay finite.  For equal variances KL = |mu1 - mu2|^2 / (2 variance) in the
+    # limit of no truncation, which these means are 30 sigma inside.
+    f1, f2 = TruncatedGaussianSpec(1, (0.4,), 1e-4), TruncatedGaussianSpec(1, (0.6,), 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert true_value(f1, f2, make_functional("kl")) == pytest.approx(200.0, rel=1e-9)
+        assert true_value(f1, f2, make_functional("reverse_kl")) == pytest.approx(200.0, rel=1e-9)
+
+
+def test_true_value_rejects_what_it_cannot_integrate():
+    with pytest.raises(ParameterError, match="custom"):
+        true_value(PAPER_F1, PAPER_F2, make_functional("custom", g=lambda t1, t2: t1))
+    with pytest.raises(ParameterError):
+        true_value(PAPER_F1, PAPER_F2, FunctionalSpec("tsallis"))
+    with pytest.raises(ParameterError, match="dimension"):
+        true_value(PAPER_F1, TruncatedGaussianSpec(2, (0.3,), 0.1), make_functional("kl"))
 
 
 def test_truncation_mass_sane():
