@@ -14,15 +14,14 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from .bench import ExperimentConfig, emit, fit_loglog_slope, oracle_truth, run_experiment
-from .ensemble import (ODIN1_L_RANGE, ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _rate_warnings,
-                       default_l_grid, estimation_plan)
+from .ensemble import (ODIN2_L_COUNT, ODIN2_L_MIN, EnsembleConfig, _rate_warnings, default_l_grid,
+                       estimation_plan)
 from .errors import ConfigurationError, ParameterError, SolverError
-from .functionals import BUILTIN_FUNCTIONALS, diagonal_value, make_functional
+from .functionals import BUILTIN_FUNCTIONALS, make_functional
 from .inference import confidence_interval
 from .neighbors import PointSet
 
@@ -68,12 +67,8 @@ def _add_density_flags(p):
 def _add_ensemble_flags(p, mode=True):
     if mode:
         p.add_argument("--mode", default="odin1", choices=["odin1", "odin2"])
-    l_min, l_max, l_count = ODIN1_L_RANGE
-    p.add_argument("--l-min", type=float, default=None, help="default %g" % l_min)
-    p.add_argument("--l-max", type=float, default=None, help="default %g" % l_max)
-    p.add_argument("--l-count", type=int, default=None, help="default %d" % l_count)
     p.add_argument("--l-list", type=_csv_list(float), default=None,
-                   help="explicit l grid; overrides --l-min/--l-max/--l-count")
+                   help="explicit l grid; default the mode's (divknn.ensemble.default_l_grid)")
     p.add_argument("--delta", type=float, default=EnsembleConfig.delta)
     p.add_argument("--nu", type=int, default=EnsembleConfig.nu)
     p.add_argument("--eta", type=float, default=EnsembleConfig.eta)
@@ -84,16 +79,11 @@ def _add_ensemble_flags(p, mode=True):
 def _l_values(args, n):
     """The l grid the flags name at N (``n`` is read only by ODin2's default).
 
-    --l-list wins.  Any of --l-min/--l-max/--l-count gives linspace over
-    ODIN1_L_RANGE with those flags in place, in either mode.  With no l flag
-    the mode (ODin1 where there is no --mode) takes default_l_grid.
+    --l-list, else the mode's default_l_grid (ODin1 where there is no --mode).
     """
     if args.l_list:
         return tuple(args.l_list)
-    given = (args.l_min, args.l_max, args.l_count)
-    if given == (None, None, None):
-        return default_l_grid(getattr(args, "mode", "odin1"), n, args.delta)
-    return tuple(np.linspace(*(v if v is not None else d for v, d in zip(given, ODIN1_L_RANGE))))
+    return default_l_grid(getattr(args, "mode", "odin1"), n, args.delta)
 
 
 def build_parser():
@@ -170,11 +160,8 @@ def cmd_estimate(args):
     x = _read_sample(args.f2_sample, args.header)
     spec = make_functional(args.functional, alpha=args.alpha)
     config = _ensemble_config(args, x.dim, x.n)
-    null = diagonal_value(spec)
     result = confidence_interval(x, y, config, spec, level=args.level, reps=args.reps,
-                                 seed=args.seed, null_value=0.0 if null is None else null)
-    if null is None:  # no value at f1 = f2, so no test to report
-        result = replace(result, z_score=None, p_value=None, null_value=None)
+                                 seed=args.seed)
     if args.format == "json":
         print(json.dumps({
             "estimate": result.estimate, "std_error": result.std_error,
@@ -188,8 +175,8 @@ def cmd_estimate(args):
         print("estimate   %.10g" % result.estimate)
         print("std_error  %.10g" % result.std_error)
         print("ci%g%%     [%.10g, %.10g]" % (100 * args.level, result.ci_low, result.ci_high))
-        if null is not None:
-            print("z vs %g    %.6g  (p=%.6g)" % (null, result.z_score, result.p_value))
+        if result.null_value is not None:  # a functional with no value at f1 = f2 has no test
+            print("z vs %g    %.6g  (p=%.6g)" % (result.null_value, result.z_score, result.p_value))
         if result.warnings:
             print("warnings   %s" % "; ".join(result.warnings))
     return 0

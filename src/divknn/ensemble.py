@@ -575,9 +575,11 @@ def estimation_plan(config):
 def ensemble_estimate(x, y, config, spec):
     """Weighted ensemble estimate sum_l w(l) * Ghat_{k(l)} with diagnostics.
 
-    Uses k1 = k2 = k(l) with N taken as the f2 sample size, combined by the
-    config's EstimationPlan.  Degenerate distances are clamped and reported
-    in ``degeneracy_count``.
+    Uses k1 = k2 = k(l), scheduled and combined by the config's
+    EstimationPlan, so N is ``config.n``: an f2 sample of another size puts
+    a "config.n=... but f2 sample has N=..." warning first in ``warnings``,
+    and the schedule still uses config.n.  Degenerate distances are clamped
+    and reported in ``degeneracy_count``.
     """
     return _estimate(as_pointset(x), as_pointset(y), estimation_plan(config), spec, None)
 

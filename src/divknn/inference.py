@@ -49,7 +49,7 @@ for bit, for any worker count.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -74,6 +74,13 @@ def normal_quantile(p):
 
 @dataclass(frozen=True)
 class InferenceResult:
+    """An estimate, its bootstrap standard error and interval, and a test of a null.
+
+    ``level`` is the interval's coverage.  ``z_score``, ``p_value`` and
+    ``null_value`` are None where there is no null to test (see
+    :func:`confidence_interval`), and ``reject`` is then False.
+    """
+
     estimate: float
     std_error: float
     ci_low: float
@@ -82,7 +89,7 @@ class InferenceResult:
     p_value: float
     bootstrap_reps: int
     level: float = 0.95
-    null_value: float = 0.0
+    null_value: float = None
     reject: bool = False
     # The point estimate's clamped distances, summed over its scheduled ks
     # (EstimateReport.degeneracy_count).
@@ -255,54 +262,60 @@ def _replicates(x, y, plan, spec, reps, seed, tables, pool):
     return np.fromiter(pool.map(replicate, range(reps)), dtype=np.float64, count=reps)
 
 
-def _bootstrap_normal(x, y, config, spec, quantile, alpha, coverage, reps, seed, null_value):
-    """Estimate, bootstrap std, z, p and the interval estimate +/- z_quantile * std.
+def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_value=None):
+    """Normal-theory interval estimate +/- z_{(1+level)/2} * bootstrap std, and a test of a null.
 
-    The point estimate and the replicates share one plan, one pool and one pair of
-    indexed neighbor tables (see :func:`_bootstrap`).
-    """
-    report, values = _bootstrap(x, y, config, spec, reps, seed, True)
-    estimate = report.value
-    std = float(np.std(values, ddof=1))
-    z_crit = normal_quantile(quantile)
-    if std > 0.0:
-        z = (estimate - null_value) / std
-    else:
-        z = 0.0 if estimate == null_value else math.copysign(math.inf, estimate - null_value)
-    # erfc(|z| / sqrt 2) = 2 (1 - Phi(|z|)) without the cancellation that
-    # rounds far tails to 0.
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    return InferenceResult(estimate, std, estimate - z_crit * std, estimate + z_crit * std, z, p,
-                           reps, coverage, null_value, reject=p < alpha,
-                           degeneracy_count=report.degeneracy_count, warnings=report.warnings)
-
-
-def confidence_interval(x, y, config, spec, level=0.95, reps=200, seed=0, null_value=0.0):
-    """Normal-theory interval: estimate +/- z_{(1+level)/2} * bootstrap std.
-
-    Degenerate distances are clamped; the result's ``degeneracy_count`` reports them.
+    The point estimate and the replicates share one plan, one pool and one
+    pair of indexed neighbor tables (see :func:`_bootstrap`).  The test is of
+    H0: G(f1, f2) = ``null_value``, by default the functional's value at
+    f1 = f2 (``functionals.diagonal_value``: renyi_integral 1; kl, reverse_kl
+    and l2 0).  z = (estimate - null_value) / std, p = erfc(|z| / sqrt 2), and
+    ``reject`` is p < 1 - level.  A functional with no such value
+    (shannon_entropy, a custom g not constant on the diagonal) and no
+    ``null_value`` given has no test: z, p and ``null_value`` are None and
+    ``reject`` is False.  A level outside (0, 1) or a null_value that is not
+    finite is a ParameterError before any table is built.  Degenerate
+    distances are clamped; the result's ``degeneracy_count`` reports them.
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
-    return _bootstrap_normal(x, y, config, spec, 0.5 * (1.0 + level), 1.0 - level, level, reps,
-                             seed, null_value)
+    if null_value is None:
+        null_value = diagonal_value(spec)
+    elif not math.isfinite(null_value):
+        raise ParameterError("null_value must be finite, got %r" % null_value)
+    report, values = _bootstrap(x, y, config, spec, reps, seed, True)
+    estimate = report.value
+    std = float(np.std(values, ddof=1))
+    z_crit = normal_quantile(0.5 * (1.0 + level))
+    z = p = None
+    if null_value is not None:
+        if std > 0.0:
+            z = (estimate - null_value) / std
+        else:
+            z = 0.0 if estimate == null_value else math.copysign(math.inf, estimate - null_value)
+        # erfc(|z| / sqrt 2) = 2 (1 - Phi(|z|)) without the cancellation that
+        # rounds far tails to 0.
+        p = math.erfc(abs(z) / math.sqrt(2.0))
+    return InferenceResult(estimate, std, estimate - z_crit * std, estimate + z_crit * std, z, p,
+                           reps, level, null_value, reject=p is not None and p < 1.0 - level,
+                           degeneracy_count=report.degeneracy_count, warnings=report.warnings)
 
 
-def two_sample_test(x, y, config, spec, null_value, level=0.05, reps=200, seed=0):
-    """Two-sided test of H0: G(f1, f2) = null_value via the bootstrap CLT.
+def two_sample_test(x, y, config, spec, null_value=None, level=0.05, reps=200, seed=0):
+    """Two-sided test of H0: G(f1, f2) = null_value at size ``level`` via the bootstrap CLT.
 
-    Requires a functional with finite, constant g(t, t) so the no-difference
-    null has a known value (``functionals.diagonal_value``: renyi_integral 1;
-    kl, reverse_kl and l2 0).  Degenerate distances are clamped, as in
-    confidence_interval.
+    :func:`confidence_interval` at coverage 1 - level, with ``reject`` exactly
+    p < level.  Requires a functional with finite, constant g(t, t), checked
+    before any table is built; ``null_value`` defaults to that value
+    (``functionals.diagonal_value``).  A zero bootstrap std with the estimate
+    off the null is a ParameterError.
     """
     if not (0.0 < level < 1.0):
         raise ParameterError("level must lie in (0, 1)")
     if diagonal_value(spec) is None:
         raise ParameterError("two_sample_test requires g(t, t) finite and constant; "
                              "functional %r is not on the diagonal" % spec.name)
-    result = _bootstrap_normal(x, y, config, spec, 1.0 - level / 2.0, level, 1.0 - level, reps,
-                               seed, null_value)
-    if result.std_error == 0.0 and result.estimate != null_value:
+    result = confidence_interval(x, y, config, spec, 1.0 - level, reps, seed, null_value)
+    if result.std_error == 0.0 and result.estimate != result.null_value:
         raise ParameterError("degenerate variance: std_error=0 with estimate != null")
-    return result
+    return replace(result, reject=result.p_value < level)

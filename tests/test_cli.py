@@ -310,7 +310,6 @@ def test_library_errors_are_one_line_and_exit_1(capsys):
     ["weights", "-d", "3", "-n", "100", "--eta", "nan"],
     ["weights", "-d", "3", "-n", "100", "--eta", "inf"],
     ["weights", "-d", "3", "-n", "100", "--l-list", "nan,1"],
-    ["weights", "-d", "3", "-n", "100", "--l-min", "nan"],
     ["weights", "-d", "3", "-n", "100", "--delta", "nan", "--mode", "odin2"],
     ["bench", "--l-list", "1,nan", "--dims", "1", "--trials", "1"],
     ["bench", "--delta", "nan", "--dims", "1", "--trials", "1"],
@@ -426,7 +425,8 @@ def test_odin2_takes_its_own_default_l_grid(capsys):
     assert "k collision" not in captured.err
     ks = [int(line.split()[1][2:]) for line in captured.out.splitlines() if line.startswith("l=")]
     assert ks == list(range(14, 39))
-    # Any l flag selects the linspace grid again.
-    assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100", "--l-count", "20"]) == 0
+    # An explicit grid overrides ODin2's default.
+    grid = ",".join("%g" % l for l in np.linspace(0.3, 3.0, 20))
+    assert main(["weights", "--mode", "odin2", "-d", "7", "-n", "100", "--l-list", grid]) == 0
     out = capsys.readouterr().out
     assert sum(line.startswith("l=") for line in out.splitlines()) == 20

@@ -197,6 +197,66 @@ def test_p_value_keeps_its_far_tail():
     assert far.reject
 
 
+def test_interval_tests_the_no_difference_value_by_default():
+    x, y, config = small_setup()
+    for name, null in (("renyi_integral", 1.0), ("kl", 0.0), ("reverse_kl", 0.0), ("l2", 0.0)):
+        r = confidence_interval(x, y, config, make_functional(name, alpha=0.5), reps=10, seed=2)
+        assert r.null_value == null
+        assert r.z_score == (r.estimate - null) / r.std_error
+        assert r.p_value == math.erfc(abs(r.z_score) / math.sqrt(2.0))
+        assert r.reject == (r.p_value < 1.0 - 0.95)
+    # The entropy has no value at f1 = f2, so no test unless a null is given.
+    entropy = make_functional("shannon_entropy")
+    r = confidence_interval(x, y, config, entropy, reps=10, seed=2)
+    assert (r.z_score, r.p_value, r.null_value, r.reject) == (None, None, None, False)
+    assert r.ci_low < r.estimate < r.ci_high
+    explicit = confidence_interval(x, y, config, entropy, reps=10, seed=2, null_value=0.0)
+    assert explicit.z_score == r.estimate / r.std_error
+
+
+def test_readme_interval_tests_the_renyi_integral_against_one():
+    # The README's library example at the defaults: d=2, N=1000, ODin1, 200 reps.
+    grid = tuple(np.linspace(0.3, 3.0, 50))
+    x, y, _ = resample_setup("odin1", 2, 1000, l_values=grid)
+    r = confidence_interval(x, y, EnsembleConfig("odin1", grid, d=2, n=1000), RENYI)
+    assert r.null_value == 1.0
+    assert r.z_score == (r.estimate - 1.0) / r.std_error
+    assert r.z_score < 0 and r.reject
+
+
+def test_two_sample_test_defaults_to_the_diagonal_value():
+    x, y, config = small_setup()
+    for spec in (RENYI, make_functional("kl")):
+        got = two_sample_test(x, y, config, spec, reps=10, seed=1)
+        want = two_sample_test(x, y, config, spec, functionals.diagonal_value(spec), reps=10,
+                               seed=1)
+        assert got == want and got.null_value == functionals.diagonal_value(spec)
+        assert got.reject == (got.p_value < 0.05)
+
+
+@pytest.mark.parametrize("null_value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_null_value_that_is_not_finite_is_rejected_before_any_table(table_calls, null_value):
+    x, y, config = small_setup()
+    for run in (confidence_interval, two_sample_test):
+        with pytest.raises(ParameterError, match="null_value must be finite"):
+            run(x, y, config, make_functional("kl"), null_value=null_value, reps=10)
+    assert table_calls == []
+
+
+def test_a_config_for_another_n_schedules_with_config_n_and_warns_first():
+    x, y, _ = small_setup()
+    grid = tuple(np.linspace(0.5, 2.0, 6))
+    config = EnsembleConfig("odin1", grid, d=1, n=x.n + 50, solver="exact")
+    first = "config.n=%d but f2 sample has N=%d; schedule uses config.n" % (x.n + 50, x.n)
+    report = ensemble_estimate(x, y, config, RENYI)
+    assert report.warnings[0] == first
+    assert confidence_interval(x, y, config, RENYI, reps=10, seed=2).warnings[0] == first
+    schedule = [(l, k) for l, k, _ in report.per_k]
+    assert schedule == list(ensemble.k_schedule(config)[0])
+    assert schedule != list(ensemble.k_schedule(EnsembleConfig("odin1", grid, d=1, n=x.n))[0])
+
+
 def test_array_samples_equal_point_sets():
     # Every public entry point takes plain (N, d) arrays as it takes PointSets.
     x, y, config = small_setup(n=120)
